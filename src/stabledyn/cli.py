@@ -37,7 +37,7 @@ _HYPER_KEYS = {"alpha", "beta", "lambda", "eps_pd", "eps_proj", "d",
                "u_lim", "x_lb", "x_ub", "v_cap"}
 _MODEL_KEYS = {"mode", "widths", "depth"}
 _TRAIN_KEYS = {"lr", "batch_size", "epochs", "clip_norm", "holdout",
-               "determinism", "dataset", "resume_from"}
+               "dataset", "resume_from"}
 _SAMPLE_KEYS = {"n"}
 _SIM_KEYS = {"k", "T", "h", "checkpoint"}
 _PORTRAIT_KEYS = {"resolution", "checkpoint"}
@@ -92,7 +92,6 @@ def load_config(path=None, overrides=None):
                   "epochs": int(raw["train"].get("epochs", 200)),
                   "clip_norm": raw["train"].get("clip_norm", 1.0),
                   "holdout": raw["train"].get("holdout", 0.1),
-                  "determinism": bool(raw["train"].get("determinism", True)),
                   "dataset": raw["train"].get("dataset"),
                   "resume_from": raw["train"].get("resume_from")},
         "sample": {"n": int(raw["sample"].get("n", 100000))},
@@ -144,7 +143,7 @@ def _sub_seed(seed, label):
 
 
 def _embed(cfg):
-    """Config as embedded in artifacts (paths dropped to keep runs comparable)."""
+    """The resolved config, paths included, as one line of sorted-key JSON."""
     return json.dumps(cfg, sort_keys=True)
 
 
@@ -201,7 +200,6 @@ def cmd_train(args):
     config = training.TrainConfig(
         lr=tc["lr"], batch_size=tc["batch_size"], epochs=tc["epochs"],
         clip_norm=tc["clip_norm"], holdout=tc["holdout"],
-        determinism=tc["determinism"],
         seed=int(_sub_seed(cfg["seed"], "train").generate_state(1)[0]))
     result = training.train(model, dataset, config)
 

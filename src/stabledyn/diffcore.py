@@ -20,7 +20,7 @@ All values are float64; batches are row-major (batch, dim).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,69 +165,6 @@ def init_network(dims, activation="tanh", seed=0, out_activation="identity",
     return Network(weights, biases, acts, srelu_width=srelu_width)
 
 
-def forward(net, x):
-    """Evaluate ``net`` at ``x``; accepts a single vector or a (B, in) batch."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != net.in_dim:
-        raise ValueError(f"input dim {X.shape[1]} != network input dim {net.in_dim}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite network input")
-    a = X
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T + b
-        if act == "tanh":
-            a = np.tanh(z)
-        elif act == "smoothed_relu":
-            a = smoothed_relu(z, net.srelu_width)
-        else:
-            a = z
-    return a[0] if single else a
-
-
-def input_gradient(net, x):
-    """Gradient of a scalar-output network w.r.t. its input.
-
-    Built as the explicit product of weight matrices and activation
-    derivative diagonals; valid everywhere because every activation tag is
-    C1.
-    """
-    if net.out_dim != 1:
-        raise ValueError("input_gradient requires a scalar-output network")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != net.in_dim:
-        raise ValueError(f"input dim {X.shape[1]} != network input dim {net.in_dim}")
-    a = X
-    preacts = []
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T + b
-        preacts.append(z)
-        if act == "tanh":
-            a = np.tanh(z)
-        elif act == "smoothed_relu":
-            a = smoothed_relu(z, net.srelu_width)
-        else:
-            a = z
-    G = None  # running d(out)/d(layer input), starts as implicit ones (B,1)
-    for w, act, z in zip(reversed(net.weights), reversed(net.activations),
-                         reversed(preacts)):
-        if act == "tanh":
-            dphi = 1.0 - np.tanh(z) ** 2
-        elif act == "smoothed_relu":
-            dphi = smoothed_relu_grad(z, net.srelu_width)
-        else:
-            dphi = None
-        if dphi is not None:
-            G = dphi if G is None else G * dphi
-        if G is None:
-            G = np.ones((X.shape[0], 1))
-        G = G @ w
-    return G[0] if single else G
-
-
 # ---------------------------------------------------------------------------
 # Flat parameter vector layout
 # ---------------------------------------------------------------------------
@@ -281,15 +218,6 @@ class ParamLayout:
                 nets[blk.net].weights[blk.layer] = chunk.copy()
             else:
                 nets[blk.net].biases[blk.layer] = chunk.copy()
-
-    def locate(self, flat_index):
-        """Map a flat index back to (block, index-within-block)."""
-        if not 0 <= flat_index < self.size:
-            raise IndexError(flat_index)
-        for blk in self.blocks:
-            if blk.offset <= flat_index < blk.offset + blk.size:
-                return blk, flat_index - blk.offset
-        raise IndexError(flat_index)  # unreachable
 
     @staticmethod
     def _slot(nets, blk):
@@ -346,8 +274,7 @@ class NumpyOps:
 
     @staticmethod
     def matmul_t(a, w):
-        # swapaxes rather than .T so stacked (M, out, in) weights also work
-        return a @ np.swapaxes(w, -1, -2)
+        return a @ w.T
 
     @staticmethod
     def concat_cols(a, b):
@@ -419,16 +346,15 @@ class NumpyOps:
 
 
 class Node:
-    """One recorded primitive: value plus the recipe to replay and reverse it."""
+    """One recorded primitive: value plus the recipe to reverse it."""
 
-    __slots__ = ("idx", "op", "value", "parents", "fwd", "vjp")
+    __slots__ = ("idx", "op", "value", "parents", "vjp")
 
-    def __init__(self, idx, op, value, parents, fwd, vjp):
+    def __init__(self, idx, op, value, parents, vjp):
         self.idx = idx
         self.op = op
         self.value = value
         self.parents = parents
-        self.fwd = fwd
         self.vjp = vjp
 
 
@@ -446,21 +372,21 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def _record(self, op, value, parents, fwd, vjp):
-        node = Node(len(self._nodes), op, value, parents, fwd, vjp)
+    def _record(self, op, value, parents, vjp):
+        node = Node(len(self._nodes), op, value, parents, vjp)
         self._nodes.append(node)
         return node
 
     def leaf(self, x):
         """Register a differentiation leaf (parameter or input array)."""
         v = np.asarray(x, dtype=np.float64)
-        return self._record("leaf", v, (), None, None)
+        return self._record("leaf", v, (), None)
 
     def constant(self, x):
         # Constants are leaves never asked for a gradient; kept distinct
         # only for readability of recorded tapes.
         v = np.asarray(x, dtype=np.float64)
-        return self._record("const", v, (), None, None)
+        return self._record("const", v, (), None)
 
     @staticmethod
     def value(node):
@@ -472,21 +398,21 @@ class Tape:
         out = a.value + b.value
         ash, bsh = a.value.shape, b.value.shape
         return self._record(
-            "add", out, (a, b), lambda x, y: x + y,
+            "add", out, (a, b),
             lambda adj: (_unbroadcast(adj, ash), _unbroadcast(adj, bsh)))
 
     def sub(self, a, b):
         out = a.value - b.value
         ash, bsh = a.value.shape, b.value.shape
         return self._record(
-            "sub", out, (a, b), lambda x, y: x - y,
+            "sub", out, (a, b),
             lambda adj: (_unbroadcast(adj, ash), _unbroadcast(-adj, bsh)))
 
     def mul(self, a, b):
         out = a.value * b.value
         av, bv = a.value, b.value
         return self._record(
-            "mul", out, (a, b), lambda x, y: x * y,
+            "mul", out, (a, b),
             lambda adj: (_unbroadcast(adj * bv, av.shape),
                          _unbroadcast(adj * av, bv.shape)))
 
@@ -494,120 +420,104 @@ class Tape:
         out = a.value / b.value
         av, bv = a.value, b.value
         return self._record(
-            "div", out, (a, b), lambda x, y: x / y,
+            "div", out, (a, b),
             lambda adj: (_unbroadcast(adj / bv, av.shape),
                          _unbroadcast(-adj * av / (bv * bv), bv.shape)))
 
     def neg(self, a):
-        return self._record("neg", -a.value, (a,), lambda x: -x,
-                            lambda adj: (-adj,))
+        return self._record("neg", -a.value, (a,), lambda adj: (-adj,))
 
     def matmul(self, a, b):
         out = a.value @ b.value
         av, bv = a.value, b.value
-        return self._record(
-            "matmul", out, (a, b), lambda x, y: x @ y,
-            lambda adj: (adj @ bv.T, av.T @ adj))
+        return self._record("matmul", out, (a, b),
+                            lambda adj: (adj @ bv.T, av.T @ adj))
 
     def matmul_t(self, a, w):
         out = a.value @ w.value.T
         av, wv = a.value, w.value
-        return self._record(
-            "matmul_t", out, (a, w), lambda x, y: x @ y.T,
-            lambda adj: (adj @ wv, adj.T @ av))
+        return self._record("matmul_t", out, (a, w),
+                            lambda adj: (adj @ wv, adj.T @ av))
 
     def concat_cols(self, a, b):
         out = np.hstack((a.value, b.value))
         ka = a.value.shape[1]
-        return self._record(
-            "concat_cols", out, (a, b), lambda x, y: np.hstack((x, y)),
-            lambda adj: (adj[:, :ka], adj[:, ka:]))
+        return self._record("concat_cols", out, (a, b),
+                            lambda adj: (adj[:, :ka], adj[:, ka:]))
 
     def tanh(self, a):
         out = np.tanh(a.value)
-        return self._record("tanh", out, (a,), np.tanh,
+        return self._record("tanh", out, (a,),
                             lambda adj: (adj * (1.0 - out * out),))
 
     def srelu(self, a, d):
         out = _srelu_raw(a.value, d)
         av = a.value
-        return self._record(
-            "srelu", out, (a,), lambda x: _srelu_raw(x, d),
-            lambda adj: (adj * _srelu_grad_raw(av, d),))
+        return self._record("srelu", out, (a,),
+                            lambda adj: (adj * _srelu_grad_raw(av, d),))
 
     def srelu_grad(self, a, d):
         out = _srelu_grad_raw(a.value, d)
         av = a.value
-        return self._record(
-            "srelu_grad", out, (a,), lambda x: _srelu_grad_raw(x, d),
-            lambda adj: (adj * smoothed_relu_curv(av, d),))
+        return self._record("srelu_grad", out, (a,),
+                            lambda adj: (adj * smoothed_relu_curv(av, d),))
 
     def relu(self, a):
         out = np.maximum(a.value, 0.0)
         av = a.value
         # subgradient at exactly 0 is taken as 0 (dead at the boundary)
-        return self._record(
-            "relu", out, (a,), lambda x: np.maximum(x, 0.0),
-            lambda adj: (adj * (av > 0.0),))
+        return self._record("relu", out, (a,), lambda adj: (adj * (av > 0.0),))
 
     def exp(self, a):
         out = np.exp(a.value)
-        return self._record("exp", out, (a,), np.exp,
-                            lambda adj: (adj * out,))
+        return self._record("exp", out, (a,), lambda adj: (adj * out,))
 
     def scale(self, a, s):
         s = float(s)
-        return self._record("scale", a.value * s, (a,), lambda x: x * s,
-                            lambda adj: (adj * s,))
+        return self._record("scale", a.value * s, (a,), lambda adj: (adj * s,))
 
     def add_scalar(self, a, c):
         c = float(c)
-        return self._record("add_scalar", a.value + c, (a,), lambda x: x + c,
-                            lambda adj: (adj,))
+        return self._record("add_scalar", a.value + c, (a,), lambda adj: (adj,))
 
     def maximum_scalar(self, a, c):
         c = float(c)
         out = np.maximum(a.value, c)
         av = a.value
         # ties take the constant branch: no gradient at a == c
-        return self._record(
-            "maximum_scalar", out, (a,), lambda x: np.maximum(x, c),
-            lambda adj: (adj * (av > c),))
+        return self._record("maximum_scalar", out, (a,),
+                            lambda adj: (adj * (av > c),))
 
     def row_sum(self, a):
         out = a.value.sum(axis=1, keepdims=True)
         shape = a.value.shape
-        return self._record(
-            "row_sum", out, (a,), lambda x: x.sum(axis=1, keepdims=True),
-            lambda adj: (np.broadcast_to(adj, shape),))
+        return self._record("row_sum", out, (a,),
+                            lambda adj: (np.broadcast_to(adj, shape),))
 
     def sum_all(self, a):
         out = a.value.sum()
         shape = a.value.shape
-        return self._record(
-            "sum_all", out, (a,), lambda x: x.sum(),
-            lambda adj: (np.broadcast_to(adj, shape),))
+        return self._record("sum_all", out, (a,),
+                            lambda adj: (np.broadcast_to(adj, shape),))
 
     def mean_all(self, a):
         out = a.value.mean()
         shape = a.value.shape
         n = a.value.size
-        return self._record(
-            "mean_all", out, (a,), lambda x: x.mean(),
-            lambda adj: (np.broadcast_to(adj / n, shape),))
+        return self._record("mean_all", out, (a,),
+                            lambda adj: (np.broadcast_to(adj / n, shape),))
 
     def reshape(self, a, shape):
         shape = tuple(shape)
         old = a.value.shape
-        return self._record(
-            "reshape", a.value.reshape(shape), (a,), lambda x: x.reshape(shape),
-            lambda adj: (adj.reshape(old),))
+        return self._record("reshape", a.value.reshape(shape), (a,),
+                            lambda adj: (adj.reshape(old),))
 
     def bmat_vec(self, A, u):
         out = np.einsum("bnm,bm->bn", A.value, u.value)
         Av, uv = A.value, u.value
         return self._record(
-            "bmat_vec", out, (A, u), lambda x, y: np.einsum("bnm,bm->bn", x, y),
+            "bmat_vec", out, (A, u),
             lambda adj: (np.einsum("bn,bm->bnm", adj, uv),
                          np.einsum("bn,bnm->bm", adj, Av)))
 
@@ -615,21 +525,22 @@ class Tape:
         out = np.einsum("bn,bnm->bm", g.value, A.value)
         gv, Av = g.value, A.value
         return self._record(
-            "vec_bmat", out, (g, A), lambda x, y: np.einsum("bn,bnm->bm", x, y),
+            "vec_bmat", out, (g, A),
             lambda adj: (np.einsum("bm,bnm->bn", adj, Av),
                          np.einsum("bn,bm->bnm", gv, adj)))
 
     def sign_detached(self, a):
         # piecewise-constant: carries no gradient by construction
-        return self._record("sign_detached", np.sign(a.value), (a,), np.sign,
+        return self._record("sign_detached", np.sign(a.value), (a,),
                             lambda adj: (None,))
 
-    # -- reverse sweep and replay --------------------------------------
+    # -- reverse sweep -------------------------------------------------
 
-    def gradient(self, output, leaves, check_finite=True):
+    def gradient(self, output, leaves):
         """Adjoints of ``output`` (a scalar node) w.r.t. each node in ``leaves``.
 
-        Leaves the output does not depend on get exact zero gradients.
+        Leaves the output does not depend on get exact zero gradients.  A
+        non-finite adjoint raises :class:`GradientError` naming its node.
         """
         if np.asarray(output.value).size != 1:
             raise GradientError("gradient target must be scalar")
@@ -639,7 +550,7 @@ class Tape:
             adj = adjoints[node.idx]
             if adj is None or node.vjp is None:
                 continue
-            if check_finite and not np.all(np.isfinite(adj)):
+            if not np.all(np.isfinite(adj)):
                 raise GradientError(
                     f"non-finite adjoint at node {node.idx} ({node.op})")
             for parent, contrib in zip(node.parents, node.vjp(adj)):
@@ -655,21 +566,11 @@ class Tape:
             if g is None:
                 out.append(np.zeros_like(leaf.value))
                 continue
-            if check_finite and not np.all(np.isfinite(g)):
+            if not np.all(np.isfinite(g)):
                 raise GradientError(
                     f"non-finite adjoint at node {leaf.idx} ({leaf.op})")
             out.append(np.asarray(g))
         return out
-
-    def replay(self):
-        """Recompute every node from its parents; True iff all values match bit-for-bit."""
-        for node in self._nodes:
-            if node.fwd is None:
-                continue
-            redone = node.fwd(*(p.value for p in node.parents))
-            if not np.array_equal(np.asarray(redone), np.asarray(node.value)):
-                return False
-        return True
 
 
 def param_gradient(tape, output, leaf_blocks, layout):

@@ -24,7 +24,7 @@ needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -479,21 +479,3 @@ class StableDynamicsModel:
         pieces = self.eval_pieces(x, ablate_projection=ablate_projection)
         out = pieces["fstar_star"]
         return out[0] if pieces["single"] else out
-
-    def affine_controller(self, x):
-        if self.mode != "affine":
-            raise ValueError("affine_controller requires an affine-mode model")
-        return self.controller(x)
-
-    def affine_nominal(self, x, u):
-        if self.mode != "affine":
-            raise ValueError("affine_nominal requires an affine-mode model")
-        return self.nominal(x, u)
-
-    def affine_parts(self, x):
-        """(f1(x), f2(x)) of the control-affine nominal model."""
-        if self.mode != "affine":
-            raise ValueError("affine_parts requires an affine-mode model")
-        pieces = self.eval_pieces(x)
-        f1, f2 = pieces["f1"], pieces["f2"]
-        return (f1[0], f2[0]) if pieces["single"] else (f1, f2)

@@ -9,11 +9,10 @@ singularity) truncate with a flag instead of crashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import StableDynamicsModel
 from .systems import DomainError, SystemSpec
 
 ESCAPE_FACTOR = 10.0
@@ -51,18 +50,26 @@ class Trajectory:
         np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
-def rk4_step(field_fn, x, h):
-    """One classical Runge-Kutta step of the autonomous field ``field_fn``."""
+def rk4_step(field_fn, x, h, k1=None):
+    """One classical Runge-Kutta step of the autonomous field ``field_fn``.
+
+    ``k1`` is the first stage when the caller has already evaluated it.
+    Each stage is checked as soon as it is computed, so a non-finite value
+    never reaches ``field_fn``: the step raises FloatingPointError instead.
+    """
     if h <= 0:
         raise ValueError("step size must be positive")
-    k1 = field_fn(x)
-    k2 = field_fn(x + 0.5 * h * k1)
-    k3 = field_fn(x + 0.5 * h * k2)
-    k4 = field_fn(x + h * k3)
-    for k in (k1, k2, k3, k4):
-        if not np.all(np.isfinite(k)):
-            raise FloatingPointError("non-finite RK4 stage")
+    k1 = _finite_stage(field_fn(x) if k1 is None else k1)
+    k2 = _finite_stage(field_fn(x + 0.5 * h * k1))
+    k3 = _finite_stage(field_fn(x + 0.5 * h * k2))
+    k4 = _finite_stage(field_fn(x + h * k3))
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _finite_stage(k):
+    if not np.all(np.isfinite(k)):
+        raise FloatingPointError("non-finite RK4 stage")
+    return k
 
 
 def _domain_diameter(hyper):
@@ -84,9 +91,10 @@ def rollout(plant, model, x0, T=10.0, h=1e-3):
 def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     """Batched rollouts from several starts; returns one Trajectory per row.
 
-    Rows are integrated together for speed; a row that escapes or hits a
-    plant domain error is frozen and its trajectory truncated at the last
-    valid state.
+    Rows are integrated together for speed.  A row that escapes, hits a
+    plant domain error or reaches a non-finite stage is frozen and its
+    trajectory truncated at the last valid state, with its own cause in
+    ``reason``.  Any other exception from the plant propagates.
     """
     if T <= 0 or h <= 0:
         raise ValueError("need T > 0 and h > 0")
@@ -133,33 +141,27 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
             break
         idx = np.flatnonzero(active)
         Xa = X[idx]
-        failed = np.empty(0, dtype=int)
-        fail_reason = ""
+        causes = {}  # row within idx -> truncation reason
         try:
-            f1 = (plant.dynamics(Xa, u_rec[idx]) if true_plant
-                  else fstar[idx])
-            Xn = _rk4_masked(field, Xa, f1, h)
-            bad = ~np.all(np.isfinite(Xn), axis=1)
-            if np.any(bad):
-                failed = np.flatnonzero(bad)
-                fail_reason = "non-finite state"
-        except (DomainError, FloatingPointError, ValueError) as exc:
+            k1 = plant.dynamics(Xa, u_rec[idx]) if true_plant else fstar[idx]
+            Xn = rk4_step(field, Xa, h, k1=k1)
+        except (DomainError, FloatingPointError):
             # isolate offending rows by stepping one at a time
             Xn = Xa.copy()
-            bad = []
             for j in range(len(idx)):
                 try:
-                    f1j = field(Xa[j:j + 1])
-                    Xn[j] = _rk4_masked(field, Xa[j:j + 1], f1j, h)[0]
-                except (DomainError, FloatingPointError, ValueError):
-                    bad.append(j)
-            failed = np.asarray(bad, dtype=int)
-            fail_reason = f"plant domain error: {exc}"
-        for j in failed:
+                    Xn[j] = rk4_step(field, Xa[j:j + 1], h)[0]
+                except DomainError as exc:
+                    causes[j] = f"plant domain error: {exc}"
+                except FloatingPointError:
+                    causes[j] = "non-finite state"
+        for j in np.flatnonzero(~np.all(np.isfinite(Xn), axis=1)):
+            causes.setdefault(j, "non-finite state")
+        for j, cause in causes.items():
             row = idx[j]
             active[row] = False
             end_step[row] = k
-            reasons[row] = fail_reason
+            reasons[row] = cause
             Xn[j] = Xa[j]
         newX = X.copy()
         newX[idx] = Xn
@@ -185,105 +187,6 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
             reason=reasons[b],
         ))
     return out
-
-
-def _rk4_masked(field, X, k1, h):
-    """RK4 step reusing the already-evaluated first stage."""
-    k2 = field(X + 0.5 * h * k1)
-    k3 = field(X + 0.5 * h * k2)
-    k4 = field(X + h * k3)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rollout_ensemble(models, starts, T=10.0, h=1e-3):
-    """Learned-plant rollouts for M same-architecture models in one sweep.
-
-    ``starts`` has shape (M, B, n): B starts per model.  All models must be
-    general-mode with identical layer dims and hyperparameters; their
-    stacked weights run through the same evaluation pipeline as single
-    models (the numpy backend broadcasts over the leading model axis).
-    Returns a list of B trajectories per model.
-    """
-    from .diffcore import NumpyOps
-
-    starts = np.asarray(starts, dtype=np.float64)
-    M, B, n = starts.shape
-    if len(models) != M:
-        raise ValueError("starts leading axis must match the number of models")
-    template = models[0]
-    for m in models:
-        if m.mode != "general":
-            raise ValueError("ensemble rollouts support general-mode models only")
-        for name, net in m.nets.items():
-            ref = template.nets[name]
-            if net.dims != ref.dims or net.activations != ref.activations:
-                raise ValueError("ensemble models must share architecture")
-    if T <= 0 or h <= 0:
-        raise ValueError("need T > 0 and h > 0")
-    steps = int(round(T / h))
-    limit = ESCAPE_FACTOR * _domain_diameter(template.hyper)
-
-    handles = {
-        name: [
-            (np.stack([m.nets[name].weights[i] for m in models]),
-             np.stack([m.nets[name].biases[i][None, :] for m in models]))
-            for i in range(len(template.nets[name].weights))
-        ]
-        for name in template.nets
-    }
-    origin = {
-        key: np.stack([m._origin_offsets()[key] for m in models])
-        for key in template._origin_offsets()
-    }
-
-    def pieces_of(X):
-        return template.build_graph(NumpyOps, handles, X, None, origin=origin)
-
-    states = np.empty((steps + 1, M, B, n))
-    controls = np.empty((steps + 1, M, B, template.m))
-    v_trace = np.empty((steps + 1, M, B))
-    end_step = np.full((M, B), steps, dtype=int)
-    escaped = np.zeros((M, B), dtype=bool)
-
-    X = starts.copy()
-    for k in range(steps + 1):
-        pieces = pieces_of(X)
-        states[k] = X
-        controls[k] = pieces["u_star"]
-        v_trace[k] = pieces["v"][..., 0]
-        if k == steps:
-            break
-        k1 = pieces["fstar_star"]
-        k2 = pieces_of(X + 0.5 * h * k1)["fstar_star"]
-        k3 = pieces_of(X + 0.5 * h * k2)["fstar_star"]
-        k4 = pieces_of(X + h * k3)["fstar_star"]
-        newX = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        frozen = end_step < steps
-        bad = (~np.all(np.isfinite(newX), axis=2)) & ~frozen
-        newX[bad | frozen] = X[bad | frozen]
-        end_step[bad] = k
-        out = (np.linalg.norm(newX, axis=2) > limit) & ~frozen & ~bad
-        end_step[out] = k + 1  # record the exceeding state, then stop
-        escaped |= bad | out
-        X = newX
-
-    times = np.arange(steps + 1) * h
-    result = []
-    for i in range(M):
-        rows = []
-        for b in range(B):
-            e = end_step[i, b]
-            rows.append(Trajectory(
-                times=times[:e + 1].copy(),
-                states=states[:e + 1, i, b].copy(),
-                controls=controls[:e + 1, i, b].copy(),
-                v_trace=v_trace[:e + 1, i, b].copy(),
-                norm_trace=np.linalg.norm(states[:e + 1, i, b], axis=1),
-                escaped=bool(escaped[i, b]),
-                reason="escape guard" if escaped[i, b] else "",
-            ))
-        result.append(rows)
-    return result
 
 
 # ---------------------------------------------------------------------------

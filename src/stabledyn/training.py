@@ -132,18 +132,6 @@ def import_dataset_csv(path, meta_path=None):
 # Loss
 # ---------------------------------------------------------------------------
 
-def kernel(u, uprime, beta):
-    """Proximity kernel 1 + exp(-beta ||u - u'||^2); range (1, 2]."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-    uprime = np.atleast_2d(np.asarray(uprime, dtype=np.float64))
-    if u.shape != uprime.shape:
-        raise ValueError(f"control shapes differ: {u.shape} vs {uprime.shape}")
-    vals = 1.0 + np.exp(-beta * np.sum((u - uprime) ** 2, axis=1))
-    return float(vals[0]) if vals.size == 1 else vals
-
-
 def _loss_node(ops, model, handles, X, U, Xdot, origin=None):
     hp = model.hyper
     pieces = model.build_graph(ops, handles, X, U, origin=origin)
@@ -223,7 +211,6 @@ class TrainConfig:
     epochs: int = 200
     clip_norm: float = 1.0
     seed: int = 0
-    determinism: bool = True  # numpy reductions are fixed-order regardless
     holdout: float = 0.1
 
     def __post_init__(self):
@@ -235,11 +222,6 @@ class TrainConfig:
             raise ValueError("clip_norm must be positive")
         if not 0.0 <= self.holdout < 1.0:
             raise ValueError("holdout fraction must be in [0, 1)")
-
-    def to_dict(self):
-        return {"lr": self.lr, "batch_size": self.batch_size, "epochs": self.epochs,
-                "clip_norm": self.clip_norm, "seed": self.seed,
-                "determinism": self.determinism, "holdout": self.holdout}
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stabledyn.diffcore import NumpyOps, net_apply
 from stabledyn.models import Hyper, StableDynamicsModel
 from stabledyn import systems
 
@@ -29,6 +30,12 @@ def make_model(hyper, seed=0, mode="general", small=True):
     return StableDynamicsModel.initialize(hyper, seed=seed, mode=mode, widths=widths)
 
 
+def apply_net(net, X):
+    """Output and layer cache of ``net`` on a (B, in) batch, numpy backend."""
+    return net_apply(NumpyOps, list(zip(net.weights, net.biases)), net.activations,
+                     net.srelu_width, np.asarray(X, dtype=np.float64))
+
+
 def jitter_params(model, rng, scale=0.05):
     """Random offset on every parameter so no preactivation sits on a seam.
 
@@ -47,12 +54,10 @@ def seam_margins(model, X, U=None):
     hp = model.hyper
     margins = []
     for name, net in model.nets.items():
-        from stabledyn.diffcore import NumpyOps, net_apply
-        handles = [(w, b) for w, b in zip(net.weights, net.biases)]
         inputs = {"gv": X, "gu": X, "gf1": X, "gf2": X}.get(name)
         if inputs is None:  # gf consumes (x, u*) and optionally (x, u)
             inputs = np.hstack((X, pieces["u_star"]))
-        _, cache = net_apply(NumpyOps, handles, net.activations, net.srelu_width, inputs)
+        _, cache = apply_net(net, inputs)
         for (z, _a), act in zip(cache, net.activations):
             if act == "smoothed_relu":
                 margins.append(np.min(np.abs(z)))

@@ -8,9 +8,7 @@ from stabledyn.diffcore import (
     NumpyOps,
     ParamLayout,
     Tape,
-    forward,
     init_network,
-    input_gradient,
     net_apply,
     net_input_gradient,
     param_gradient,
@@ -18,8 +16,22 @@ from stabledyn.diffcore import (
     smoothed_relu_curv,
     smoothed_relu_grad,
 )
+from stabledyn.models import StableDynamicsModel
+
+from conftest import apply_net, make_model
 
 D = 0.005
+
+
+def _apply(net, X):
+    return apply_net(net, X)[0]
+
+
+def _input_grad(net, X):
+    """Input gradient of a scalar-output network on a (B, in) batch."""
+    _, cache = apply_net(net, X)
+    return net_input_gradient(NumpyOps, list(zip(net.weights, net.biases)),
+                              net.activations, net.srelu_width, cache)
 
 
 class TestInit:
@@ -55,30 +67,32 @@ class TestInit:
 class TestForward:
     def test_zero_weights_identity_gives_bias(self):
         net = Network([np.zeros((3, 2))], [np.array([1.0, -2.0, 0.5])], ["identity"])
-        assert np.array_equal(forward(net, [0.3, -0.7]), [1.0, -2.0, 0.5])
+        assert np.array_equal(_apply(net, [[0.3, -0.7]]), [[1.0, -2.0, 0.5]])
 
     def test_identity_layer_passthrough(self):
         net = Network([np.eye(2)], [np.zeros(2)], ["identity"])
-        x = np.array([0.25, -4.0])
-        assert np.array_equal(forward(net, x), x)
+        x = np.array([[0.25, -4.0]])
+        assert np.array_equal(_apply(net, x), x)
 
     def test_tanh_output_in_open_unit_box(self):
         net = init_network([2, 10, 3], "tanh", seed=5, out_activation="tanh")
-        out = forward(net, np.random.default_rng(0).uniform(-50, 50, (200, 2)))
+        out = _apply(net, np.random.default_rng(0).uniform(-50, 50, (200, 2)))
         assert np.all(np.abs(out) < 1.0)
 
-    def test_dim_mismatch_rejected(self):
-        net = init_network([3, 4, 1], "tanh", seed=0)
-        with pytest.raises(ValueError):
-            forward(net, [1.0, 2.0])
+    def test_dim_mismatch_rejected(self, vdp_hyper):
+        # inputs are validated once, where the model receives them
+        model = make_model(vdp_hyper, seed=0)
+        with pytest.raises(ValueError, match="state must have dimension 2"):
+            model.eval_pieces(np.zeros((4, 3)))
 
     def test_batch_matches_single(self):
         # rows agree up to BLAS kernel rounding (shape-dependent ulps)
         net = init_network([2, 8, 8, 2], "smoothed_relu", seed=3)
         X = np.random.default_rng(1).uniform(-1, 1, (5, 2))
-        batch = forward(net, X)
+        batch = _apply(net, X)
         for i in range(5):
-            assert np.allclose(batch[i], forward(net, X[i]), rtol=1e-13, atol=1e-15)
+            assert np.allclose(batch[i], _apply(net, X[i:i + 1])[0],
+                               rtol=1e-13, atol=1e-15)
 
 
 class TestSmoothedRelu:
@@ -126,17 +140,20 @@ class TestInputGradient:
     def test_single_affine_layer_gradient_is_weight_row(self):
         w = np.array([[0.3, -1.2, 0.07]])
         net = Network([w.copy()], [np.array([4.0])], ["identity"])
-        g = input_gradient(net, [1.0, 2.0, 3.0])
-        assert np.array_equal(g, w[0])
+        g = _input_grad(net, [[1.0, 2.0, 3.0]])
+        assert np.array_equal(g, w)
 
     def test_constant_network_zero_gradient(self):
         net = Network([np.zeros((1, 2))], [np.array([3.0])], ["identity"])
-        assert np.array_equal(input_gradient(net, [0.4, 0.6]), np.zeros(2))
+        assert np.array_equal(_input_grad(net, [[0.4, 0.6]]), np.zeros((1, 2)))
 
-    def test_non_scalar_output_rejected(self):
-        net = init_network([2, 4, 2], "tanh", seed=0)
-        with pytest.raises(ValueError):
-            input_gradient(net, [0.0, 0.0])
+    def test_non_scalar_output_rejected(self, vdp_hyper):
+        # the Lyapunov network is the one whose input gradient is taken
+        nets = make_model(vdp_hyper, seed=0).nets
+        nets["gv"] = init_network([2, 4, 2], "smoothed_relu", seed=0,
+                                  out_activation="tanh")
+        with pytest.raises(ValueError, match="gv must map state to a scalar"):
+            StableDynamicsModel(nets, vdp_hyper)
 
     @pytest.mark.parametrize("act,out_act", [("tanh", "identity"),
                                              ("smoothed_relu", "tanh")])
@@ -154,22 +171,16 @@ class TestInputGradient:
                     min(abs(z).min() for z in zs),
                     min(abs(z - D).min() for z in zs)) < 10 * h:
                 continue
-            g = input_gradient(net, x)
+            g = _input_grad(net, x[None, :])[0]
             fd = np.array([
-                (forward(net, x + h * e) - forward(net, x - h * e))[0] / (2 * h)
+                (_apply(net, [x + h * e]) - _apply(net, [x - h * e]))[0, 0] / (2 * h)
                 for e in np.eye(3)])
             assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
             checked += 1
 
 
 def _preacts(net, x):
-    zs, a = [], np.atleast_2d(x)
-    for w, b, act in zip(net.weights, net.biases, net.activations):
-        z = a @ w.T + b
-        zs.append(z)
-        a = (np.tanh(z) if act == "tanh"
-             else smoothed_relu(z, net.srelu_width) if act == "smoothed_relu" else z)
-    return zs
+    return [z for z, _a in apply_net(net, np.atleast_2d(x))[1]]
 
 
 class TestParamLayout:
@@ -183,15 +194,6 @@ class TestParamLayout:
         layout.write(nets, vec * 2.0)
         assert np.array_equal(layout.flatten(nets), vec * 2.0)
 
-    def test_locate_is_bijective(self):
-        nets = {"a": init_network([2, 3, 1], "tanh", seed=1)}
-        layout = ParamLayout(nets)
-        seen = set()
-        for i in range(layout.size):
-            blk, off = layout.locate(i)
-            seen.add((blk.net, blk.layer, blk.kind, off))
-        assert len(seen) == layout.size
-
     def test_wrong_length_rejected(self):
         nets = {"a": init_network([2, 3, 1], "tanh", seed=1)}
         layout = ParamLayout(nets)
@@ -200,16 +202,6 @@ class TestParamLayout:
 
 
 class TestTape:
-    def test_replay_is_bit_exact(self):
-        tape = Tape()
-        rng = np.random.default_rng(4)
-        a = tape.leaf(rng.uniform(-1, 1, (4, 3)))
-        w = tape.leaf(rng.uniform(-1, 1, (2, 3)))
-        z = tape.matmul_t(a, w)
-        out = tape.mean_all(tape.mul(tape.tanh(z), tape.srelu(z, D)))
-        assert out.value.shape == ()
-        assert tape.replay()
-
     def test_gradient_of_untouched_leaf_is_zero(self):
         tape = Tape()
         a = tape.leaf(np.ones((2, 2)))
@@ -279,18 +271,6 @@ class TestBackendConsistency:
         grad_t = net_input_gradient(tape, handles_t, net.activations, D, cache_t)
         assert np.array_equal(out_np, out_t.value)
         assert np.array_equal(grad_np, grad_t.value)
-
-    def test_stacked_weights_broadcast_like_per_model(self):
-        # the numpy backend accepts (M, out, in) stacks and matches per-model runs
-        nets = [init_network([2, 6, 1], "tanh", seed=s) for s in (0, 1, 2)]
-        X = np.random.default_rng(5).uniform(-1, 1, (3, 4, 2))
-        stacked = [(np.stack([n.weights[i] for n in nets]),
-                    np.stack([n.biases[i][None, :] for n in nets]))
-                   for i in range(2)]
-        out, _ = net_apply(NumpyOps, stacked, nets[0].activations, D, X)
-        for i, net in enumerate(nets):
-            ref = forward(net, X[i])
-            assert np.allclose(out[i], ref, rtol=1e-14, atol=1e-15)
 
 
 class TestParamGradientFiniteDifferences:

@@ -5,7 +5,7 @@ from scipy.optimize import minimize
 from stabledyn.diffcore import Network, init_network
 from stabledyn.models import Hyper, StableDynamicsModel, projection_shift
 
-from conftest import SMALL_WIDTHS, jitter_params, make_model
+from conftest import SMALL_WIDTHS, apply_net, jitter_params, make_model
 
 
 def constant_network(in_dim, out_dim, value, out_activation="identity"):
@@ -27,7 +27,7 @@ class TestHyper:
 
     @pytest.mark.parametrize("kw", [
         {"alpha": 0.0}, {"eps_pd": -1.0}, {"eps_proj": 0.0}, {"d": 0.0},
-        {"u_lim": [-1.0]}, {"v_cap": 0.0},
+        {"u_lim": [-1.0]}, {"v_cap": 0.0}, {"beta": 0.0},
     ])
     def test_invalid_rejected(self, kw):
         base = dict(u_lim=[5.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])
@@ -89,14 +89,13 @@ class TestNominal:
 
     def test_shift_is_reevaluated_gf(self, small_model, vdp_hyper):
         # nominal(x,u) + g_f(0, u*(0)) reproduces the raw network value
-        from stabledyn.diffcore import forward
         model = small_model
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (20, 2))
         U = rng.uniform(-5, 5, (20, 1))
         u0 = model.controller(np.zeros(2))
-        gf0 = forward(model.nets["gf"], np.concatenate((np.zeros(2), u0)))
-        raw = forward(model.nets["gf"], np.hstack((X, U)))
+        gf0, _ = apply_net(model.nets["gf"], np.concatenate((np.zeros(2), u0))[None, :])
+        raw, _ = apply_net(model.nets["gf"], np.hstack((X, U)))
         assert np.allclose(model.nominal(X, U) + gf0, raw, rtol=1e-13, atol=1e-15)
 
 
@@ -280,7 +279,7 @@ class TestAffineMode:
         # quadratic part, which is zero at the origin
         coeff = model.eval_pieces(np.zeros(2))["coeff"]
         assert np.array_equal(coeff, np.zeros((1, 2)))
-        assert np.array_equal(model.affine_controller(np.zeros(2)), np.zeros(2))
+        assert np.array_equal(model.controller(np.zeros(2)), np.zeros(2))
 
     def test_matches_grid_argmin(self, affine_two_input):
         model = affine_two_input
@@ -310,8 +309,8 @@ class TestAffineMode:
 
     def test_equilibrium_shift(self, affine_two_input):
         model = affine_two_input
-        u0 = model.affine_controller(np.zeros(2))
-        assert np.linalg.norm(model.affine_nominal(np.zeros(2), u0)) <= 1e-12
+        u0 = model.controller(np.zeros(2))
+        assert np.linalg.norm(model.nominal(np.zeros(2), u0)) <= 1e-12
 
     def test_projection_preserves_decrease(self):
         hp = Hyper(u_lim=[3.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])
@@ -322,12 +321,6 @@ class TestAffineMode:
         ok = gn2 >= hp.eps_proj
         lhs = np.sum(pieces["grad_v"] * pieces["fstar_star"], axis=1)
         assert np.all(lhs[ok] <= -hp.alpha * pieces["v"][:, 0][ok] + 1e-9)
-
-    def test_general_methods_guarded(self, small_model):
-        with pytest.raises(ValueError):
-            small_model.affine_controller(np.zeros(2))
-        with pytest.raises(ValueError):
-            small_model.affine_parts(np.zeros(2))
 
 
 class TestParams:

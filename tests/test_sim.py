@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stabledyn import sim
-from stabledyn.models import Hyper, StableDynamicsModel
-from stabledyn.sim import DimensionError, FieldGrid, export_field, rk4_step, rollout, rollout_many, rollout_ensemble
+from stabledyn.models import Hyper
+from stabledyn.sim import DimensionError, FieldGrid, export_field, rk4_step, rollout, rollout_many
 from stabledyn.systems import SystemSpec, get_system
 
 from conftest import make_model
@@ -112,6 +112,36 @@ class TestRollout:
         assert trajs[0].escaped and not trajs[1].escaped
         assert len(trajs[1]) == 2001
 
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_nonfinite_row_truncated_alone(self, vdp_hyper, mode):
+        # the row whose plant derivative is inf stops at its start with its
+        # own cause; the other row runs the full horizon
+        spiky = SystemSpec(name="spiky", n=2, m=1, params={},
+                           x_lb=np.array([-1.3, -1.3]), x_ub=np.array([1.3, 1.3]),
+                           u_lim=np.array([5.0]),
+                           _fn=lambda x, u: np.where(x[:, :1] > 0.5, np.inf, -x))
+        model = make_model(vdp_hyper, seed=8, mode=mode)
+        starts = np.array([[1.0, 0.0], [-0.5, 0.2]])
+        trajs = rollout_many(spiky, model, starts, T=0.05, h=1e-3)
+        assert len(trajs[0]) == 1
+        assert trajs[0].escaped and trajs[0].reason == "non-finite state"
+        assert len(trajs[1]) == 51 and not trajs[1].escaped
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_plain_value_error_propagates(self, vdp_hyper, mode):
+        # only DomainError and non-finite stages truncate a row; any other
+        # ValueError from the plant is a programming error and surfaces
+        def broken(x, u):
+            raise ValueError("broken plant")
+
+        plant = SystemSpec(name="broken", n=2, m=1, params={},
+                           x_lb=np.array([-1.3, -1.3]), x_ub=np.array([1.3, 1.3]),
+                           u_lim=np.array([5.0]), _fn=broken)
+        model = make_model(vdp_hyper, seed=8, mode=mode)
+        with pytest.raises(ValueError, match="broken plant"):
+            rollout_many(plant, model, np.array([[0.5, 0.5], [-0.5, 0.2]]),
+                         T=0.01, h=1e-3)
+
     def test_step_halving_is_fourth_order(self, vdp_system, vdp_hyper):
         # pure Van der Pol (controller forced to zero) is smooth enough for
         # the classical convergence order to show up under Richardson ratios
@@ -152,28 +182,6 @@ class TestRollout:
         model = make_model(vdp_hyper, seed=1)
         with pytest.raises(ValueError):
             rollout(model, model, np.zeros(2), T=0.0, h=1e-3)
-
-
-class TestEnsemble:
-    def test_matches_per_model_rollouts(self, vdp_hyper):
-        models = [make_model(vdp_hyper, seed=s) for s in range(3)]
-        rng = np.random.default_rng(12)
-        starts = rng.uniform(-1.3, 1.3, (3, 4, 2))
-        packs = rollout_ensemble(models, starts, T=0.05, h=1e-3)
-        for model, block, rows in zip(models, starts, packs):
-            refs = rollout_many(model, model, block, T=0.05, h=1e-3)
-            for got, ref in zip(rows, refs):
-                assert np.allclose(got.states, ref.states, rtol=1e-12, atol=1e-14)
-                assert np.allclose(got.v_trace, ref.v_trace, rtol=1e-12, atol=1e-14)
-
-    def test_requires_matching_architectures(self, vdp_hyper):
-        a = make_model(vdp_hyper, seed=0)
-        b = make_model(vdp_hyper, seed=1)
-        b.nets["gu"] = StableDynamicsModel.initialize(
-            vdp_hyper, seed=1, widths={"gf": 12, "gu": 6, "gv": 8}).nets["gu"]
-        b = StableDynamicsModel(b.nets, vdp_hyper)
-        with pytest.raises(ValueError):
-            rollout_ensemble([a, b], np.zeros((2, 1, 2)))
 
 
 class TestExportField:

@@ -13,7 +13,6 @@ from stabledyn.training import (
     Dataset,
     TrainConfig,
     TrainingDivergedError,
-    kernel,
 )
 
 from conftest import SMALL_WIDTHS, jitter_params, make_model, seam_margins
@@ -71,34 +70,6 @@ class TestDatasetCsv:
         assert header == "x1,x2,u1,xdot1,xdot2"
 
 
-class TestKernel:
-    def test_equal_controls_give_two(self):
-        assert kernel([1.0, -2.0], [1.0, -2.0], beta=1.0) == 2.0
-
-    def test_far_controls_approach_one(self):
-        assert kernel([1e4], [-1e4], beta=1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_log_two_separation(self):
-        u = np.array([np.sqrt(np.log(2.0))])
-        assert kernel(u, [0.0], beta=1.0) == pytest.approx(1.5, rel=1e-12)
-
-    def test_range_and_monotonicity(self):
-        rng = np.random.default_rng(0)
-        u = rng.uniform(-5, 5, (100000, 1))
-        v = rng.uniform(-5, 5, (100000, 1))
-        k = kernel(u, v, beta=1.0)
-        # the exponential tail underflows to exactly 1.0 past ~36 e-folds
-        assert np.all(k >= 1.0) and np.all(k <= 2.0)
-        sq = np.sum((u - v) ** 2, axis=1)
-        assert np.all(k[sq < 30.0] > 1.0)
-        order = np.argsort(sq, kind="stable")
-        assert np.all(np.diff(k[order]) <= 0.0)
-
-    def test_bad_beta(self):
-        with pytest.raises(ValueError):
-            kernel([0.0], [0.0], beta=0.0)
-
-
 class TestLoss:
     def test_zero_residual_zero_loss(self, small_model, vdp_hyper):
         # data generated by the model itself leaves no residual; lambda is 0
@@ -120,16 +91,20 @@ class TestLoss:
         theta2 = np.sum(model2.get_params() ** 2)
         assert reg_loss == pytest.approx(with_reg + 1e-3 * theta2, rel=1e-12)
 
-    def test_single_sample_hand_value(self, small_model):
-        # u = u*(x) makes the kernel exactly 2; an injected residual of norm
-        # 0.5 then costs 2 * 0.25
+    @pytest.mark.parametrize("beta_offset,k", [(0.0, 2.0), (np.log(2.0), 1.5),
+                                               (1e8, 1.0)],
+                             ids=["k=2", "k=1.5", "k=1"])
+    def test_single_sample_hand_value(self, small_model, beta_offset, k):
+        # a control offset ||u - u*(x)||^2 = beta_offset / beta sets the kernel
+        # 1 + exp(-beta ||u - u*(x)||^2) to k; an injected residual of norm
+        # 0.5 then costs k * 0.25
         x = np.array([0.4, -0.7])
-        u = small_model.controller(x)
+        u = small_model.controller(x) + np.sqrt(beta_offset / small_model.hyper.beta)
         fstar = small_model.project(x, u)
         resid = np.array([0.3, 0.4])  # norm 0.5
         ds = Dataset(x[None, :], u[None, :], (fstar + resid)[None, :])
         graph = training.loss(small_model, ds)
-        assert graph.value == pytest.approx(0.5, rel=1e-14)
+        assert graph.value == pytest.approx(k * 0.25, rel=1e-14)
 
     def test_empty_batch_rejected(self, small_model):
         ds = Dataset(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 2)))
@@ -197,7 +172,7 @@ class TestTrain:
 
     def test_deterministic_per_seed(self, vdp_system, vdp_hyper):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 256, seed=8)
-        cfg = TrainConfig(lr=1e-4, epochs=3, batch_size=64, seed=3, determinism=True)
+        cfg = TrainConfig(lr=1e-4, epochs=3, batch_size=64, seed=3)
         runs = []
         for _ in range(2):
             model = make_model(vdp_hyper, seed=15)
