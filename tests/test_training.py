@@ -91,10 +91,21 @@ class TestLoss:
         theta2 = np.sum(model2.get_params() ** 2)
         assert reg_loss == pytest.approx(with_reg + 1e-3 * theta2, rel=1e-12)
 
+    def test_single_sample_hand_value(self, small_model):
+        # u = u*(x) makes the kernel exactly 2; an injected residual of norm
+        # 0.5 then costs 2 * 0.25
+        x = np.array([0.4, -0.7])
+        u = small_model.controller(x)
+        fstar = small_model.project(x, u)
+        resid = np.array([0.3, 0.4])  # norm 0.5
+        ds = Dataset(x[None, :], u[None, :], (fstar + resid)[None, :])
+        graph = training.loss(small_model, ds)
+        assert graph.value == pytest.approx(0.5, rel=1e-14)
+
     @pytest.mark.parametrize("beta_offset,k", [(0.0, 2.0), (np.log(2.0), 1.5),
                                                (1e8, 1.0)],
                              ids=["k=2", "k=1.5", "k=1"])
-    def test_single_sample_hand_value(self, small_model, beta_offset, k):
+    def test_kernel_hand_value(self, small_model, beta_offset, k):
         # a control offset ||u - u*(x)||^2 = beta_offset / beta sets the kernel
         # 1 + exp(-beta ||u - u*(x)||^2) to k; an injected residual of norm
         # 0.5 then costs k * 0.25
