@@ -46,6 +46,11 @@ _VERIFY_KEYS = {"checkpoint", "dataset", "n_samples", "r", "rollouts",
 _TOP_KEYS = {"name", "system", "seed", "hyper", "model", "train", "sample",
              "simulate", "portrait", "verify"}
 _ALL_CHECKS = ("decrease", "decay", "quad", "certificate")
+# (section, key, smallest allowed value) for integer settings, and the
+# float settings that must be positive
+_MINIMA = (("verify", "n_samples", 1), ("verify", "rollouts", 1),
+           ("portrait", "resolution", 2), ("simulate", "k", 1), ("sample", "n", 1))
+_POSITIVE = (("simulate", "T"), ("simulate", "h"))
 
 
 def _check_keys(section, allowed, where):
@@ -109,6 +114,13 @@ def load_config(path=None, overrides=None):
                    "ablate_projection": bool(raw["verify"].get("ablate_projection", False)),
                    "checks": list(raw["verify"].get("checks", _ALL_CHECKS))},
     }
+    for section, key, least in _MINIMA:
+        if cfg[section][key] < least:
+            raise ConfigError(f"{section}.{key} must be at least {least}, "
+                              f"got {cfg[section][key]}")
+    for section, key in _POSITIVE:
+        if not cfg[section][key] > 0:
+            raise ConfigError(f"{section}.{key} must be positive, got {cfg[section][key]}")
     if cfg["system"] not in systems.system_names():
         raise ConfigError(f"unknown system {cfg['system']!r}")
     for check in cfg["verify"]["checks"]:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffcore as dc
 from .diffcore import NumpyOps, ParamLayout, init_network, net_apply, net_input_gradient
 
 
@@ -254,6 +253,14 @@ class StableDynamicsModel:
 
     def _lyapunov_nodes(self, ops, handles, X, zero, gv_0=None):
         """V, gradV, and the raw scaled network values at X (and gv at 0)."""
+        pieces, cache = self._lyapunov_value_nodes(ops, handles, X, zero, gv_0)
+        pieces["grad_v"] = self._lyapunov_grad_node(ops, handles, X, pieces["w"], cache)
+        return pieces
+
+    def _lyapunov_value_nodes(self, ops, handles, X, zero, gv_0=None):
+        """The value half: V, w = gv(X) - gv(0) and the scaled gv values, plus
+        the gv layer cache that the gradient half reads.  ``zero`` is only
+        read when ``gv_0`` is None."""
         hp = self.hyper
         gv = self.nets["gv"]
         out_x, cache = net_apply(ops, handles["gv"], gv.activations, gv.srelu_width, X)
@@ -264,12 +271,36 @@ class StableDynamicsModel:
         w = ops.sub(gv_x, gv_0)
         v = ops.add(ops.srelu(w, hp.d),
                     ops.scale(ops.row_sum(ops.mul(X, X)), hp.eps_pd))
+        return {"w": w, "v": v, "gv_x": gv_x, "gv_0": gv_0}, cache
+
+    def _lyapunov_grad_node(self, ops, handles, X, w, cache):
+        """The gradient half: gradV at X from w and the gv layer cache."""
+        hp = self.hyper
+        gv = self.nets["gv"]
         grad_gv = ops.scale(
             net_input_gradient(ops, handles["gv"], gv.activations, gv.srelu_width, cache),
             hp.v_cap)
-        grad_v = ops.add(ops.mul(ops.srelu_grad(w, hp.d), grad_gv),
-                         ops.scale(X, 2.0 * hp.eps_pd))
-        return {"w": w, "v": v, "grad_v": grad_v, "gv_x": gv_x, "gv_0": gv_0}
+        return ops.add(ops.mul(ops.srelu_grad(w, hp.d), grad_gv),
+                       ops.scale(X, 2.0 * hp.eps_pd))
+
+    def _general_controller(self, ops, handles, X, u_lim_row):
+        gu = self.nets["gu"]
+        gu_x, _ = net_apply(ops, handles["gu"], gu.activations, gu.srelu_width, X)
+        return ops.mul(u_lim_row, gu_x)
+
+    def _f2_nodes(self, ops, handles, X):
+        """The control coefficient block gf2(X) as a (B, n, m) handle."""
+        gf2 = self.nets["gf2"]
+        out, _ = net_apply(ops, handles["gf2"], gf2.activations, gf2.srelu_width, X)
+        return ops.reshape(out, (ops.value(X).shape[0], self.n, self.m))
+
+    @staticmethod
+    def _bang_bang(ops, grad_v, f2, u_lim_row):
+        """Bang-bang controller induced by the Lyapunov gradient; returns
+        (coeff, u*).  The sign carries no gradient (piecewise constant in
+        both x and parameters)."""
+        coeff = ops.vec_bmat(grad_v, f2)
+        return coeff, ops.mul(ops.neg(ops.sign_detached(coeff)), u_lim_row)
 
     def _projection_nodes(self, ops, pieces, fhat_star, ablate):
         hp = self.hyper
@@ -287,16 +318,13 @@ class StableDynamicsModel:
         return pieces
 
     def _graph_general(self, ops, handles, X, U, ablate, origin=None):
-        hp = self.hyper
-        gf, gu = self.nets["gf"], self.nets["gu"]
+        gf = self.nets["gf"]
         zero = ops.constant(np.zeros((1, self.n)))
-        u_lim_row = ops.constant(hp.u_lim[None, :])
+        u_lim_row = ops.constant(self.hyper.u_lim[None, :])
 
-        gu_x, _ = net_apply(ops, handles["gu"], gu.activations, gu.srelu_width, X)
-        u_star = ops.mul(u_lim_row, gu_x)
+        u_star = self._general_controller(ops, handles, X, u_lim_row)
         if origin is None:
-            gu_0, _ = net_apply(ops, handles["gu"], gu.activations, gu.srelu_width, zero)
-            u_star_0 = ops.mul(u_lim_row, gu_0)
+            u_star_0 = self._general_controller(ops, handles, zero, u_lim_row)
             gf_0, _ = net_apply(ops, handles["gf"], gf.activations, gf.srelu_width,
                                 ops.concat_cols(zero, u_star_0))
             gv_0 = None
@@ -323,22 +351,17 @@ class StableDynamicsModel:
         return pieces
 
     def _graph_affine(self, ops, handles, X, U, ablate, origin=None):
-        hp = self.hyper
-        gf1, gf2 = self.nets["gf1"], self.nets["gf2"]
+        gf1 = self.nets["gf1"]
         zero = ops.constant(np.zeros((1, self.n)))
-        u_lim_row = ops.constant(hp.u_lim[None, :])
-        B = ops.value(X).shape[0]
+        u_lim_row = ops.constant(self.hyper.u_lim[None, :])
 
-        f2_x = ops.reshape(net_apply(ops, handles["gf2"], gf2.activations,
-                                     gf2.srelu_width, X)[0], (B, self.n, self.m))
+        f2_x = self._f2_nodes(ops, handles, X)
         gf1_x, _ = net_apply(ops, handles["gf1"], gf1.activations, gf1.srelu_width, X)
 
         if origin is None:
             pieces_0 = self._lyapunov_nodes(ops, handles, zero, zero)
-            f2_0 = ops.reshape(net_apply(ops, handles["gf2"], gf2.activations,
-                                         gf2.srelu_width, zero)[0], (1, self.n, self.m))
-            coeff_0 = ops.vec_bmat(pieces_0["grad_v"], f2_0)
-            u_star_0 = ops.mul(ops.neg(ops.sign_detached(coeff_0)), u_lim_row)
+            f2_0 = self._f2_nodes(ops, handles, zero)
+            _, u_star_0 = self._bang_bang(ops, pieces_0["grad_v"], f2_0, u_lim_row)
             gf1_0, _ = net_apply(ops, handles["gf1"], gf1.activations, gf1.srelu_width, zero)
             f1_off = ops.add(gf1_0, ops.bmat_vec(f2_0, u_star_0))
             gv_0 = pieces_0["gv_0"]
@@ -348,11 +371,7 @@ class StableDynamicsModel:
             gv_0 = ops.constant(origin["gv_0"])
 
         pieces = self._lyapunov_nodes(ops, handles, X, zero, gv_0=gv_0)
-
-        # bang-bang controller induced by the Lyapunov gradient; sign carries
-        # no gradient (piecewise constant in both x and parameters)
-        coeff = ops.vec_bmat(pieces["grad_v"], f2_x)
-        u_star = ops.mul(ops.neg(ops.sign_detached(coeff)), u_lim_row)
+        coeff, u_star = self._bang_bang(ops, pieces["grad_v"], f2_x, u_lim_row)
 
         f1 = ops.sub(gf1_x, f1_off)
         fhat_star = ops.add(f1, ops.bmat_vec(f2_x, u_star))
@@ -429,26 +448,52 @@ class StableDynamicsModel:
         u = pieces["u_star"]
         return u[0] if pieces["single"] else u
 
+    def eval_parts(self, X, parts):
+        """Only the named pieces of the numpy graph on a prevalidated (B, n)
+        batch, unchecked.
+
+        ``parts`` names pieces from {"u_star", "v", "grad_v"}; each is built by
+        the node builders of :meth:`build_graph`, so values are bit-identical
+        to :meth:`eval_pieces`.  V alone runs the value half of gv; gradV adds
+        the gradient half; u* runs gu in general mode and gv, gradV and gf2 in
+        affine mode.  Any other name evaluates the whole graph.  Callers own
+        the finiteness checks that :meth:`eval_pieces` would make.
+        """
+        ops, handles = NumpyOps, self._numpy_handles()
+        parts = set(parts)
+        if not parts <= {"u_star", "v", "grad_v"}:
+            return self.build_graph(ops, handles, X, origin=self._origin_offsets())
+        u_lim_row = self.hyper.u_lim[None, :]
+        out = {}
+        if "u_star" in parts and self.mode == "general":
+            out["u_star"] = self._general_controller(ops, handles, X, u_lim_row)
+            parts.discard("u_star")
+        if parts:
+            gv_0 = self._origin_offsets()["gv_0"]
+            pieces, cache = self._lyapunov_value_nodes(ops, handles, X, None, gv_0)
+            if parts != {"v"}:
+                pieces["grad_v"] = self._lyapunov_grad_node(ops, handles, X,
+                                                            pieces["w"], cache)
+            if "u_star" in parts:
+                f2 = self._f2_nodes(ops, handles, X)
+                pieces["coeff"], pieces["u_star"] = self._bang_bang(
+                    ops, pieces["grad_v"], f2, u_lim_row)
+            out.update(pieces)
+        return out
+
     def controller_batch(self, X):
-        """Controller on a prevalidated (B, n) batch, skipping the projection
-        pipeline.  General mode only; affine controllers need the Lyapunov
-        gradient and go through eval_pieces."""
-        if self.mode != "general":
-            return self.eval_pieces(X)["u_star"]
-        gu = self.nets["gu"]
-        out, _ = net_apply(NumpyOps, self._numpy_handles()["gu"],
-                           gu.activations, gu.srelu_width, X)
-        return self.hyper.u_lim[None, :] * out
+        """u* on a prevalidated (B, n) batch: gu in general mode; gv, gradV,
+        gf2 and the sign in affine mode.  Neither mode evaluates the nominal
+        dynamics or the projection."""
+        return self.eval_parts(X, ("u_star",))["u_star"]
 
     def lyapunov_batch(self, X):
         """V on a prevalidated (B, n) batch without the gradient chain."""
-        hp = self.hyper
-        gv = self.nets["gv"]
-        out, _ = net_apply(NumpyOps, self._numpy_handles()["gv"],
-                           gv.activations, gv.srelu_width, X)
-        w = hp.v_cap * out - self._origin_offsets()["gv_0"]
-        return (dc.smoothed_relu(w, hp.d)
-                + hp.eps_pd * np.sum(X * X, axis=1, keepdims=True))[:, 0]
+        return self.eval_parts(X, ("v",))["v"][:, 0]
+
+    def lyapunov_grad_batch(self, X):
+        """gradV on a prevalidated (B, n) batch, without controller or dynamics."""
+        return self.eval_parts(X, ("grad_v",))["grad_v"]
 
     def nominal(self, x, u):
         """Nominal dynamics fhat(x, u) with the equilibrium shift applied."""

@@ -94,7 +94,8 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     Rows are integrated together for speed.  A row that escapes, hits a
     plant domain error or reaches a non-finite stage is frozen and its
     trajectory truncated at the last valid state, with its own cause in
-    ``reason``.  Any other exception from the plant propagates.
+    ``reason``.  Any other exception from the plant propagates.  A
+    non-finite start raises ValueError before any step is taken.
     """
     if T <= 0 or h <= 0:
         raise ValueError("need T > 0 and h > 0")
@@ -102,6 +103,8 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     B, n = x0s.shape
     if n != model.n:
         raise ValueError(f"start states must have dimension {model.n}")
+    if not np.all(np.isfinite(x0s)):
+        raise ValueError("non-finite start state")
     steps = int(round(T / h))
     limit = ESCAPE_FACTOR * _domain_diameter(model.hyper)
 
@@ -116,15 +119,19 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     end_step = np.full(B, steps, dtype=int)
     reasons = [""] * B
 
+    # Recorded states are finite: the starts are checked above and every
+    # stepped row is either finite or reset.  Stages 2-4 need no input check
+    # either, since rk4_step checks each stage it builds them from.
     if true_plant:
         def field(X):
             return plant.dynamics(X, model.controller_batch(X))
 
         def record(X):
-            return model.controller_batch(X), model.lyapunov_batch(X), None
+            parts = model.eval_parts(X, ("u_star", "v"))
+            return parts["u_star"], parts["v"][:, 0], None
     else:
         def field(X):
-            return model.eval_pieces(X)["fstar_star"]
+            return model.eval_parts(X, ("fstar_star",))["fstar_star"]
 
         def record(X):
             pieces = model.eval_pieces(X)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from stabledyn import cli
@@ -13,10 +14,10 @@ TINY = {"name": "tiny", "seed": 0,
         "verify": {"checks": ["decrease"], "n_samples": 2000}}
 
 
-def run(tmp_path, command, config, *flags):
+def run(tmp_path, command, config, *flags, out="out"):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+    return cli.main([command, "--config", str(cfg), "--out", str(tmp_path / out),
                      *flags])
 
 
@@ -45,3 +46,44 @@ def test_portrait_of_non_planar_state_exits_two(tmp_path):
 def test_ablated_decrease_exits_three(tmp_path):
     # negative control: without the projection the decrease check must fail
     assert run(tmp_path, "verify", TINY, "--ablate-projection") == cli.EXIT_VERIFY
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("verify", "verify", "n_samples"), ("portrait", "portrait", "resolution")])
+def test_out_of_range_setting_exits_one(tmp_path, capsys, command, section, key):
+    value = {"n_samples": 0, "resolution": 1}[key]
+    assert run(tmp_path, command, with_section(section, **{key: value})) == cli.EXIT_CONFIG
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_simulate_writes_finite_trajectories(tmp_path):
+    assert run(tmp_path, "train", TINY, out="train") == cli.EXIT_OK
+    k, T, h = 3, 0.02, 1e-3
+    config = with_section("simulate", k=k, T=T, h=h,
+                          checkpoint=str(tmp_path / "train" / "checkpoint.json"))
+    assert run(tmp_path, "simulate", config, out="sim") == cli.EXIT_OK
+    paths = sorted((tmp_path / "sim").glob("traj_*.csv"))
+    assert [p.name for p in paths] == sorted(f"traj_{plant}_{i}.csv"
+                                             for plant in ("true", "learned")
+                                             for i in range(k))
+    for path in paths:
+        data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
+        assert data.shape[0] == round(T / h) + 1, path.name
+        assert np.all(np.isfinite(data)), path.name
+
+
+def test_resume_appends_losses_with_continued_epochs(tmp_path):
+    config = with_section("train", epochs=2)
+    assert run(tmp_path, "train", config) == cli.EXIT_OK
+    losses = tmp_path / "out" / "losses.csv"
+    first = losses.read_text()
+    config["train"]["resume_from"] = str(tmp_path / "out" / "checkpoint.json")
+    assert run(tmp_path, "train", config) == cli.EXIT_OK
+    text = losses.read_text()
+    assert text.startswith(first)
+    lines = text.splitlines()
+    assert sum(ln.startswith("#") for ln in lines) == 1
+    assert sum(ln.startswith("epoch") for ln in lines) == 1
+    epochs = [int(ln.split(",")[0]) for ln in lines
+              if ln and not ln.startswith(("#", "epoch"))]
+    assert epochs == [0, 1, 2, 3]

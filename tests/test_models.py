@@ -323,6 +323,28 @@ class TestAffineMode:
         assert np.all(lhs[ok] <= -hp.alpha * pieces["v"][:, 0][ok] + 1e-9)
 
 
+class TestPartialEvaluation:
+    """The batch methods evaluate only the part of the graph they return,
+    with the node builders of build_graph, so they agree with eval_pieces
+    bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    @pytest.mark.parametrize("rows", [1, 5, 2048])
+    def test_matches_eval_pieces_exactly(self, vdp_hyper, mode, rows):
+        rng = np.random.default_rng(rows)
+        model = jitter_params(make_model(vdp_hyper, seed=31, mode=mode, small=False), rng)
+        X = rng.uniform(vdp_hyper.x_lb, vdp_hyper.x_ub, (rows, 2))
+        pieces = model.eval_pieces(X)
+        assert np.array_equal(model.controller_batch(X), pieces["u_star"])
+        assert np.array_equal(model.lyapunov_batch(X), pieces["v"][:, 0])
+        assert np.array_equal(model.lyapunov_grad_batch(X), pieces["grad_v"])
+        both = model.eval_parts(X, ("u_star", "v"))
+        assert np.array_equal(both["u_star"], pieces["u_star"])
+        assert np.array_equal(both["v"], pieces["v"])
+        full = model.eval_parts(X, ("fstar_star",))
+        assert np.array_equal(full["fstar_star"], pieces["fstar_star"])
+
+
 class TestParams:
     def test_roundtrip_and_cache_invalidation(self, small_model):
         x = np.array([0.4, -0.2])

@@ -142,6 +142,30 @@ class TestRollout:
             rollout_many(plant, model, np.array([[0.5, 0.5], [-0.5, 0.2]]),
                          T=0.01, h=1e-3)
 
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_true_plant_records_eval_pieces_exactly(self, vdp_system, vdp_hyper, mode):
+        # the recorded (u*, V) come from a partial evaluation; at each step
+        # they equal the full graph on the same batch of recorded states
+        model = make_model(vdp_hyper, seed=12, mode=mode)
+        starts = np.array([[1.0, 0.0], [-0.6, 0.9], [0.3, -1.2]])
+        trajs = rollout_many(vdp_system, model, starts, T=0.02, h=1e-3)
+        assert all(len(t) == 21 for t in trajs)
+        for k in range(21):
+            pieces = model.eval_pieces(np.stack([t.states[k] for t in trajs]))
+            assert np.array_equal(np.stack([t.controls[k] for t in trajs]),
+                                  pieces["u_star"]), k
+            assert np.array_equal(np.array([t.v_trace[k] for t in trajs]),
+                                  pieces["v"][:, 0]), k
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    @pytest.mark.parametrize("plant", ["true", "learned"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_start_rejected(self, vdp_system, vdp_hyper, mode, plant, bad):
+        model = make_model(vdp_hyper, seed=13, mode=mode)
+        with pytest.raises(ValueError, match="non-finite start state"):
+            rollout_many(vdp_system if plant == "true" else model, model,
+                         np.array([[0.5, 0.5], [bad, 0.2]]), T=0.01, h=1e-3)
+
     def test_step_halving_is_fourth_order(self, vdp_system, vdp_hyper):
         # pure Van der Pol (controller forced to zero) is smooth enough for
         # the classical convergence order to show up under Richardson ratios

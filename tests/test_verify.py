@@ -112,6 +112,13 @@ class TestQuadraticRatio:
         assert large.M >= small.M
         assert large.c2_global >= small.c2_global
 
+    def test_nonfinite_value_named(self, small_model):
+        # max() over a NaN ratio would silently skip it; the audit stops instead
+        small_model.nets["gv"].biases[-1][:] = np.nan
+        small_model.invalidate_cache()
+        with pytest.raises(FloatingPointError, match="non-finite V"):
+            verify.estimate_quadratic_ratio(small_model, 0.2, 1.0, 500, seed=0)
+
 
 class TestCertificate:
     @pytest.fixture
