@@ -450,35 +450,41 @@ class StableDynamicsModel:
 
     def eval_parts(self, X, parts):
         """Only the named pieces of the numpy graph on a prevalidated (B, n)
-        batch, unchecked.
+        batch, as a dict holding just those names.
 
         ``parts`` names pieces from {"u_star", "v", "grad_v"}; each is built by
         the node builders of :meth:`build_graph`, so values are bit-identical
         to :meth:`eval_pieces`.  V alone runs the value half of gv; gradV adds
         the gradient half; u* runs gu in general mode and gv, gradV and gf2 in
-        affine mode.  Any other name evaluates the whole graph.  Callers own
-        the finiteness checks that :meth:`eval_pieces` would make.
+        affine mode.  A non-finite piece raises FloatingPointError naming it.
         """
-        ops, handles = NumpyOps, self._numpy_handles()
         parts = set(parts)
-        if not parts <= {"u_star", "v", "grad_v"}:
-            return self.build_graph(ops, handles, X, origin=self._origin_offsets())
+        unknown = parts - {"u_star", "v", "grad_v"}
+        if unknown:
+            raise ValueError(f"eval_parts evaluates only u_star, v and grad_v, "
+                             f"not {sorted(unknown)}")
+        ops, handles = NumpyOps, self._numpy_handles()
         u_lim_row = self.hyper.u_lim[None, :]
-        out = {}
+        pieces = {}
+        lyapunov = set(parts)  # the pieces that need gv
         if "u_star" in parts and self.mode == "general":
-            out["u_star"] = self._general_controller(ops, handles, X, u_lim_row)
-            parts.discard("u_star")
-        if parts:
+            pieces["u_star"] = self._general_controller(ops, handles, X, u_lim_row)
+            lyapunov.discard("u_star")
+        if lyapunov:
             gv_0 = self._origin_offsets()["gv_0"]
-            pieces, cache = self._lyapunov_value_nodes(ops, handles, X, None, gv_0)
-            if parts != {"v"}:
+            value, cache = self._lyapunov_value_nodes(ops, handles, X, None, gv_0)
+            pieces["v"] = value["v"]
+            if lyapunov != {"v"}:
                 pieces["grad_v"] = self._lyapunov_grad_node(ops, handles, X,
-                                                            pieces["w"], cache)
-            if "u_star" in parts:
+                                                            value["w"], cache)
+            if "u_star" in lyapunov:
                 f2 = self._f2_nodes(ops, handles, X)
-                pieces["coeff"], pieces["u_star"] = self._bang_bang(
-                    ops, pieces["grad_v"], f2, u_lim_row)
-            out.update(pieces)
+                _, pieces["u_star"] = self._bang_bang(ops, pieces["grad_v"], f2, u_lim_row)
+        out = {}
+        for name in sorted(parts):
+            if not np.all(np.isfinite(pieces[name])):
+                raise FloatingPointError(f"non-finite {name!r} in model evaluation")
+            out[name] = pieces[name]
         return out
 
     def controller_batch(self, X):

@@ -120,8 +120,8 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     reasons = [""] * B
 
     # Recorded states are finite: the starts are checked above and every
-    # stepped row is either finite or reset.  Stages 2-4 need no input check
-    # either, since rk4_step checks each stage it builds them from.
+    # stepped row is either finite or reset.  The recorded (u*, V) come from
+    # one checked pass, so a model fault raises rather than truncating rows.
     if true_plant:
         def field(X):
             return plant.dynamics(X, model.controller_batch(X))
@@ -131,7 +131,7 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
             return parts["u_star"], parts["v"][:, 0], None
     else:
         def field(X):
-            return model.eval_parts(X, ("fstar_star",))["fstar_star"]
+            return model.eval_pieces(X)["fstar_star"]
 
         def record(X):
             pieces = model.eval_pieces(X)

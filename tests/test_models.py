@@ -341,8 +341,23 @@ class TestPartialEvaluation:
         both = model.eval_parts(X, ("u_star", "v"))
         assert np.array_equal(both["u_star"], pieces["u_star"])
         assert np.array_equal(both["v"], pieces["v"])
-        full = model.eval_parts(X, ("fstar_star",))
-        assert np.array_equal(full["fstar_star"], pieces["fstar_star"])
+        assert set(both) == {"u_star", "v"}
+
+    def test_other_pieces_rejected(self, small_model):
+        # the full graph, f* included, goes through eval_pieces only
+        with pytest.raises(ValueError, match="fstar_star"):
+            small_model.eval_parts(np.zeros((3, 2)), ("v", "fstar_star"))
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    @pytest.mark.parametrize("part", ["u_star", "v", "grad_v"])
+    def test_nonfinite_piece_named(self, vdp_hyper, mode, part):
+        model = make_model(vdp_hyper, seed=31, mode=mode)
+        for net in {"v": ["gv"], "grad_v": ["gv"],
+                    "u_star": ["gu"] if mode == "general" else ["gf2"]}[part]:
+            model.nets[net].biases[-1][:] = np.nan
+        model.invalidate_cache()
+        with pytest.raises(FloatingPointError, match=f"non-finite '{part}'"):
+            model.eval_parts(np.full((4, 2), 0.3), (part,))
 
 
 class TestParams:

@@ -159,6 +159,17 @@ class TestRollout:
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
     @pytest.mark.parametrize("plant", ["true", "learned"])
+    def test_nonfinite_model_raises(self, vdp_system, vdp_hyper, mode, plant):
+        # a model fault is not a plant-state fault: no row is truncated for it
+        model = make_model(vdp_hyper, seed=14, mode=mode)
+        model.nets["gv"].biases[-1][:] = np.nan
+        model.invalidate_cache()
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            rollout_many(vdp_system if plant == "true" else model, model,
+                         np.array([[0.5, 0.5], [-0.5, 0.2]]), T=0.01, h=1e-3)
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    @pytest.mark.parametrize("plant", ["true", "learned"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_start_rejected(self, vdp_system, vdp_hyper, mode, plant, bad):
         model = make_model(vdp_hyper, seed=13, mode=mode)

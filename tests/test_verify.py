@@ -116,7 +116,7 @@ class TestQuadraticRatio:
         # max() over a NaN ratio would silently skip it; the audit stops instead
         small_model.nets["gv"].biases[-1][:] = np.nan
         small_model.invalidate_cache()
-        with pytest.raises(FloatingPointError, match="non-finite V"):
+        with pytest.raises(FloatingPointError, match="non-finite 'v'"):
             verify.estimate_quadratic_ratio(small_model, 0.2, 1.0, 500, seed=0)
 
 
