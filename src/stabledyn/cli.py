@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import sim, systems, training, verify
 from .diffcore import GradientError
-from .models import Hyper, StableDynamicsModel
+from .models import DEFAULT_DEPTH, Hyper, StableDynamicsModel
 from .systems import DomainError
 
 
@@ -51,6 +53,11 @@ _ALL_CHECKS = ("decrease", "decay", "quad", "certificate")
 _MINIMA = (("verify", "n_samples", 1), ("verify", "rollouts", 1),
            ("portrait", "resolution", 2), ("simulate", "k", 1), ("sample", "n", 1))
 _POSITIVE = (("simulate", "T"), ("simulate", "h"))
+# settings kept as given that must be real numbers; beta and r may be null
+_REAL_KEYS = (("hyper", "alpha"), ("hyper", "beta"), ("hyper", "lambda"),
+              ("hyper", "eps_pd"), ("hyper", "eps_proj"), ("hyper", "d"),
+              ("hyper", "v_cap"), ("train", "lr"), ("train", "clip_norm"),
+              ("train", "holdout"), ("verify", "r"))
 
 
 def _check_keys(section, allowed, where):
@@ -84,33 +91,50 @@ def load_config(path=None, overrides=None):
         if value is not None:
             raw[key] = value
 
+    for section, key in _REAL_KEYS:
+        value = raw[section].get(key)
+        if (key in raw[section] and not isinstance(value, numbers.Real)
+                and not (value is None and key in ("beta", "r"))):
+            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+
+    def number(section, key, default, kind=int):
+        """raw[section][key] (top level when section is None) or ``default``,
+        coerced by ``kind``."""
+        value = (raw if section is None else raw[section]).get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+    train = training.TrainConfig()  # the training defaults live there
     cfg = {
         "name": raw.get("name", "run"),
         "system": raw.get("system", "vdp"),
-        "seed": int(raw.get("seed", 0)),
+        "seed": number(None, "seed", 0),
         "hyper": raw["hyper"],
         "model": {"mode": raw["model"].get("mode", "general"),
                   "widths": raw["model"].get("widths"),
-                  "depth": int(raw["model"].get("depth", 3))},
-        "train": {"lr": raw["train"].get("lr", 1e-4),
-                  "batch_size": int(raw["train"].get("batch_size", 256)),
-                  "epochs": int(raw["train"].get("epochs", 200)),
-                  "clip_norm": raw["train"].get("clip_norm", 1.0),
-                  "holdout": raw["train"].get("holdout", 0.1),
+                  "depth": number("model", "depth", DEFAULT_DEPTH)},
+        "train": {"lr": raw["train"].get("lr", train.lr),
+                  "batch_size": number("train", "batch_size", train.batch_size),
+                  "epochs": number("train", "epochs", train.epochs),
+                  "clip_norm": raw["train"].get("clip_norm", train.clip_norm),
+                  "holdout": raw["train"].get("holdout", train.holdout),
                   "dataset": raw["train"].get("dataset"),
                   "resume_from": raw["train"].get("resume_from")},
-        "sample": {"n": int(raw["sample"].get("n", 100000))},
-        "simulate": {"k": int(raw["simulate"].get("k", 5)),
-                     "T": float(raw["simulate"].get("T", 10.0)),
-                     "h": float(raw["simulate"].get("h", 1e-3)),
+        "sample": {"n": number("sample", "n", 100000)},
+        "simulate": {"k": number("simulate", "k", 5),
+                     "T": number("simulate", "T", 10.0, float),
+                     "h": number("simulate", "h", 1e-3, float),
                      "checkpoint": raw["simulate"].get("checkpoint")},
-        "portrait": {"resolution": int(raw["portrait"].get("resolution", 41)),
+        "portrait": {"resolution": number("portrait", "resolution", 41),
                      "checkpoint": raw["portrait"].get("checkpoint")},
         "verify": {"checkpoint": raw["verify"].get("checkpoint"),
                    "dataset": raw["verify"].get("dataset"),
-                   "n_samples": int(raw["verify"].get("n_samples", 100000)),
+                   "n_samples": number("verify", "n_samples", 100000),
                    "r": raw["verify"].get("r"),
-                   "rollouts": int(raw["verify"].get("rollouts", 5)),
+                   "rollouts": number("verify", "rollouts", 5),
                    "ablate_projection": bool(raw["verify"].get("ablate_projection", False)),
                    "checks": list(raw["verify"].get("checks", _ALL_CHECKS))},
     }
@@ -123,6 +147,9 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"{section}.{key} must be positive, got {cfg[section][key]}")
     if cfg["system"] not in systems.system_names():
         raise ConfigError(f"unknown system {cfg['system']!r}")
+    if cfg["model"]["mode"] not in ("general", "affine"):
+        raise ConfigError(f"model.mode must be 'general' or 'affine', "
+                          f"got {cfg['model']['mode']!r}")
     for check in cfg["verify"]["checks"]:
         if check not in _ALL_CHECKS:
             raise ConfigError(f"unknown verify check {check!r}")
@@ -130,21 +157,10 @@ def load_config(path=None, overrides=None):
 
 
 def resolve_hyper(cfg):
-    system = systems.get_system(cfg["system"])
-    section = dict(cfg["hyper"])
+    """The run's Hyper: the system's boxes and Hyper's defaults under the
+    config's ``hyper`` section."""
     try:
-        return Hyper(
-            u_lim=section.get("u_lim", system.u_lim),
-            x_lb=section.get("x_lb", system.x_lb),
-            x_ub=section.get("x_ub", system.x_ub),
-            alpha=section.get("alpha", 1.0),
-            beta=section.get("beta"),
-            lam=section.get("lambda", 0.0),
-            eps_pd=section.get("eps_pd", 0.5),
-            eps_proj=section.get("eps_proj", 1e-3),
-            d=section.get("d", 0.005),
-            v_cap=section.get("v_cap", 10.0),
-        )
+        return Hyper.for_system(systems.get_system(cfg["system"]), **cfg["hyper"])
     except ValueError as exc:
         raise ConfigError(f"invalid hyperparameters: {exc}") from exc
 
@@ -290,7 +306,7 @@ def cmd_verify(args):
         dec = verify.check_decrease(model, vc["n_samples"], int(seeds[0]),
                                     ablate_projection=ablate)
         ok = dec.max_residual <= 1e-9
-        report["checks"]["decrease"] = {"report": json.loads(dec.to_json()), "passed": ok}
+        report["checks"]["decrease"] = {"report": asdict(dec), "passed": ok}
         report["passed"] &= ok
 
     if "decay" in vc["checks"]:
@@ -302,7 +318,7 @@ def cmd_verify(args):
             rep = verify.decay_bound_check(traj, hyper)
             ok &= rep.passed
             if worst is None or rep.worst_v_ratio > worst["worst_v_ratio"]:
-                worst = json.loads(rep.to_json())
+                worst = asdict(rep)
         report["checks"]["decay"] = {"report": worst, "passed": bool(ok),
                                      "rollouts": vc["rollouts"]}
         report["passed"] &= ok
@@ -313,7 +329,7 @@ def cmd_verify(args):
         quad = verify.estimate_quadratic_ratio(model, r1, r2, vc["n_samples"],
                                                int(seeds[2]))
         ok = quad.M >= quad.c1
-        report["checks"]["quad"] = {"report": json.loads(quad.to_json()), "passed": ok}
+        report["checks"]["quad"] = {"report": asdict(quad), "passed": ok}
         report["passed"] &= ok
 
     if "certificate" in vc["checks"]:
@@ -323,7 +339,7 @@ def cmd_verify(args):
             cert = verify.certificate(model, system, dataset, r,
                                       vc["n_samples"], int(seeds[3]))
             # completion is the gate; whether the bound holds is reported only
-            report["checks"]["certificate"] = {"report": json.loads(cert.to_json()),
+            report["checks"]["certificate"] = {"report": asdict(cert),
                                                "passed": True}
         else:
             report["checks"]["certificate"] = {"report": None, "passed": True,

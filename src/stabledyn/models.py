@@ -24,6 +24,7 @@ needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +87,19 @@ class Hyper:
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`; absent keys take the defaults above."""
         data = dict(data)
-        data["lam"] = data.pop("lambda", data.pop("lam", 0.0))
+        if "lambda" in data:
+            data["lam"] = data.pop("lambda")
         return cls(**data)
 
     @classmethod
     def for_system(cls, system, **overrides):
+        """The system's boxes and these defaults under ``overrides``, which
+        may spell ``lam`` as "lambda" (``**{"lambda": ...}``)."""
         base = dict(u_lim=system.u_lim, x_lb=system.x_lb, x_ub=system.x_ub)
         base.update(overrides)
-        return cls(**base)
+        return cls.from_dict(base)
 
 
 GENERAL_NETS = ("gf", "gu", "gv")
@@ -153,19 +158,15 @@ class StableDynamicsModel:
 
     def _check_shapes(self):
         n, m = self.n, self.m
-        gv = self.nets["gv"]
-        if gv.in_dim != n or gv.out_dim != 1:
-            raise ValueError("gv must map state to a scalar")
-        if self.mode == "general":
-            if self.nets["gf"].in_dim != n + m or self.nets["gf"].out_dim != n:
-                raise ValueError("gf must map (state, control) to state derivative")
-            if self.nets["gu"].in_dim != n or self.nets["gu"].out_dim != m:
-                raise ValueError("gu must map state to control")
-        else:
-            if self.nets["gf1"].in_dim != n or self.nets["gf1"].out_dim != n:
-                raise ValueError("gf1 must map state to state derivative")
-            if self.nets["gf2"].in_dim != n or self.nets["gf2"].out_dim != n * m:
-                raise ValueError("gf2 must map state to an n*m coefficient block")
+        shapes = {"gv": (n, 1, "state to a scalar"),
+                  "gf": (n + m, n, "(state, control) to state derivative"),
+                  "gu": (n, m, "state to control"),
+                  "gf1": (n, n, "state to state derivative"),
+                  "gf2": (n, n * m, "state to an n*m coefficient block")}
+        for name, net in self.nets.items():
+            in_dim, out_dim, what = shapes[name]
+            if (net.in_dim, net.out_dim) != (in_dim, out_dim):
+                raise ValueError(f"{name} must map {what}")
 
     # -- construction ----------------------------------------------------
 
@@ -237,44 +238,55 @@ class StableDynamicsModel:
 
     # -- the model pipeline -------------------------------------------------
 
-    def build_graph(self, ops, handles, X, U=None, ablate_projection=False,
-                    origin=None):
-        """Assemble the full evaluation graph on either backend.
+    def build_graph(self, ops, handles, X, U=None, ablate_projection=False):
+        """Assemble the evaluation graph on either backend, in either mode.
 
-        Returns a dict of handles: u_star, fhat_star, v, grad_v, resid,
-        shift, fstar_star, and (when U is given) fhat_data / fstar_data.
-        X and U are backend handles of shape (B, n) and (B, m).  ``origin``
-        optionally supplies precomputed origin offsets (numpy backend only);
-        the tape path must leave it None so gradients flow through them.
+        Returns a dict of handles: u_star, u_star_0, fhat_star, v, w, gv_x,
+        gv_0, grad_v, resid, shift, fstar_star, affine mode's f2 and coeff,
+        and (when U is given) fhat_data / fstar_data.  X and U are backend
+        handles of shape (B, n) and (B, m).
+
+        The modes differ only in :meth:`_controller` and :meth:`_nominal`.
+        On a tape the origin nodes gv(0), u*(0) and the nominal offset are
+        recorded inline, so gradients flow through them; the numpy backend
+        reads them from the per-parameter-version cache, so numpy ``handles``
+        must be this model's own parameters.
         """
-        if self.mode == "general":
-            return self._graph_general(ops, handles, X, U, ablate_projection, origin)
-        return self._graph_affine(ops, handles, X, U, ablate_projection, origin)
-
-    def _lyapunov_nodes(self, ops, handles, X, zero, gv_0=None):
-        """V, gradV, and the raw scaled network values at X (and gv at 0)."""
-        pieces, cache = self._lyapunov_value_nodes(ops, handles, X, zero, gv_0)
-        pieces["grad_v"] = self._lyapunov_grad_node(ops, handles, X, pieces["w"], cache)
+        hp = self.hyper
+        u_lim_row = ops.constant(hp.u_lim[None, :])
+        if ops is NumpyOps:
+            origin = self._origin_offsets()
+        else:
+            origin = self._origin_nodes(ops, handles, u_lim_row)
+        pieces = self._lyapunov(ops, handles, X, origin["gv_0"])
+        pieces.update(self._controller(ops, handles, X, lambda: pieces["grad_v"], u_lim_row))
+        nominal = self._nominal(ops, handles, X, pieces, origin["offset"])
+        fhat_star = nominal(pieces["u_star"])
+        grad_v = pieces["grad_v"]
+        resid = ops.add(ops.row_sum(ops.mul(grad_v, fhat_star)),
+                        ops.scale(pieces["v"], hp.alpha))
+        shift, fstar_star = None, fhat_star
+        if not ablate_projection:
+            den = ops.maximum_scalar(ops.row_sum(ops.mul(grad_v, grad_v)), hp.eps_proj)
+            shift = ops.mul(grad_v, ops.div(ops.relu(resid), den))
+            fstar_star = ops.sub(fhat_star, shift)
+        pieces.update(u_star_0=origin["u_star_0"], fhat_star=fhat_star, resid=resid,
+                      shift=shift, fstar_star=fstar_star)
+        if U is not None:
+            fhat_data = nominal(U)
+            pieces["fhat_data"] = fhat_data
+            pieces["fstar_data"] = (fhat_data if shift is None
+                                    else ops.sub(fhat_data, shift))
         return pieces
 
-    def _lyapunov_value_nodes(self, ops, handles, X, zero, gv_0=None):
-        """The value half: V, w = gv(X) - gv(0) and the scaled gv values, plus
-        the gv layer cache that the gradient half reads.  ``zero`` is only
-        read when ``gv_0`` is None."""
-        hp = self.hyper
+    def _gv(self, ops, handles, X):
+        """v_cap * gv(X), and the gv layer cache that the gradient chain reads."""
         gv = self.nets["gv"]
-        out_x, cache = net_apply(ops, handles["gv"], gv.activations, gv.srelu_width, X)
-        gv_x = ops.scale(out_x, hp.v_cap)
-        if gv_0 is None:
-            out_0, _ = net_apply(ops, handles["gv"], gv.activations, gv.srelu_width, zero)
-            gv_0 = ops.scale(out_0, hp.v_cap)
-        w = ops.sub(gv_x, gv_0)
-        v = ops.add(ops.srelu(w, hp.d),
-                    ops.scale(ops.row_sum(ops.mul(X, X)), hp.eps_pd))
-        return {"w": w, "v": v, "gv_x": gv_x, "gv_0": gv_0}, cache
+        out, cache = net_apply(ops, handles["gv"], gv.activations, gv.srelu_width, X)
+        return ops.scale(out, self.hyper.v_cap), cache
 
-    def _lyapunov_grad_node(self, ops, handles, X, w, cache):
-        """The gradient half: gradV at X from w and the gv layer cache."""
+    def _grad_v(self, ops, handles, X, w, cache):
+        """gradV at X from w = gv(X) - gv(0) and the gv layer cache."""
         hp = self.hyper
         gv = self.nets["gv"]
         grad_gv = ops.scale(
@@ -283,123 +295,85 @@ class StableDynamicsModel:
         return ops.add(ops.mul(ops.srelu_grad(w, hp.d), grad_gv),
                        ops.scale(X, 2.0 * hp.eps_pd))
 
-    def _general_controller(self, ops, handles, X, u_lim_row):
-        gu = self.nets["gu"]
-        gu_x, _ = net_apply(ops, handles["gu"], gu.activations, gu.srelu_width, X)
-        return ops.mul(u_lim_row, gu_x)
-
-    def _f2_nodes(self, ops, handles, X):
-        """The control coefficient block gf2(X) as a (B, n, m) handle."""
-        gf2 = self.nets["gf2"]
-        out, _ = net_apply(ops, handles["gf2"], gf2.activations, gf2.srelu_width, X)
-        return ops.reshape(out, (ops.value(X).shape[0], self.n, self.m))
-
-    @staticmethod
-    def _bang_bang(ops, grad_v, f2, u_lim_row):
-        """Bang-bang controller induced by the Lyapunov gradient; returns
-        (coeff, u*).  The sign carries no gradient (piecewise constant in
-        both x and parameters)."""
-        coeff = ops.vec_bmat(grad_v, f2)
-        return coeff, ops.mul(ops.neg(ops.sign_detached(coeff)), u_lim_row)
-
-    def _projection_nodes(self, ops, pieces, fhat_star, ablate):
+    def _lyapunov(self, ops, handles, X, gv_0, grad=True):
+        """V at X with w = gv(X) - gv(0) and the scaled gv values, plus gradV
+        when ``grad`` is set.  ``gv_0`` is the origin's gv(0) thunk."""
         hp = self.hyper
-        grad_v, v = pieces["grad_v"], pieces["v"]
-        resid = ops.add(ops.row_sum(ops.mul(grad_v, fhat_star)),
-                        ops.scale(v, hp.alpha))
-        if ablate:
-            shift = None
-            fstar_star = fhat_star
-        else:
-            den = ops.maximum_scalar(ops.row_sum(ops.mul(grad_v, grad_v)), hp.eps_proj)
-            shift = ops.mul(grad_v, ops.div(ops.relu(resid), den))
-            fstar_star = ops.sub(fhat_star, shift)
-        pieces.update(resid=resid, shift=shift, fstar_star=fstar_star)
+        gv_x, cache = self._gv(ops, handles, X)
+        gv_0 = gv_0()
+        w = ops.sub(gv_x, gv_0)
+        v = ops.add(ops.srelu(w, hp.d),
+                    ops.scale(ops.row_sum(ops.mul(X, X)), hp.eps_pd))
+        pieces = {"w": w, "v": v, "gv_x": gv_x, "gv_0": gv_0}
+        if grad:
+            pieces["grad_v"] = self._grad_v(ops, handles, X, w, cache)
         return pieces
 
-    def _graph_general(self, ops, handles, X, U, ablate, origin=None):
-        gf = self.nets["gf"]
-        zero = ops.constant(np.zeros((1, self.n)))
-        u_lim_row = ops.constant(self.hyper.u_lim[None, :])
+    def _controller(self, ops, handles, X, grad_v, u_lim_row):
+        """u*(X) as a dict, with affine mode's gf2 block ``f2`` (B, n, m) and
+        sign argument ``coeff``.
 
-        u_star = self._general_controller(ops, handles, X, u_lim_row)
-        if origin is None:
-            u_star_0 = self._general_controller(ops, handles, zero, u_lim_row)
-            gf_0, _ = net_apply(ops, handles["gf"], gf.activations, gf.srelu_width,
-                                ops.concat_cols(zero, u_star_0))
-            gv_0 = None
-        else:
-            u_star_0 = ops.constant(origin["u_star_0"])
-            gf_0 = ops.constant(origin["gf_0"])
-            gv_0 = ops.constant(origin["gv_0"])
+        General mode: u* = diag(u_lim) tanh(gu(X)).  Affine mode: the
+        bang-bang control u* = -diag(u_lim) sign(gradV^T gf2(X)) induced by
+        the Lyapunov gradient; the sign carries no gradient (piecewise
+        constant in both x and parameters).  ``grad_v`` is a thunk returning
+        gradV at X; only affine mode calls it.
+        """
+        name = "gu" if self.mode == "general" else "gf2"
+        net = self.nets[name]
+        out, _ = net_apply(ops, handles[name], net.activations, net.srelu_width, X)
+        if self.mode == "general":
+            return {"u_star": ops.mul(u_lim_row, out)}
+        f2 = ops.reshape(out, (ops.value(X).shape[0], self.n, self.m))
+        coeff = ops.vec_bmat(grad_v(), f2)
+        return {"u_star": ops.mul(ops.neg(ops.sign_detached(coeff)), u_lim_row),
+                "f2": f2, "coeff": coeff}
 
-        gf_star, _ = net_apply(ops, handles["gf"], gf.activations, gf.srelu_width,
-                               ops.concat_cols(X, u_star))
-        fhat_star = ops.sub(gf_star, gf_0)
+    def _nominal(self, ops, handles, X, ctrl, offset=None):
+        """The map u -> ghat(X, u) - offset: gf(X, u) in general mode,
+        gf1(X) + gf2(X) u in affine mode, with ``ctrl`` the controller dict
+        at X.  Without ``offset`` it is the raw ghat(X, u)."""
+        if self.mode == "general":
+            gf = self.nets["gf"]
 
-        pieces = self._lyapunov_nodes(ops, handles, X, zero, gv_0=gv_0)
-        pieces.update(u_star=u_star, u_star_0=u_star_0, gf_0=gf_0, fhat_star=fhat_star)
-        self._projection_nodes(ops, pieces, fhat_star, ablate)
-
-        if U is not None:
-            gf_u, _ = net_apply(ops, handles["gf"], gf.activations, gf.srelu_width,
-                                ops.concat_cols(X, U))
-            fhat_data = ops.sub(gf_u, gf_0)
-            pieces["fhat_data"] = fhat_data
-            pieces["fstar_data"] = (fhat_data if ablate
-                                    else ops.sub(fhat_data, pieces["shift"]))
-        return pieces
-
-    def _graph_affine(self, ops, handles, X, U, ablate, origin=None):
+            def nominal(u):
+                out, _ = net_apply(ops, handles["gf"], gf.activations, gf.srelu_width,
+                                   ops.concat_cols(X, u))
+                return out if offset is None else ops.sub(out, offset)
+            return nominal
         gf1 = self.nets["gf1"]
+        f1, _ = net_apply(ops, handles["gf1"], gf1.activations, gf1.srelu_width, X)
+        if offset is not None:
+            f1 = ops.sub(f1, offset)
+        return lambda u: ops.add(f1, ops.bmat_vec(ctrl["f2"], u))
+
+    def _origin_nodes(self, ops, handles, u_lim_row):
+        """gv(0), u*(0) and the nominal offset ghat(0, u*(0)) that pins the
+        origin as a closed-loop equilibrium.
+
+        gv(0) is a thunk that records it at its first call: here in affine
+        mode, whose u* reads gradV(0), and after gv(X) in general mode.  The
+        reverse sweep sums parameter adjoints in tape order, so this order
+        keeps trained parameters bit-identical across refactors of the graph.
+        """
         zero = ops.constant(np.zeros((1, self.n)))
-        u_lim_row = ops.constant(self.hyper.u_lim[None, :])
+        gv_zero = functools.cache(lambda: self._gv(ops, handles, zero))
 
-        f2_x = self._f2_nodes(ops, handles, X)
-        gf1_x, _ = net_apply(ops, handles["gf1"], gf1.activations, gf1.srelu_width, X)
+        def grad_v_0():
+            gv_0, cache = gv_zero()
+            return self._grad_v(ops, handles, zero, ops.sub(gv_0, gv_0), cache)
 
-        if origin is None:
-            pieces_0 = self._lyapunov_nodes(ops, handles, zero, zero)
-            f2_0 = self._f2_nodes(ops, handles, zero)
-            _, u_star_0 = self._bang_bang(ops, pieces_0["grad_v"], f2_0, u_lim_row)
-            gf1_0, _ = net_apply(ops, handles["gf1"], gf1.activations, gf1.srelu_width, zero)
-            f1_off = ops.add(gf1_0, ops.bmat_vec(f2_0, u_star_0))
-            gv_0 = pieces_0["gv_0"]
-        else:
-            u_star_0 = ops.constant(origin["u_star_0"])
-            f1_off = ops.constant(origin["f1_off"])
-            gv_0 = ops.constant(origin["gv_0"])
-
-        pieces = self._lyapunov_nodes(ops, handles, X, zero, gv_0=gv_0)
-        coeff, u_star = self._bang_bang(ops, pieces["grad_v"], f2_x, u_lim_row)
-
-        f1 = ops.sub(gf1_x, f1_off)
-        fhat_star = ops.add(f1, ops.bmat_vec(f2_x, u_star))
-        pieces.update(u_star=u_star, u_star_0=u_star_0, f1=f1, f2=f2_x,
-                      coeff=coeff, fhat_star=fhat_star, f1_off=f1_off)
-        self._projection_nodes(ops, pieces, fhat_star, ablate)
-
-        if U is not None:
-            fhat_data = ops.add(f1, ops.bmat_vec(f2_x, U))
-            pieces["fhat_data"] = fhat_data
-            pieces["fstar_data"] = (fhat_data if ablate
-                                    else ops.sub(fhat_data, pieces["shift"]))
-        return pieces
+        ctrl = self._controller(ops, handles, zero, grad_v_0, u_lim_row)
+        offset = self._nominal(ops, handles, zero, ctrl)(ctrl["u_star"])
+        return {"gv_0": lambda: gv_zero()[0], "u_star_0": ctrl["u_star"], "offset": offset}
 
     def _origin_offsets(self):
-        """Origin-dependent constants, recomputed whenever parameters change."""
-        if self._offsets is not None and self._offsets[0] == self._version:
-            return self._offsets[1]
-        handles = self._numpy_handles()
-        zeros = np.zeros((1, self.n))
-        pieces = self.build_graph(NumpyOps, handles, zeros, None)
-        off = {"u_star_0": pieces["u_star_0"], "gv_0": pieces["gv_0"]}
-        if self.mode == "general":
-            off["gf_0"] = pieces["gf_0"]
-        else:
-            off["f1_off"] = pieces["f1_off"]
-        self._offsets = (self._version, off)
-        return off
+        """:meth:`_origin_nodes` on the numpy backend, recomputed whenever
+        parameters change."""
+        if self._offsets is None or self._offsets[0] != self._version:
+            self._offsets = (self._version, self._origin_nodes(
+                NumpyOps, self._numpy_handles(), self.hyper.u_lim[None, :]))
+        return self._offsets[1]
 
     def _numpy_handles(self):
         """Raw-array handle dict, cached per parameter version."""
@@ -430,8 +404,7 @@ class StableDynamicsModel:
                 Ub = np.broadcast_to(Ub, (X.shape[0], self.m))
             U = Ub
         pieces = self.build_graph(NumpyOps, self._numpy_handles(), X, U,
-                                  ablate_projection=ablate_projection,
-                                  origin=self._origin_offsets())
+                                  ablate_projection=ablate_projection)
         out = pieces["fstar_star"] if U is None else pieces["fstar_data"]
         if not np.all(np.isfinite(out)):
             for key in ("v", "grad_v", "fhat_star", "resid"):
@@ -442,21 +415,18 @@ class StableDynamicsModel:
         pieces["single"] = single
         return pieces
 
-    def controller(self, x):
-        """Feedback control u*(x), strictly inside the control box."""
-        pieces = self.eval_pieces(x)
-        u = pieces["u_star"]
-        return u[0] if pieces["single"] else u
-
     def eval_parts(self, X, parts):
         """Only the named pieces of the numpy graph on a prevalidated (B, n)
         batch, as a dict holding just those names.
 
-        ``parts`` names pieces from {"u_star", "v", "grad_v"}; each is built by
-        the node builders of :meth:`build_graph`, so values are bit-identical
-        to :meth:`eval_pieces`.  V alone runs the value half of gv; gradV adds
-        the gradient half; u* runs gu in general mode and gv, gradV and gf2 in
-        affine mode.  A non-finite piece raises FloatingPointError naming it.
+        ``parts`` names pieces from {"u_star", "v", "grad_v"}.  They come from
+        the :meth:`_lyapunov` and :meth:`_controller` nodes that
+        :meth:`build_graph` uses, with gv(0) from the origin cache, so values
+        are bit-identical to :meth:`eval_pieces`.  V alone runs gv without its
+        gradient chain; gradV adds the chain; u* runs gu in general mode and
+        gv, gradV and gf2 in affine mode.  Neither mode evaluates the nominal
+        dynamics or the projection.  A non-finite piece raises
+        FloatingPointError naming it.
         """
         parts = set(parts)
         unknown = parts - {"u_star", "v", "grad_v"}
@@ -464,22 +434,15 @@ class StableDynamicsModel:
             raise ValueError(f"eval_parts evaluates only u_star, v and grad_v, "
                              f"not {sorted(unknown)}")
         ops, handles = NumpyOps, self._numpy_handles()
-        u_lim_row = self.hyper.u_lim[None, :]
+        # the pieces that need gv: all of them in affine mode, where u* reads gradV
+        lyapunov = parts if self.mode == "affine" else parts - {"u_star"}
         pieces = {}
-        lyapunov = set(parts)  # the pieces that need gv
-        if "u_star" in parts and self.mode == "general":
-            pieces["u_star"] = self._general_controller(ops, handles, X, u_lim_row)
-            lyapunov.discard("u_star")
         if lyapunov:
-            gv_0 = self._origin_offsets()["gv_0"]
-            value, cache = self._lyapunov_value_nodes(ops, handles, X, None, gv_0)
-            pieces["v"] = value["v"]
-            if lyapunov != {"v"}:
-                pieces["grad_v"] = self._lyapunov_grad_node(ops, handles, X,
-                                                            value["w"], cache)
-            if "u_star" in lyapunov:
-                f2 = self._f2_nodes(ops, handles, X)
-                _, pieces["u_star"] = self._bang_bang(ops, pieces["grad_v"], f2, u_lim_row)
+            pieces = self._lyapunov(ops, handles, X, self._origin_offsets()["gv_0"],
+                                    grad=lyapunov != {"v"})
+        if "u_star" in parts:
+            pieces.update(self._controller(ops, handles, X, lambda: pieces["grad_v"],
+                                           self.hyper.u_lim[None, :]))
         out = {}
         for name in sorted(parts):
             if not np.all(np.isfinite(pieces[name])):
@@ -488,9 +451,7 @@ class StableDynamicsModel:
         return out
 
     def controller_batch(self, X):
-        """u* on a prevalidated (B, n) batch: gu in general mode; gv, gradV,
-        gf2 and the sign in affine mode.  Neither mode evaluates the nominal
-        dynamics or the projection."""
+        """u* on a prevalidated (B, n) batch, without dynamics or projection."""
         return self.eval_parts(X, ("u_star",))["u_star"]
 
     def lyapunov_batch(self, X):
@@ -501,32 +462,32 @@ class StableDynamicsModel:
         """gradV on a prevalidated (B, n) batch, without controller or dynamics."""
         return self.eval_parts(X, ("grad_v",))["grad_v"]
 
+    def _piece(self, key, x, u=None, ablate_projection=False):
+        """One piece of :meth:`eval_pieces`, mirroring the batchedness of x."""
+        pieces = self.eval_pieces(x, u, ablate_projection=ablate_projection)
+        return pieces[key][0] if pieces["single"] else pieces[key]
+
+    def controller(self, x):
+        """Feedback control u*(x), strictly inside the control box."""
+        return self._piece("u_star", x)
+
     def nominal(self, x, u):
         """Nominal dynamics fhat(x, u) with the equilibrium shift applied."""
-        pieces = self.eval_pieces(x, u)
-        out = pieces["fhat_data"]
-        return out[0] if pieces["single"] else out
+        return self._piece("fhat_data", x, u)
 
     def lyapunov(self, x):
         """V(x) >= eps_pd*||x||^2, zero exactly at the origin."""
-        pieces = self.eval_pieces(x)
-        v = pieces["v"][:, 0]
-        return float(v[0]) if pieces["single"] else v
+        v = self._piece("v", x)[..., 0]
+        return float(v) if v.ndim == 0 else v
 
     def lyapunov_grad(self, x):
-        pieces = self.eval_pieces(x)
-        g = pieces["grad_v"]
-        return g[0] if pieces["single"] else g
+        return self._piece("grad_v", x)
 
     def project(self, x, u, ablate_projection=False):
         """Projected dynamics f*(x, u); reduces to fhat when the decrease
         condition already holds at (x, u*(x))."""
-        pieces = self.eval_pieces(x, u, ablate_projection=ablate_projection)
-        out = pieces["fstar_data"]
-        return out[0] if pieces["single"] else out
+        return self._piece("fstar_data", x, u, ablate_projection)
 
     def closed_loop(self, x, ablate_projection=False):
         """f*(x, u*(x)) — the learned closed-loop vector field."""
-        pieces = self.eval_pieces(x, ablate_projection=ablate_projection)
-        out = pieces["fstar_star"]
-        return out[0] if pieces["single"] else out
+        return self._piece("fstar_star", x, ablate_projection=ablate_projection)

@@ -222,16 +222,13 @@ class FieldGrid:
             cols += [f"f{i + 1}" for i in range(self.values.shape[2])]
         else:
             cols += ["value"]
-        rows = []
-        for i, xv in enumerate(self.xs):
-            for j, yv in enumerate(self.ys):
-                v = self.values[i, j]
-                rows.append([xv, yv] + (list(v) if self.values.ndim == 3 else [v]))
+        XX, YY = np.meshgrid(self.xs, self.ys, indexing="ij")
+        body = np.column_stack((XX.ravel(), YY.ravel(),
+                                self.values.reshape(XX.size, -1)))
         header = ",".join(cols)
         if comment:
             header = comment.rstrip("\n") + "\n" + header
-        np.savetxt(path, np.asarray(rows), fmt="%.17g", delimiter=",",
-                   header=header, comments="")
+        np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def export_field(model, kind, resolution, system=None):

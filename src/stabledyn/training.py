@@ -132,9 +132,9 @@ def import_dataset_csv(path, meta_path=None):
 # Loss
 # ---------------------------------------------------------------------------
 
-def _loss_node(ops, model, handles, X, U, Xdot, origin=None):
+def _loss_node(ops, model, handles, X, U, Xdot):
     hp = model.hyper
-    pieces = model.build_graph(ops, handles, X, U, origin=origin)
+    pieces = model.build_graph(ops, handles, X, U)
     diff = ops.sub(Xdot, pieces["fstar_data"])
     sq = ops.row_sum(ops.mul(diff, diff))
     udiff = ops.sub(U, pieces["u_star"])
@@ -187,12 +187,11 @@ def loss_value(model, batch, chunk=20000):
     if len(batch) == 0:
         raise ValueError("loss of an empty batch")
     handles = model.param_handles(NumpyOps)
-    origin = model._origin_offsets()
     total = 0.0
     for start in range(0, len(batch), chunk):
         sl = slice(start, min(start + chunk, len(batch)))
         part = _loss_node(NumpyOps, model, handles,
-                          batch.X[sl], batch.U[sl], batch.Xdot[sl], origin=origin)
+                          batch.X[sl], batch.U[sl], batch.Xdot[sl])
         total += float(part) * (sl.stop - sl.start)
     value = total / len(batch)
     if not np.isfinite(value):

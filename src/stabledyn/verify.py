@@ -11,8 +11,7 @@ proof — and the reports say so.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,10 +19,6 @@ from scipy.spatial import cKDTree
 ORIGIN_EXCLUSION = 1e-3  # sampling stays clear of the 0/0 at the equilibrium
 DECAY_TOL = 0.02
 LIPSCHITZ_SEPARATION = 1e-3
-
-
-def _report_json(report):
-    return json.dumps(asdict(report), indent=2)
 
 
 def _uniform_box(rng, lb, ub, count):
@@ -50,9 +45,6 @@ class DecreaseReport:
     seed: int
     ablated: bool
     estimate_kind: str = "sampled"
-
-    def to_json(self):
-        return _report_json(self)
 
 
 def check_decrease(model, n_samples, seed, ablate_projection=False):
@@ -99,9 +91,6 @@ class DecayReport:
     worst_norm_ratio: float
     tol: float
 
-    def to_json(self):
-        return _report_json(self)
-
 
 def decay_bound_check(traj, hyper, tol=DECAY_TOL):
     """Verify V(x(t)) <= V(x(0)) e^{-alpha t} and the induced norm envelope.
@@ -140,9 +129,6 @@ class QuadBoundReport:
     n_samples: int
     seed: int
     estimate_kind: str = "sampled"
-
-    def to_json(self):
-        return _report_json(self)
 
 
 def estimate_quadratic_ratio(model, r1, r2, n_samples, seed):
@@ -204,9 +190,6 @@ class CertificateReport:
     n_data: int
     seed: int
     estimate_kind: str = "sampled (delta, M_r, Lipschitz constants); exact (e)"
-
-    def to_json(self):
-        return _report_json(self)
 
 
 def certificate(model, system, dataset, r, n_samples, seed):

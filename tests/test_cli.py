@@ -49,11 +49,35 @@ def test_ablated_decrease_exits_three(tmp_path):
 
 
 @pytest.mark.parametrize("command, section, key", [
-    ("verify", "verify", "n_samples"), ("portrait", "portrait", "resolution")])
+    ("verify", "verify", "n_samples"), ("portrait", "portrait", "resolution"),
+    ("train", "model", "mode")])
 def test_out_of_range_setting_exits_one(tmp_path, capsys, command, section, key):
-    value = {"n_samples": 0, "resolution": 1}[key]
+    value = {"n_samples": 0, "resolution": 1, "mode": "bogus"}[key]
     assert run(tmp_path, command, with_section(section, **{key: value})) == cli.EXIT_CONFIG
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("verify", "n_samples", "many"), (None, "seed", "abc"),
+    ("hyper", "alpha", "x"), ("train", "lr", "fast")])
+def test_wrong_type_setting_exits_one(tmp_path, capsys, section, key, value):
+    if section is None:
+        config = dict(TINY, **{key: value})
+    else:
+        config = with_section(section, **{key: value})
+    command = "verify" if section == "verify" else "train"
+    assert run(tmp_path, command, config) == cli.EXIT_CONFIG
+    assert (key if section is None else f"{section}.{key}") in capsys.readouterr().err
+
+
+def test_portrait_writes_four_grids(tmp_path):
+    res = 5
+    assert run(tmp_path, "portrait", with_section("portrait", resolution=res)) == cli.EXIT_OK
+    for kind in ("fhat", "fstar", "gv", "v"):
+        data = np.loadtxt(tmp_path / "out" / f"field_{kind}.csv", delimiter=",",
+                          skiprows=2, ndmin=2)
+        assert data.shape[0] == res * res, kind
+        assert np.all(np.isfinite(data)), kind
 
 
 def test_simulate_writes_finite_trajectories(tmp_path):

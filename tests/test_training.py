@@ -122,9 +122,14 @@ class TestLoss:
         with pytest.raises(ValueError):
             training.loss(small_model, ds)
 
-    def test_loss_value_matches_tape(self, small_model, vdp_system, vdp_hyper):
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_loss_value_matches_tape(self, vdp_system, vdp_hyper, mode):
+        # the tape records the origin nodes inline, loss_value reads the numpy
+        # cache; jittered biases keep the origin values away from zero
+        model = jitter_params(make_model(vdp_hyper, seed=11, mode=mode),
+                              np.random.default_rng(4))
         ds = training.sample_dataset(vdp_system, vdp_hyper, 64, seed=3)
-        assert training.loss_value(small_model, ds) == training.loss(small_model, ds).value
+        assert training.loss_value(model, ds) == training.loss(model, ds).value
 
     def test_gradient_matches_finite_differences(self, vdp_system, vdp_hyper):
         rng = np.random.default_rng(9)

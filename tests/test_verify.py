@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ class TestCheckDecrease:
 
     def test_report_serializes(self, small_model):
         rep = verify.check_decrease(small_model, 100, seed=0)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(asdict(rep)))
         assert doc["estimate_kind"] == "sampled"
         assert doc["n_samples"] == 100
 
@@ -182,7 +183,7 @@ class TestCertificate:
     def test_report_serializes_with_provenance(self, vdp_system, vdp_hyper, small_model):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 100, seed=1)
         rep = verify.certificate(small_model, vdp_system, ds, 0.1, 200, seed=2)
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(asdict(rep)))
         assert "sampled" in doc["estimate_kind"]
         assert doc["seed"] == 2 and doc["n_data"] == 100
 
