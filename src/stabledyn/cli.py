@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sim, systems, training, verify
 from .diffcore import GradientError
-from .models import DEFAULT_DEPTH, Hyper, StableDynamicsModel
+from .models import DEFAULT_DEPTH, DEFAULT_WIDTHS, Hyper, StableDynamicsModel
 from .systems import DomainError
 
 
@@ -66,6 +66,31 @@ def _check_keys(section, allowed, where):
         raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
 
 
+def _coerce(value, name, kind=int):
+    """``kind(value)``, or a ConfigError naming the setting."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
+def _widths(widths):
+    """``model.widths`` with known network names and integer widths >= 1."""
+    if widths is None:
+        return None
+    if not isinstance(widths, dict):
+        raise ConfigError(f"model.widths must be an object, got {widths!r}")
+    out = {}
+    for net, value in widths.items():
+        name = f"model.widths.{net}"
+        if net not in DEFAULT_WIDTHS:
+            raise ConfigError(f"{name}: unknown network; choose from {sorted(DEFAULT_WIDTHS)}")
+        out[net] = _coerce(value, name)
+        if out[net] < 1:
+            raise ConfigError(f"{name} must be at least 1, got {out[net]}")
+    return out
+
+
 def load_config(path=None, overrides=None):
     """Parse, validate, and default-fill a run config."""
     raw = {}
@@ -101,11 +126,7 @@ def load_config(path=None, overrides=None):
         """raw[section][key] (top level when section is None) or ``default``,
         coerced by ``kind``."""
         value = (raw if section is None else raw[section]).get(key, default)
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            name = key if section is None else f"{section}.{key}"
-            raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        return _coerce(value, key if section is None else f"{section}.{key}", kind)
 
     train = training.TrainConfig()  # the training defaults live there
     cfg = {
@@ -114,7 +135,7 @@ def load_config(path=None, overrides=None):
         "seed": number(None, "seed", 0),
         "hyper": raw["hyper"],
         "model": {"mode": raw["model"].get("mode", "general"),
-                  "widths": raw["model"].get("widths"),
+                  "widths": _widths(raw["model"].get("widths")),
                   "depth": number("model", "depth", DEFAULT_DEPTH)},
         "train": {"lr": raw["train"].get("lr", train.lr),
                   "batch_size": number("train", "batch_size", train.batch_size),
@@ -145,6 +166,11 @@ def load_config(path=None, overrides=None):
     for section, key in _POSITIVE:
         if not cfg[section][key] > 0:
             raise ConfigError(f"{section}.{key} must be positive, got {cfg[section][key]}")
+    try:  # TrainConfig owns the training ranges
+        training.TrainConfig(**{key: cfg["train"][key] for key in
+                                ("lr", "batch_size", "epochs", "clip_norm", "holdout")})
+    except ValueError as exc:
+        raise ConfigError(f"train.{exc}") from None
     if cfg["system"] not in systems.system_names():
         raise ConfigError(f"unknown system {cfg['system']!r}")
     if cfg["model"]["mode"] not in ("general", "affine"):
@@ -281,8 +307,8 @@ def cmd_portrait(args):
     model = _load_or_init_model(cfg, hyper, pc["checkpoint"])
     out = _outdir(args, cfg)
     comment = "# config: " + _embed(cfg)
-    for kind in ("fhat", "fstar", "gv", "v"):
-        grid = sim.export_field(model, kind, pc["resolution"])
+    grids = sim.export_field(model, ("fhat", "fstar", "gv", "v"), pc["resolution"])
+    for kind, grid in grids.items():
         grid.to_csv(out / f"field_{kind}.csv", comment=comment)
     print(f"wrote 4 field grids at resolution {pc['resolution']} to {out}")
     return EXIT_OK

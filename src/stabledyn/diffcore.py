@@ -7,7 +7,8 @@ Two evaluation backends share one primitive vocabulary:
   scalar result can later be differentiated with respect to any designated
   leaf arrays in a single reverse sweep.
 
-The operator set is deliberately small: dense affine layers, three C1
+The operator set is deliberately small: ``dense(a, w, b)`` for a whole
+affine layer ``a @ w.T + b`` (one recorded node per layer), three C1
 activations, and the elementwise/reduction primitives needed to assemble a
 stability-projected dynamics model and its regression loss.  Input
 gradients of scalar-valued networks are built as explicit layerwise
@@ -20,6 +21,7 @@ All values are float64; batches are row-major (batch, dim).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +181,7 @@ class ParamBlock:
 
     @property
     def size(self):
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
 
 class ParamLayout:
@@ -273,8 +275,10 @@ class NumpyOps:
         return a @ b
 
     @staticmethod
-    def matmul_t(a, w):
-        return a @ w.T
+    def dense(a, w, b):
+        z = a @ w.T
+        z += b
+        return z
 
     @staticmethod
     def concat_cols(a, b):
@@ -433,11 +437,12 @@ class Tape:
         return self._record("matmul", out, (a, b),
                             lambda adj: (adj @ bv.T, av.T @ adj))
 
-    def matmul_t(self, a, w):
+    def dense(self, a, w, b):
         out = a.value @ w.value.T
+        out += b.value
         av, wv = a.value, w.value
-        return self._record("matmul_t", out, (a, w),
-                            lambda adj: (adj @ wv, adj.T @ av))
+        return self._record("dense", out, (a, w, b),
+                            lambda adj: (adj @ wv, adj.T @ av, adj.sum(axis=0)))
 
     def concat_cols(self, a, b):
         out = np.hstack((a.value, b.value))
@@ -447,8 +452,13 @@ class Tape:
 
     def tanh(self, a):
         out = np.tanh(a.value)
-        return self._record("tanh", out, (a,),
-                            lambda adj: (adj * (1.0 - out * out),))
+
+        def vjp(adj):
+            d = out * out
+            np.subtract(1.0, d, out=d)
+            d *= adj
+            return (d,)
+        return self._record("tanh", out, (a,), vjp)
 
     def srelu(self, a, d):
         out = _srelu_raw(a.value, d)
@@ -541,36 +551,58 @@ class Tape:
 
         Leaves the output does not depend on get exact zero gradients.  A
         non-finite adjoint raises :class:`GradientError` naming its node.
+
+        The sweep checks finiteness only where adjoints end: at leaves and
+        constants, and at ``sign_detached`` nodes, whose VJP drops the
+        adjoint.  NaN and inf propagate through every other VJP, so a
+        non-finite adjoint anywhere reaches one of these ends.  On a hit the
+        sweep is rerun checking every adjoint in reverse order, as well as
+        the requested leaves, so the error names the same node, with the
+        same message, as a sweep that checked every node would.  If that
+        rerun finds nothing (only an unrequested leaf's or a constant's
+        summed adjoint overflowed), the gradients are returned unchecked.
         """
         if np.asarray(output.value).size != 1:
             raise GradientError("gradient target must be scalar")
+        adjoints, ends = self._sweep(output, checked=False)
+        if not all(np.isfinite(adj).all() for adj in ends):
+            adjoints, _ = self._sweep(output, checked=True)
+            for leaf in leaves:
+                g = adjoints[leaf.idx]
+                if g is not None and not np.all(np.isfinite(g)):
+                    raise GradientError(
+                        f"non-finite adjoint at node {leaf.idx} ({leaf.op})")
+        out = []
+        for leaf in leaves:
+            g = adjoints[leaf.idx]
+            out.append(np.zeros_like(leaf.value) if g is None else np.asarray(g))
+        return out
+
+    def _sweep(self, output, checked):
+        """One reverse sweep: every node's adjoint, and the adjoints that end
+        at a node without a VJP or in a VJP that drops them.  ``checked``
+        raises at the first non-finite adjoint of a node with a VJP."""
         adjoints = [None] * len(self._nodes)
         adjoints[output.idx] = np.ones_like(output.value)
+        ends = []
         for node in reversed(self._nodes[:output.idx + 1]):
             adj = adjoints[node.idx]
-            if adj is None or node.vjp is None:
+            if adj is None:
                 continue
-            if not np.all(np.isfinite(adj)):
+            if node.vjp is None:
+                ends.append(adj)
+                continue
+            if checked and not np.all(np.isfinite(adj)):
                 raise GradientError(
                     f"non-finite adjoint at node {node.idx} ({node.op})")
             for parent, contrib in zip(node.parents, node.vjp(adj)):
                 if contrib is None:
-                    continue
-                if adjoints[parent.idx] is None:
+                    ends.append(adj)
+                elif adjoints[parent.idx] is None:
                     adjoints[parent.idx] = contrib
                 else:
                     adjoints[parent.idx] = adjoints[parent.idx] + contrib
-        out = []
-        for leaf in leaves:
-            g = adjoints[leaf.idx]
-            if g is None:
-                out.append(np.zeros_like(leaf.value))
-                continue
-            if not np.all(np.isfinite(g)):
-                raise GradientError(
-                    f"non-finite adjoint at node {leaf.idx} ({leaf.op})")
-            out.append(np.asarray(g))
-        return out
+        return adjoints, ends
 
 
 def param_gradient(tape, output, leaf_blocks, layout):
@@ -602,7 +634,7 @@ def net_apply(ops, handles, activations, srelu_width, x):
     a = x
     cache = []
     for (w, b), act in zip(handles, activations):
-        z = ops.add(ops.matmul_t(a, w), b)
+        z = ops.dense(a, w, b)
         if act == "tanh":
             a = ops.tanh(z)
         elif act == "smoothed_relu":

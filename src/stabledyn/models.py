@@ -52,9 +52,12 @@ class Hyper:
     v_cap: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "u_lim", np.atleast_1d(np.asarray(self.u_lim, dtype=np.float64)))
-        object.__setattr__(self, "x_lb", np.atleast_1d(np.asarray(self.x_lb, dtype=np.float64)))
-        object.__setattr__(self, "x_ub", np.atleast_1d(np.asarray(self.x_ub, dtype=np.float64)))
+        for name in ("u_lim", "x_lb", "x_ub"):
+            box = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
+            # a null (NaN) or infinite bound would pass every ordering check
+            if not np.all(np.isfinite(box)):
+                raise ValueError(f"{name} must be finite, got {box.tolist()}")
+            object.__setattr__(self, name, box)
         if self.beta is None:
             top = float(np.max(self.u_lim))
             # an all-zero control box leaves the kernel argument identically

@@ -231,20 +231,23 @@ class FieldGrid:
         np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
-def export_field(model, kind, resolution, system=None):
-    """Evaluate a model/system quantity on the state box grid (planar only).
+def export_field(model, kinds, resolution, system=None):
+    """Evaluate model/system quantities on the state box grid (planar only).
 
-    Kinds: "fstar" and "fhat" are the projected/nominal closed-loop fields,
-    "true" is the true plant under the learned controller (needs
-    ``system``), "v" and "gv" are the Lyapunov value and its raw network.
+    Returns ``{kind: FieldGrid}`` for each of ``kinds``, all read from one
+    evaluation of the model on the grid.  Kinds: "fstar" and "fhat" are the
+    projected/nominal closed-loop fields, "true" is the true plant under the
+    learned controller (needs ``system``), "v" and "gv" are the Lyapunov
+    value and its raw network.
     """
     if model.n != 2:
         raise DimensionError(f"grid export needs a planar state space, n={model.n}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    if kind not in FIELD_KINDS:
-        raise ValueError(f"unknown field kind {kind!r}; choose from {FIELD_KINDS}")
-    if kind == "true" and system is None:
+    for kind in kinds:
+        if kind not in FIELD_KINDS:
+            raise ValueError(f"unknown field kind {kind!r}; choose from {FIELD_KINDS}")
+    if "true" in kinds and system is None:
         raise ValueError("kind 'true' requires the true system")
     hp = model.hyper
     xs = np.linspace(hp.x_lb[0], hp.x_ub[0], resolution)
@@ -252,15 +255,18 @@ def export_field(model, kind, resolution, system=None):
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
     grid = np.column_stack((XX.ravel(), YY.ravel()))
     pieces = model.eval_pieces(grid)
-    if kind == "fstar":
-        vals = pieces["fstar_star"]
-    elif kind == "fhat":
-        vals = pieces["fhat_star"]
-    elif kind == "true":
-        vals = system.dynamics(grid, pieces["u_star"])
-    elif kind == "v":
-        vals = pieces["v"][:, 0]
-    else:
-        vals = (pieces["gv_x"] - pieces["gv_0"])[:, 0]
-    shape = (resolution, resolution) + ((vals.shape[1],) if vals.ndim == 2 else ())
-    return FieldGrid(xs, ys, vals.reshape(shape), kind)
+    grids = {}
+    for kind in kinds:
+        if kind == "fstar":
+            vals = pieces["fstar_star"]
+        elif kind == "fhat":
+            vals = pieces["fhat_star"]
+        elif kind == "true":
+            vals = system.dynamics(grid, pieces["u_star"])
+        elif kind == "v":
+            vals = pieces["v"][:, 0]
+        else:
+            vals = (pieces["gv_x"] - pieces["gv_0"])[:, 0]
+        shape = (resolution, resolution) + ((vals.shape[1],) if vals.ndim == 2 else ())
+        grids[kind] = FieldGrid(xs, ys, vals.reshape(shape), kind)
+    return grids

@@ -213,14 +213,17 @@ class TrainConfig:
     holdout: float = 0.1
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be nonnegative")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size >= 1 and epochs >= 0 required")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
+        # each message starts with the field's name; NaN fails every range
+        if not self.lr >= 0:
+            raise ValueError(f"lr must be nonnegative, got {self.lr}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if not self.clip_norm > 0:
+            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 <= self.holdout < 1.0:
-            raise ValueError("holdout fraction must be in [0, 1)")
+            raise ValueError(f"holdout must be in [0, 1), got {self.holdout}")
 
 
 @dataclass

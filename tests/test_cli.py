@@ -111,3 +111,26 @@ def test_resume_appends_losses_with_continued_epochs(tmp_path):
     epochs = [int(ln.split(",")[0]) for ln in lines
               if ln and not ln.startswith(("#", "epoch"))]
     assert epochs == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("u_lim", None), ("x_ub", [float("inf"), 3.0]), ("x_lb", [-2.0, float("nan")])])
+def test_non_finite_box_exits_one(tmp_path, capsys, key, value):
+    assert run(tmp_path, "train", with_section("hyper", **{key: value})) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("lr", -1), ("clip_norm", 0), ("holdout", 1.0), ("holdout", -0.1),
+    ("batch_size", 0), ("epochs", -1)])
+def test_train_setting_out_of_range_exits_one(tmp_path, capsys, key, value):
+    assert run(tmp_path, "train", with_section("train", **{key: value})) == cli.EXIT_CONFIG
+    assert f"train.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("widths, net", [
+    ({"gf": "x"}, "gf"), ({"gz": 8}, "gz"), ({"gv": 0}, "gv"), ({"gu": -3}, "gu")])
+def test_bad_width_exits_one(tmp_path, capsys, widths, net):
+    config = with_section("model", widths=dict(TINY["model"]["widths"], **widths))
+    assert run(tmp_path, "train", config) == cli.EXIT_CONFIG
+    assert f"model.widths.{net}" in capsys.readouterr().err

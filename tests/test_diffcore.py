@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stabledyn import diffcore as dc
+from stabledyn import training
 from stabledyn.diffcore import (
     GradientError,
     Network,
@@ -248,12 +249,74 @@ class TestTape:
         (g,) = tape.gradient(out, [a])
         assert np.array_equal(g, [[0.0, 0.0, 1.0]])
 
+    def test_nonfinite_adjoint_at_sign_detached_names_node(self):
+        # the sign drops its adjoint, so the sweep must check it there
+        tape = Tape()
+        a = tape.leaf(np.array([[2.0]]))
+        s = tape.sign_detached(a)
+        out = tape.sum_all(tape.mul(s, tape.constant(np.array([[np.inf]]))))
+        with pytest.raises(GradientError,
+                           match=rf"non-finite adjoint at node {s.idx} \(sign_detached\)"):
+            tape.gradient(out, [a])
+
+    def test_overflow_only_in_constant_adjoint_passes(self):
+        # the constant's two adjoint terms sum to inf; every other adjoint,
+        # the requested leaf's included, stays finite
+        tape = Tape()
+        a = tape.leaf(np.array([[1e308]]))
+        c = tape.constant(np.array([[1.0]]))
+        out = tape.sum_all(tape.add(tape.mul(c, a), tape.mul(c, a)))
+        (g,) = tape.gradient(out, [a])
+        assert np.array_equal(g, [[2.0]])
+
     def test_maximum_scalar_tie_takes_constant_branch(self):
         tape = Tape()
         a = tape.leaf(np.array([[0.5, 1.0, 2.0]]))
         out = tape.sum_all(tape.maximum_scalar(a, 1.0))
         (g,) = tape.gradient(out, [a])
         assert np.array_equal(g, [[0.0, 0.0, 1.0]])
+
+
+class TestDense:
+    @pytest.mark.parametrize("B", [1, 5, 256, 20000])
+    def test_numpy_dense_is_affine_map_bit_for_bit(self, B):
+        rng = np.random.default_rng(B)
+        a = rng.normal(size=(B, 50))
+        w = rng.normal(size=(40, 50))
+        b = rng.normal(size=40)
+        assert np.array_equal(NumpyOps.dense(a, w, b), a @ w.T + b)
+
+    def test_tape_dense_matches_fd(self):
+        # same step and tolerance as the parameter-gradient check below
+        rng = np.random.default_rng(4)
+        vals = [rng.uniform(-1, 1, (4, 3)), rng.uniform(-1, 1, (5, 3)),
+                rng.uniform(-1, 1, 5)]
+
+        def value(a, w, b):
+            tape = Tape()
+            nodes = [tape.leaf(v) for v in (a, w, b)]
+            z = tape.dense(*nodes)
+            return tape, tape.sum_all(tape.mul(z, z)), nodes
+
+        tape, out, nodes = value(*vals)
+        grads = tape.gradient(out, nodes)
+        h = 1e-5
+        for i, (v, g) in enumerate(zip(vals, grads)):
+            assert g.shape == v.shape
+            for c in np.ndindex(v.shape):
+                plus = [x.copy() for x in vals]
+                plus[i][c] += h
+                minus = [x.copy() for x in vals]
+                minus[i][c] -= h
+                fd = (float(value(*plus)[1].value) - float(value(*minus)[1].value)) / (2 * h)
+                assert abs(fd - g[c]) / max(abs(fd), abs(g[c]), 1e-8) <= 1e-4
+
+    @pytest.mark.parametrize("mode, nodes", [("general", 138), ("affine", 158)])
+    def test_training_tape_node_count(self, vdp_hyper, vdp_system, mode, nodes):
+        # one node per dense layer at the default widths and depth
+        model = StableDynamicsModel.initialize(vdp_hyper, seed=0, mode=mode)
+        batch = training.sample_dataset(vdp_system, vdp_hyper, 256, 0)
+        assert len(training.loss(model, batch).tape) == nodes
 
 
 class TestBackendConsistency:

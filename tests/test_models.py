@@ -28,6 +28,7 @@ class TestHyper:
     @pytest.mark.parametrize("kw", [
         {"alpha": 0.0}, {"eps_pd": -1.0}, {"eps_proj": 0.0}, {"d": 0.0},
         {"u_lim": [-1.0]}, {"v_cap": 0.0}, {"beta": 0.0},
+        {"u_lim": None}, {"x_lb": [np.nan, -1.0]}, {"x_ub": [np.inf, 1.0]},
     ])
     def test_invalid_rejected(self, kw):
         base = dict(u_lim=[5.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])

@@ -223,44 +223,58 @@ class TestExportField:
     def test_three_by_three_nodes(self, vdp_hyper):
         hp = Hyper(u_lim=[5.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])
         model = make_model(hp, seed=13)
-        grid = export_field(model, "v", 3)
+        grid = export_field(model, ("v",), 3)["v"]
         assert np.array_equal(grid.xs, [-1.0, 0.0, 1.0])
         assert np.array_equal(grid.ys, [-1.0, 0.0, 1.0])
         assert grid.values.shape == (3, 3)
 
     def test_v_contour_zero_at_origin_node(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=14)
-        grid = export_field(model, "v", 5)  # odd resolution includes 0
+        grid = export_field(model, ("v",), 5)["v"]  # odd resolution includes 0
         assert grid.values[2, 2] == 0.0
 
     def test_closed_loop_field_zero_at_origin_node(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=15)
-        grid = export_field(model, "fstar", 5)
+        grid = export_field(model, ("fstar",), 5)["fstar"]
         assert grid.values.shape == (5, 5, 2)
         assert np.array_equal(grid.values[2, 2], np.zeros(2))
 
     def test_true_field_needs_system(self, vdp_hyper, vdp_system):
         model = make_model(vdp_hyper, seed=16)
         with pytest.raises(ValueError):
-            export_field(model, "true", 3)
-        grid = export_field(model, "true", 3, system=vdp_system)
+            export_field(model, ("true",), 3)
+        grid = export_field(model, ("true",), 3, system=vdp_system)["true"]
         assert grid.values.shape == (3, 3, 2)
+
+    def test_kinds_share_one_evaluation(self, vdp_hyper, vdp_system, monkeypatch):
+        model = make_model(vdp_hyper, seed=22)
+        alone = {kind: export_field(model, (kind,), 4, system=vdp_system)[kind]
+                 for kind in sim.FIELD_KINDS}
+        calls = []
+        real = model.eval_pieces
+        monkeypatch.setattr(model, "eval_pieces", lambda *a: calls.append(1) or real(*a))
+        grids = export_field(model, sim.FIELD_KINDS, 4, system=vdp_system)
+        assert len(calls) == 1
+        assert list(grids) == list(sim.FIELD_KINDS)
+        for kind, grid in grids.items():
+            assert grid.kind == kind
+            assert np.array_equal(grid.values, alone[kind].values)
 
     def test_resolution_floor(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=17)
         with pytest.raises(ValueError):
-            export_field(model, "v", 1)
+            export_field(model, ("v",), 1)
 
     def test_non_planar_rejected(self):
         hp = Hyper(u_lim=[1.0], x_lb=[-1.0, -1.0, -1.0], x_ub=[1.0, 1.0, 1.0])
         model = make_model(hp, seed=18)
         with pytest.raises(DimensionError):
-            export_field(model, "v", 3)
+            export_field(model, ("v",), 3)
 
     def test_unknown_kind(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=19)
         with pytest.raises(ValueError):
-            export_field(model, "vorticity", 3)
+            export_field(model, ("vorticity",), 3)
 
 
 class TestCsv:
@@ -277,7 +291,7 @@ class TestCsv:
 
     def test_field_csv_layout(self, tmp_path, vdp_hyper):
         model = make_model(vdp_hyper, seed=21)
-        grid = export_field(model, "fstar", 2)
+        grid = export_field(model, ("fstar",), 2)["fstar"]
         path = tmp_path / "field.csv"
         grid.to_csv(path)
         lines = path.read_text().splitlines()
