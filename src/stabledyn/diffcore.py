@@ -556,45 +556,27 @@ class Tape:
         constants, and at ``sign_detached`` nodes, whose VJP drops the
         adjoint.  NaN and inf propagate through every other VJP, so a
         non-finite adjoint anywhere reaches one of these ends.  On a hit the
-        sweep is rerun checking every adjoint in reverse order, as well as
-        the requested leaves, so the error names the same node, with the
-        same message, as a sweep that checked every node would.  If that
-        rerun finds nothing (only an unrequested leaf's or a constant's
-        summed adjoint overflowed), the gradients are returned unchecked.
+        finished adjoints are scanned in reverse tape order, then the
+        requested leaves, and the first non-finite one is raised.  A node's
+        adjoint is complete before the sweep reaches it, so this names the
+        same node, with the same message, as a sweep that checked every
+        adjoint as it went.  If the scan finds nothing (only an unrequested
+        leaf's or a constant's summed adjoint overflowed), the gradients are
+        returned unchecked.
         """
         if np.asarray(output.value).size != 1:
             raise GradientError("gradient target must be scalar")
-        adjoints, ends = self._sweep(output, checked=False)
-        if not all(np.isfinite(adj).all() for adj in ends):
-            adjoints, _ = self._sweep(output, checked=True)
-            for leaf in leaves:
-                g = adjoints[leaf.idx]
-                if g is not None and not np.all(np.isfinite(g)):
-                    raise GradientError(
-                        f"non-finite adjoint at node {leaf.idx} ({leaf.op})")
-        out = []
-        for leaf in leaves:
-            g = adjoints[leaf.idx]
-            out.append(np.zeros_like(leaf.value) if g is None else np.asarray(g))
-        return out
-
-    def _sweep(self, output, checked):
-        """One reverse sweep: every node's adjoint, and the adjoints that end
-        at a node without a VJP or in a VJP that drops them.  ``checked``
-        raises at the first non-finite adjoint of a node with a VJP."""
+        nodes = self._nodes[:output.idx + 1]
         adjoints = [None] * len(self._nodes)
         adjoints[output.idx] = np.ones_like(output.value)
         ends = []
-        for node in reversed(self._nodes[:output.idx + 1]):
+        for node in reversed(nodes):
             adj = adjoints[node.idx]
             if adj is None:
                 continue
             if node.vjp is None:
                 ends.append(adj)
                 continue
-            if checked and not np.all(np.isfinite(adj)):
-                raise GradientError(
-                    f"non-finite adjoint at node {node.idx} ({node.op})")
             for parent, contrib in zip(node.parents, node.vjp(adj)):
                 if contrib is None:
                     ends.append(adj)
@@ -602,7 +584,18 @@ class Tape:
                     adjoints[parent.idx] = contrib
                 else:
                     adjoints[parent.idx] = adjoints[parent.idx] + contrib
-        return adjoints, ends
+        if not all(np.isfinite(adj).all() for adj in ends):
+            checks = [n for n in reversed(nodes) if n.vjp is not None] + list(leaves)
+            for node in checks:
+                g = adjoints[node.idx]
+                if g is not None and not np.all(np.isfinite(g)):
+                    raise GradientError(
+                        f"non-finite adjoint at node {node.idx} ({node.op})")
+        out = []
+        for leaf in leaves:
+            g = adjoints[leaf.idx]
+            out.append(np.zeros_like(leaf.value) if g is None else np.asarray(g))
+        return out
 
 
 def param_gradient(tape, output, leaf_blocks, layout):

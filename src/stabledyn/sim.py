@@ -242,6 +242,8 @@ def export_field(model, kinds, resolution, system=None):
     """
     if model.n != 2:
         raise DimensionError(f"grid export needs a planar state space, n={model.n}")
+    if isinstance(kinds, str):
+        raise TypeError("kinds must be a tuple of field kinds, not a string")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     for kind in kinds:

@@ -259,6 +259,18 @@ class TestTape:
                            match=rf"non-finite adjoint at node {s.idx} \(sign_detached\)"):
             tape.gradient(out, [a])
 
+    def test_nonfinite_adjoint_names_node_nearest_output(self):
+        # both tanh nodes get an inf adjoint; the error names the one the
+        # reverse sweep reaches first
+        tape = Tape()
+        a = tape.leaf(np.array([[0.5]]))
+        inner = tape.tanh(a)
+        outer = tape.tanh(inner)
+        out = tape.sum_all(tape.mul(outer, tape.constant(np.array([[np.inf]]))))
+        with pytest.raises(GradientError,
+                           match=rf"non-finite adjoint at node {outer.idx} \(tanh\)"):
+            tape.gradient(out, [a])
+
     def test_overflow_only_in_constant_adjoint_passes(self):
         # the constant's two adjoint terms sum to inf; every other adjoint,
         # the requested leaf's included, stays finite

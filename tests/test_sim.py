@@ -275,6 +275,8 @@ class TestExportField:
         model = make_model(vdp_hyper, seed=19)
         with pytest.raises(ValueError):
             export_field(model, ("vorticity",), 3)
+        with pytest.raises(TypeError):
+            export_field(model, "v", 3)
 
 
 class TestCsv:
