@@ -5,7 +5,7 @@ from .diffcore import Network, ParamLayout, Tape, init_network
 from .models import Hyper, StableDynamicsModel
 from .systems import get_system, system_names
 from .training import Dataset, TrainConfig, load_checkpoint, sample_dataset, save_checkpoint, train
-from .sim import FieldGrid, Trajectory, export_field, rk4_step, rollout, rollout_many
+from .sim import FieldGrid, Trajectory, export_field, rk4_step, rollout_many
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,6 @@ __all__ = [
     "get_system", "system_names",
     "Dataset", "TrainConfig", "load_checkpoint", "sample_dataset",
     "save_checkpoint", "train",
-    "FieldGrid", "Trajectory", "export_field", "rk4_step", "rollout",
-    "rollout_many",
+    "FieldGrid", "Trajectory", "export_field", "rk4_step", "rollout_many",
     "__version__",
 ]

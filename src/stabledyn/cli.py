@@ -67,11 +67,16 @@ def _check_keys(section, allowed, where):
 
 
 def _coerce(value, name, kind=int):
-    """``kind(value)``, or a ConfigError naming the setting."""
+    """``kind(value)``, or a ConfigError naming the setting.  Booleans are
+    refused, and so are non-integral numbers for an int setting."""
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
 
 
 def _widths(widths):
@@ -118,8 +123,8 @@ def load_config(path=None, overrides=None):
 
     for section, key in _REAL_KEYS:
         value = raw[section].get(key)
-        if (key in raw[section] and not isinstance(value, numbers.Real)
-                and not (value is None and key in ("beta", "r"))):
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if key in raw[section] and not real and not (value is None and key in ("beta", "r")):
             raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
 
     def number(section, key, default, kind=int):
@@ -156,9 +161,13 @@ def load_config(path=None, overrides=None):
                    "n_samples": number("verify", "n_samples", 100000),
                    "r": raw["verify"].get("r"),
                    "rollouts": number("verify", "rollouts", 5),
-                   "ablate_projection": bool(raw["verify"].get("ablate_projection", False)),
-                   "checks": list(raw["verify"].get("checks", _ALL_CHECKS))},
+                   "ablate_projection": raw["verify"].get("ablate_projection", False),
+                   "checks": raw["verify"].get("checks", list(_ALL_CHECKS))},
     }
+    for key, kind, what in (("ablate_projection", bool, "true or false"),
+                            ("checks", list, "a list of check names")):
+        if not isinstance(cfg["verify"][key], kind):
+            raise ConfigError(f"verify.{key} must be {what}, got {cfg['verify'][key]!r}")
     for section, key, least in _MINIMA:
         if cfg[section][key] < least:
             raise ConfigError(f"{section}.{key} must be at least {least}, "

@@ -42,6 +42,7 @@ class GradientError(DiffcoreError):
 # ---------------------------------------------------------------------------
 
 def _srelu_raw(z, d):
+    # C1 ramp: 0 for z<=0, z^2/(2d) for 0<z<d, z-d/2 above
     c = np.minimum(np.maximum(z, 0.0), d)
     return c * c * (0.5 / d) + np.maximum(z - d, 0.0)
 
@@ -50,37 +51,9 @@ def _srelu_grad_raw(z, d):
     return np.minimum(np.maximum(z, 0.0), d) * (1.0 / d)
 
 
-def smoothed_relu(z, d):
-    """C1 ramp: 0 for z<=0, z^2/(2d) for 0<z<d, z-d/2 above.
-
-    The quadratic blend makes the function continuously differentiable at
-    both seams, which is what lets gradients of it appear inside a loss.
-    """
-    if d <= 0:
-        raise ValueError(f"smoothing width d must be positive, got {d}")
-    out = _srelu_raw(np.asarray(z, dtype=np.float64), d)
-    return float(out) if out.ndim == 0 else out
-
-
-def smoothed_relu_grad(z, d):
-    """Derivative of :func:`smoothed_relu`: 0, z/d, 1 on the three branches."""
-    if d <= 0:
-        raise ValueError(f"smoothing width d must be positive, got {d}")
-    out = _srelu_grad_raw(np.asarray(z, dtype=np.float64), d)
-    return float(out) if out.ndim == 0 else out
-
-
-def smoothed_relu_curv(z, d):
-    """Second derivative (piecewise constant); seams take the lower branch.
-
-    At z=0 the flat branch value 0 is used, at z=d the quadratic branch
-    value 1/d, matching the one-sided convention used in backward passes.
-    """
-    if d <= 0:
-        raise ValueError(f"smoothing width d must be positive, got {d}")
-    z = np.asarray(z, dtype=np.float64)
-    out = ((z > 0.0) & (z <= d)).astype(np.float64) / d
-    return float(out) if out.ndim == 0 else out
+def _srelu_curv_raw(z, d):
+    # seams take the lower branch: 0 at z=0, 1/d at z=d
+    return ((z > 0.0) & (z <= d)).astype(np.float64) / d
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +96,7 @@ class Network:
                 raise ValueError(f"layer {i}: non-finite parameters")
             self.weights[i] = w
             self.biases[i] = b
-        if self.srelu_width <= 0:
+        if not self.srelu_width > 0:
             raise ValueError("srelu_width must be positive")
 
     @property
@@ -137,10 +110,6 @@ class Network:
     @property
     def dims(self):
         return [self.in_dim] + [w.shape[0] for w in self.weights]
-
-    @property
-    def n_params(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
 
 
 def init_network(dims, activation="tanh", seed=0, out_activation="identity",
@@ -470,7 +439,7 @@ class Tape:
         out = _srelu_grad_raw(a.value, d)
         av = a.value
         return self._record("srelu_grad", out, (a,),
-                            lambda adj: (adj * smoothed_relu_curv(av, d),))
+                            lambda adj: (adj * _srelu_curv_raw(av, d),))
 
     def relu(self, a):
         out = np.maximum(a.value, 0.0)

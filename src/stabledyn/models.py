@@ -63,10 +63,13 @@ class Hyper:
             # an all-zero control box leaves the kernel argument identically
             # zero, so any positive sharpness works; keep the numerator
             object.__setattr__(self, "beta", 5.0 / top if top > 0 else 5.0)
-        if self.alpha <= 0 or self.eps_pd <= 0 or self.eps_proj <= 0 or self.d <= 0:
-            raise ValueError("alpha, eps_pd, eps_proj, d must all be positive")
-        if self.beta <= 0 or self.v_cap <= 0:
-            raise ValueError("beta and v_cap must be positive")
+        # each check asks for the valid range, so NaN fails it
+        for name in ("alpha", "beta", "eps_pd", "eps_proj", "d", "v_cap"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
         if np.any(self.u_lim < 0):
             raise ValueError("u_lim must be componentwise nonnegative")
         if self.x_lb.shape != self.x_ub.shape or np.any(self.x_lb >= self.x_ub):
@@ -111,22 +114,22 @@ DEFAULT_WIDTHS = {"gf": 100, "gu": 50, "gv": 50, "gf1": 100, "gf2": 100}
 DEFAULT_DEPTH = 3
 
 
-def projection_shift(grad_v, fhat_at_ustar, v, alpha, eps_proj):
+def projection_shift(ops, grad_v, resid, eps_proj):
     """Closed-form l2 correction enforcing the decrease condition.
 
-    Returns the shared shift subtracted from the nominal dynamics:
-    grad_v * relu(grad_v . fhat_at_ustar + alpha v) / max(||grad_v||^2, eps_proj).
-    Row-batched over all arguments.
+    Returns the shared shift subtracted from the nominal dynamics,
+    grad_v * relu(resid) / max(||grad_v||^2, eps_proj), for (B, n) ``grad_v``
+    and (B, 1) residuals resid = grad_v . fhat(x, u*(x)) + alpha V, as
+    handles of either backend.
 
     Where ||grad_v||^2 >= eps_proj this is the minimal l2 correction: zero if
     the condition already holds, else the shift that makes
-    grad_v . f* <= -alpha v hold with equality.  Below that floor the
+    grad_v . f* <= -alpha V hold with equality.  Below that floor the
     denominator is clamped, so the shift is smaller than the residual needs
     and the decrease condition may stay violated on those rows.
     """
-    resid = np.sum(grad_v * fhat_at_ustar, axis=1, keepdims=True) + alpha * v
-    den = np.maximum(np.sum(grad_v * grad_v, axis=1, keepdims=True), eps_proj)
-    return grad_v * (np.maximum(resid, 0.0) / den)
+    den = ops.maximum_scalar(ops.row_sum(ops.mul(grad_v, grad_v)), eps_proj)
+    return ops.mul(grad_v, ops.div(ops.relu(resid), den))
 
 
 class StableDynamicsModel:
@@ -134,12 +137,12 @@ class StableDynamicsModel:
 
     ``mode`` is "general" (networks gf, gu, gv) or "affine" (gf1, gf2, gv
     with the bang-bang controller induced by the Lyapunov gradient).  All
-    evaluation methods accept a single state vector or a (B, n) batch and
-    mirror the input's batchedness in their output.
+    evaluation methods take (B, n) state batches, and (B, m) control
+    batches where they take controls, and return row-batched arrays.
 
     Evaluation is read-only and safe to share across threads; parameter
     updates must go through :meth:`set_params`, which also invalidates the
-    internal cache of origin-dependent offsets.
+    cached numpy handles and origin nodes.
     """
 
     def __init__(self, nets, hyper, mode="general"):
@@ -154,9 +157,7 @@ class StableDynamicsModel:
         self.n = hyper.n
         self.m = hyper.m
         self.layout = ParamLayout(nets)
-        self._version = 0
-        self._offsets = None
-        self._np_handles = None
+        self._np_cache = None
         self._check_shapes()
 
     def _check_shapes(self):
@@ -209,13 +210,7 @@ class StableDynamicsModel:
 
     def invalidate_cache(self):
         """Must be called after mutating network arrays in place."""
-        self._version += 1
-        self._offsets = None
-        self._np_handles = None
-
-    @property
-    def n_params(self):
-        return self.layout.size
+        self._np_cache = None
 
     # -- handle plumbing shared by numpy and tape evaluation ----------------
 
@@ -252,13 +247,13 @@ class StableDynamicsModel:
         The modes differ only in :meth:`_controller` and :meth:`_nominal`.
         On a tape the origin nodes gv(0), u*(0) and the nominal offset are
         recorded inline, so gradients flow through them; the numpy backend
-        reads them from the per-parameter-version cache, so numpy ``handles``
-        must be this model's own parameters.
+        reads them from :meth:`numpy_cache`, so numpy ``handles`` must be
+        this model's own parameters.
         """
         hp = self.hyper
         u_lim_row = ops.constant(hp.u_lim[None, :])
         if ops is NumpyOps:
-            origin = self._origin_offsets()
+            origin = self.numpy_cache()[1]
         else:
             origin = self._origin_nodes(ops, handles, u_lim_row)
         pieces = self._lyapunov(ops, handles, X, origin["gv_0"])
@@ -270,8 +265,7 @@ class StableDynamicsModel:
                         ops.scale(pieces["v"], hp.alpha))
         shift, fstar_star = None, fhat_star
         if not ablate_projection:
-            den = ops.maximum_scalar(ops.row_sum(ops.mul(grad_v, grad_v)), hp.eps_proj)
-            shift = ops.mul(grad_v, ops.div(ops.relu(resid), den))
+            shift = projection_shift(ops, grad_v, resid, hp.eps_proj)
             fstar_star = ops.sub(fhat_star, shift)
         pieces.update(u_star_0=origin["u_star_0"], fhat_star=fhat_star, resid=resid,
                       shift=shift, fstar_star=fstar_star)
@@ -370,43 +364,34 @@ class StableDynamicsModel:
         offset = self._nominal(ops, handles, zero, ctrl)(ctrl["u_star"])
         return {"gv_0": lambda: gv_zero()[0], "u_star_0": ctrl["u_star"], "offset": offset}
 
-    def _origin_offsets(self):
-        """:meth:`_origin_nodes` on the numpy backend, recomputed whenever
-        parameters change."""
-        if self._offsets is None or self._offsets[0] != self._version:
-            self._offsets = (self._version, self._origin_nodes(
-                NumpyOps, self._numpy_handles(), self.hyper.u_lim[None, :]))
-        return self._offsets[1]
-
-    def _numpy_handles(self):
-        """Raw-array handle dict, cached per parameter version."""
-        if self._np_handles is None or self._np_handles[0] != self._version:
-            self._np_handles = (self._version, self.param_handles(NumpyOps))
-        return self._np_handles[1]
+    def numpy_cache(self):
+        """This model's raw-array handle dict and its :meth:`_origin_nodes` on
+        the numpy backend, kept until :meth:`invalidate_cache`."""
+        if self._np_cache is None:
+            handles = self.param_handles(NumpyOps)
+            self._np_cache = (handles, self._origin_nodes(
+                NumpyOps, handles, self.hyper.u_lim[None, :]))
+        return self._np_cache
 
     # -- numpy evaluation ---------------------------------------------------
 
     def _as_batch(self, x, dim, what):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+        X = np.asarray(x, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != dim:
-            raise ValueError(f"{what} must have dimension {dim}, got shape {x.shape}")
+            raise ValueError(f"{what} must have dimension {dim} as (B, {dim}), got {X.shape}")
         if not np.all(np.isfinite(X)):
             raise ValueError(f"non-finite {what}")
-        return X, single
+        return X
 
-    def eval_pieces(self, x, u=None, ablate_projection=False):
-        """Numpy-backend evaluation; returns the graph dict of raw arrays."""
-        X, single = self._as_batch(x, self.n, "state")
-        U = None
-        if u is not None:
-            Ub, _ = self._as_batch(np.atleast_1d(np.asarray(u, dtype=np.float64)),
-                                   self.m, "control")
-            if Ub.shape[0] == 1 and X.shape[0] > 1:
-                Ub = np.broadcast_to(Ub, (X.shape[0], self.m))
-            U = Ub
-        pieces = self.build_graph(NumpyOps, self._numpy_handles(), X, U,
+    def eval_pieces(self, X, U=None, ablate_projection=False):
+        """Numpy-backend evaluation of a (B, n) state batch and, optionally, a
+        (B, m) control batch; returns the graph dict of raw arrays."""
+        X = self._as_batch(X, self.n, "state")
+        if U is not None:
+            U = self._as_batch(U, self.m, "control")
+            if U.shape[0] != X.shape[0]:
+                raise ValueError(f"{U.shape[0]} control rows for {X.shape[0]} states")
+        pieces = self.build_graph(NumpyOps, self.numpy_cache()[0], X, U,
                                   ablate_projection=ablate_projection)
         out = pieces["fstar_star"] if U is None else pieces["fstar_data"]
         if not np.all(np.isfinite(out)):
@@ -415,7 +400,6 @@ class StableDynamicsModel:
                     raise FloatingPointError(
                         f"non-finite intermediate {key!r} in model evaluation")
             raise FloatingPointError("non-finite model output")
-        pieces["single"] = single
         return pieces
 
     def eval_parts(self, X, parts):
@@ -436,15 +420,15 @@ class StableDynamicsModel:
         if unknown:
             raise ValueError(f"eval_parts evaluates only u_star, v and grad_v, "
                              f"not {sorted(unknown)}")
-        ops, handles = NumpyOps, self._numpy_handles()
+        handles, origin = self.numpy_cache()
         # the pieces that need gv: all of them in affine mode, where u* reads gradV
         lyapunov = parts if self.mode == "affine" else parts - {"u_star"}
         pieces = {}
         if lyapunov:
-            pieces = self._lyapunov(ops, handles, X, self._origin_offsets()["gv_0"],
+            pieces = self._lyapunov(NumpyOps, handles, X, origin["gv_0"],
                                     grad=lyapunov != {"v"})
         if "u_star" in parts:
-            pieces.update(self._controller(ops, handles, X, lambda: pieces["grad_v"],
+            pieces.update(self._controller(NumpyOps, handles, X, lambda: pieces["grad_v"],
                                            self.hyper.u_lim[None, :]))
         out = {}
         for name in sorted(parts):
@@ -464,33 +448,3 @@ class StableDynamicsModel:
     def lyapunov_grad_batch(self, X):
         """gradV on a prevalidated (B, n) batch, without controller or dynamics."""
         return self.eval_parts(X, ("grad_v",))["grad_v"]
-
-    def _piece(self, key, x, u=None, ablate_projection=False):
-        """One piece of :meth:`eval_pieces`, mirroring the batchedness of x."""
-        pieces = self.eval_pieces(x, u, ablate_projection=ablate_projection)
-        return pieces[key][0] if pieces["single"] else pieces[key]
-
-    def controller(self, x):
-        """Feedback control u*(x), strictly inside the control box."""
-        return self._piece("u_star", x)
-
-    def nominal(self, x, u):
-        """Nominal dynamics fhat(x, u) with the equilibrium shift applied."""
-        return self._piece("fhat_data", x, u)
-
-    def lyapunov(self, x):
-        """V(x) >= eps_pd*||x||^2, zero exactly at the origin."""
-        v = self._piece("v", x)[..., 0]
-        return float(v) if v.ndim == 0 else v
-
-    def lyapunov_grad(self, x):
-        return self._piece("grad_v", x)
-
-    def project(self, x, u, ablate_projection=False):
-        """Projected dynamics f*(x, u); reduces to fhat when the decrease
-        condition already holds at (x, u*(x))."""
-        return self._piece("fstar_data", x, u, ablate_projection)
-
-    def closed_loop(self, x, ablate_projection=False):
-        """f*(x, u*(x)) — the learned closed-loop vector field."""
-        return self._piece("fstar_star", x, ablate_projection=ablate_projection)

@@ -76,20 +76,11 @@ def _domain_diameter(hyper):
     return float(np.linalg.norm(hyper.x_ub - hyper.x_lb))
 
 
-def rollout(plant, model, x0, T=10.0, h=1e-3):
-    """Integrate the closed-loop system from ``x0`` for horizon ``T``.
-
-    ``plant`` is either the ``model`` itself (or None) for the learned
-    closed loop f*(x, u*(x)), or a :class:`SystemSpec`, in which case the
-    true dynamics run under the learned controller.
-    """
-    trajs = rollout_many(plant, model, np.atleast_2d(np.asarray(x0, dtype=np.float64)),
-                         T=T, h=h)
-    return trajs[0]
-
-
 def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
-    """Batched rollouts from several starts; returns one Trajectory per row.
+    """Closed-loop rollouts from each row of the (B, n) batch ``x0s`` over
+    horizon ``T``; returns one Trajectory per row.  ``plant`` is the ``model``
+    itself, for the learned closed loop f*(x, u*(x)), or a :class:`SystemSpec`,
+    whose true dynamics run under the learned controller.
 
     Rows are integrated together for speed.  A row that escapes, hits a
     plant domain error or reaches a non-finite stage is frozen and its
@@ -99,18 +90,18 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     """
     if T <= 0 or h <= 0:
         raise ValueError("need T > 0 and h > 0")
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=np.float64))
+    x0s = np.asarray(x0s, dtype=np.float64)
+    if x0s.ndim != 2 or x0s.shape[1] != model.n:
+        raise ValueError(f"start states must be a (B, {model.n}) batch, got shape {x0s.shape}")
     B, n = x0s.shape
-    if n != model.n:
-        raise ValueError(f"start states must have dimension {model.n}")
     if not np.all(np.isfinite(x0s)):
         raise ValueError("non-finite start state")
     steps = int(round(T / h))
     limit = ESCAPE_FACTOR * _domain_diameter(model.hyper)
 
     true_plant = isinstance(plant, SystemSpec)
-    if not true_plant and plant is not None and plant is not model:
-        raise ValueError("plant must be the model itself, None, or a SystemSpec")
+    if not true_plant and plant is not model:
+        raise ValueError("plant must be the model itself or a SystemSpec")
 
     states = np.empty((steps + 1, B, n))
     controls = np.empty((steps + 1, B, model.m))

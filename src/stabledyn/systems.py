@@ -93,9 +93,6 @@ class SystemSpec:
     def dynamics(self, x, u):
         return self._fn(x, u, **self.params)
 
-    def __call__(self, x, u):
-        return self.dynamics(x, u)
-
 
 def _spec(name, fn, params, x_bound, u_bound):
     return SystemSpec(

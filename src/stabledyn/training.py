@@ -186,7 +186,7 @@ def loss_value(model, batch, chunk=20000):
     """Loss of a dataset slice without recording a tape."""
     if len(batch) == 0:
         raise ValueError("loss of an empty batch")
-    handles = model.param_handles(NumpyOps)
+    handles = model.numpy_cache()[0]
     total = 0.0
     for start in range(0, len(batch), chunk):
         sl = slice(start, min(start + chunk, len(batch)))

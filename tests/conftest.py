@@ -44,7 +44,7 @@ def jitter_params(model, rng, scale=0.05):
     seam; finite differences are one-sided there while the analytic
     derivative is the true two-sided one.
     """
-    model.set_params(model.get_params() + rng.uniform(-scale, scale, model.n_params))
+    model.set_params(model.get_params() + rng.uniform(-scale, scale, model.layout.size))
     return model
 
 

@@ -59,7 +59,12 @@ def test_out_of_range_setting_exits_one(tmp_path, capsys, command, section, key)
 
 @pytest.mark.parametrize("section, key, value", [
     ("verify", "n_samples", "many"), (None, "seed", "abc"),
-    ("hyper", "alpha", "x"), ("train", "lr", "fast")])
+    ("hyper", "alpha", "x"), ("train", "lr", "fast"),
+    ("verify", "ablate_projection", "false"), ("verify", "ablate_projection", 0),
+    ("train", "epochs", 1.7), ("train", "epochs", True), ("verify", "n_samples", 2000.5),
+    ("model", "widths", {"gf": 8.5}), ("model", "widths", {"gu": True}),
+    ("train", "lr", True), ("hyper", "lambda", False),
+    ("verify", "checks", "decay")])
 def test_wrong_type_setting_exits_one(tmp_path, capsys, section, key, value):
     if section is None:
         config = dict(TINY, **{key: value})
@@ -68,6 +73,19 @@ def test_wrong_type_setting_exits_one(tmp_path, capsys, section, key, value):
     command = "verify" if section == "verify" else "train"
     assert run(tmp_path, command, config) == cli.EXIT_CONFIG
     assert (key if section is None else f"{section}.{key}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", float("nan")), ("eps_proj", float("nan")), ("v_cap", float("inf"))])
+def test_non_finite_hyper_exits_one(tmp_path, capsys, key, value):
+    # JSON's NaN and Infinity literals reach Hyper, which names the field
+    assert run(tmp_path, "train", with_section("hyper", **{key: value})) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_integral_float_count_accepted():
+    cfg = cli.load_config(overrides={"sample": {"n": 1e3}})
+    assert cfg["sample"]["n"] == 1000 and isinstance(cfg["sample"]["n"], int)
 
 
 def test_portrait_writes_four_grids(tmp_path):

@@ -13,9 +13,6 @@ from stabledyn.diffcore import (
     net_apply,
     net_input_gradient,
     param_gradient,
-    smoothed_relu,
-    smoothed_relu_curv,
-    smoothed_relu_grad,
 )
 from stabledyn.models import StableDynamicsModel
 
@@ -96,43 +93,55 @@ class TestForward:
                                rtol=1e-13, atol=1e-15)
 
 
+def srelu(z, d=D):
+    return dc._srelu_raw(np.float64(z), d)
+
+
+def srelu_grad(z, d=D):
+    return dc._srelu_grad_raw(np.float64(z), d)
+
+
+def srelu_curv(z, d=D):
+    return dc._srelu_curv_raw(np.float64(z), d)
+
+
 class TestSmoothedRelu:
     def test_negative_branch(self):
-        assert smoothed_relu(-1.0, D) == 0.0
+        assert srelu(-1.0, D) == 0.0
 
     def test_continuity_at_upper_seam(self):
         # both branch formulas agree at z = d
         z = D
         middle = z * z / (2.0 * D)
         upper = z - D / 2.0
-        assert middle == upper == smoothed_relu(z, D)
+        assert middle == upper == srelu(z, D)
 
     def test_quadratic_branch_value(self):
-        assert smoothed_relu(0.0025, 0.005) == pytest.approx(0.000625, abs=0)
+        assert srelu(0.0025, 0.005) == pytest.approx(0.000625, abs=0)
 
     def test_c1_at_both_seams(self):
         # derivative one-sided limits agree exactly under the branch formulas
-        assert smoothed_relu_grad(0.0, D) == 0.0
-        assert smoothed_relu_grad(D, D) == 1.0
+        assert srelu_grad(0.0, D) == 0.0
+        assert srelu_grad(D, D) == 1.0
         eps = 1e-12
-        assert smoothed_relu(eps, D) == pytest.approx(0.0, abs=1e-21)
-        assert smoothed_relu_grad(eps, D) == pytest.approx(0.0, abs=1e-9)
-        assert smoothed_relu_grad(D - 1e-12, D) == pytest.approx(1.0, abs=1e-9)
+        assert srelu(eps, D) == pytest.approx(0.0, abs=1e-21)
+        assert srelu_grad(eps, D) == pytest.approx(0.0, abs=1e-9)
+        assert srelu_grad(D - 1e-12, D) == pytest.approx(1.0, abs=1e-9)
 
     def test_curvature_seam_convention(self):
         # lower-branch values at the seams: 0 at z=0, 1/d at z=d
-        assert smoothed_relu_curv(0.0, D) == 0.0
-        assert smoothed_relu_curv(D, D) == 1.0 / D
-        assert smoothed_relu_curv(D + 1e-9, D) == 0.0
+        assert srelu_curv(0.0, D) == 0.0
+        assert srelu_curv(D, D) == 1.0 / D
+        assert srelu_curv(D + 1e-9, D) == 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -0.005])
+    @pytest.mark.parametrize("bad", [0.0, -0.005, np.nan])
     def test_nonpositive_width_rejected(self, bad):
-        with pytest.raises(ValueError):
-            smoothed_relu(1.0, bad)
+        with pytest.raises(ValueError, match="srelu_width"):
+            init_network([2, 4, 1], "smoothed_relu", srelu_width=bad)
 
     def test_vectorized(self):
         z = np.array([-1.0, 0.0, 0.0025, 0.005, 1.0])
-        out = smoothed_relu(z, 0.005)
+        out = dc._srelu_raw(z, 0.005)
         assert out == pytest.approx([0.0, 0.0, 0.000625, 0.0025, 0.9975],
                                     rel=1e-12, abs=1e-18)
 
@@ -191,7 +200,8 @@ class TestParamLayout:
         layout = ParamLayout(nets)
         vec = layout.flatten(nets)
         assert vec.shape == (layout.size,)
-        assert layout.size == sum(n.n_params for n in nets.values())
+        assert layout.size == sum(w.size + b.size for n in nets.values()
+                                  for w, b in zip(n.weights, n.biases))
         layout.write(nets, vec * 2.0)
         assert np.array_equal(layout.flatten(nets), vec * 2.0)
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from stabledyn.diffcore import Network, init_network
+import stabledyn
+from stabledyn.diffcore import Network, NumpyOps, Tape, init_network
 from stabledyn.models import Hyper, StableDynamicsModel, projection_shift
 
 from conftest import SMALL_WIDTHS, apply_net, jitter_params, make_model
+
+ORIGIN = np.zeros((1, 2))
 
 
 def constant_network(in_dim, out_dim, value, out_activation="identity"):
@@ -29,11 +32,14 @@ class TestHyper:
         {"alpha": 0.0}, {"eps_pd": -1.0}, {"eps_proj": 0.0}, {"d": 0.0},
         {"u_lim": [-1.0]}, {"v_cap": 0.0}, {"beta": 0.0},
         {"u_lim": None}, {"x_lb": [np.nan, -1.0]}, {"x_ub": [np.inf, 1.0]},
-    ])
+        {"lam": -1.0},
+    ] + [{name: bad} for name in ("alpha", "beta", "eps_pd", "eps_proj", "d", "v_cap", "lam")
+         for bad in (np.nan, np.inf)])
     def test_invalid_rejected(self, kw):
         base = dict(u_lim=[5.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])
         base.update(kw)
-        with pytest.raises(ValueError):
+        (name,) = kw
+        with pytest.raises(ValueError, match=name):
             Hyper(**base)
 
     def test_box_must_order(self):
@@ -52,31 +58,27 @@ class TestController:
         gu.weights[-1][:] = 0.0
         model.invalidate_cache()
         X = np.random.default_rng(0).uniform(-1, 1, (20, 2))
-        assert np.array_equal(model.controller(X), np.zeros((20, 1)))
+        assert np.array_equal(model.controller_batch(X), np.zeros((20, 1)))
 
     def test_zero_limit_zero_control(self, vdp_system):
         hp = Hyper.for_system(vdp_system, u_lim=[0.0])
         model = make_model(hp, seed=1)
         X = np.random.default_rng(0).uniform(-1, 1, (20, 2))
-        assert np.array_equal(model.controller(X), np.zeros((20, 1)))
+        assert np.array_equal(model.controller_batch(X), np.zeros((20, 1)))
 
     def test_strictly_inside_box(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=2)
         X = np.random.default_rng(1).uniform(-1.3, 1.3, (5000, 2))
-        u = model.controller(X)
+        u = model.controller_batch(X)
         assert np.all(np.abs(u) < 5.0)
-
-    def test_single_vector_form(self, small_model):
-        u = small_model.controller(np.array([0.2, 0.1]))
-        assert u.shape == (1,)
 
 
 class TestNominal:
     def test_equilibrium_exact(self, vdp_hyper):
         for seed in range(5):
             model = make_model(vdp_hyper, seed=seed)
-            u0 = model.controller(np.zeros(2))
-            assert np.array_equal(model.nominal(np.zeros(2), u0), np.zeros(2))
+            u0 = model.controller_batch(ORIGIN)
+            assert np.array_equal(model.eval_pieces(ORIGIN, u0)["fhat_data"], ORIGIN)
 
     def test_constant_network_gives_zero_everywhere(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=3)
@@ -86,7 +88,7 @@ class TestNominal:
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, (50, 2))
         U = rng.uniform(-5, 5, (50, 1))
-        assert np.array_equal(model.nominal(X, U), np.zeros((50, 2)))
+        assert np.array_equal(model.eval_pieces(X, U)["fhat_data"], np.zeros((50, 2)))
 
     def test_shift_is_reevaluated_gf(self, small_model, vdp_hyper):
         # nominal(x,u) + g_f(0, u*(0)) reproduces the raw network value
@@ -94,34 +96,35 @@ class TestNominal:
         rng = np.random.default_rng(3)
         X = rng.uniform(-1, 1, (20, 2))
         U = rng.uniform(-5, 5, (20, 1))
-        u0 = model.controller(np.zeros(2))
-        gf0, _ = apply_net(model.nets["gf"], np.concatenate((np.zeros(2), u0))[None, :])
+        u0 = model.controller_batch(ORIGIN)
+        gf0, _ = apply_net(model.nets["gf"], np.hstack((ORIGIN, u0)))
         raw, _ = apply_net(model.nets["gf"], np.hstack((X, U)))
-        assert np.allclose(model.nominal(X, U) + gf0, raw, rtol=1e-13, atol=1e-15)
+        assert np.allclose(model.eval_pieces(X, U)["fhat_data"] + gf0, raw,
+                           rtol=1e-13, atol=1e-15)
 
 
 class TestLyapunov:
     def test_origin_value_and_gradient_zero(self, vdp_hyper):
         for seed in range(5):
             model = make_model(vdp_hyper, seed=seed)
-            assert model.lyapunov(np.zeros(2)) == 0.0
-            assert np.array_equal(model.lyapunov_grad(np.zeros(2)), np.zeros(2))
+            assert model.lyapunov_batch(ORIGIN)[0] == 0.0
+            assert np.array_equal(model.lyapunov_grad_batch(ORIGIN), ORIGIN)
 
     def test_constant_gv_reduces_to_quadratic(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=4)
         model.nets["gv"] = constant_network(2, 1, 0.33, out_activation="tanh")
         model = StableDynamicsModel(model.nets, vdp_hyper)
         X = np.random.default_rng(4).uniform(-1.3, 1.3, (100, 2))
-        v = model.lyapunov(X)
+        v = model.lyapunov_batch(X)
         q = vdp_hyper.eps_pd * np.sum(X * X, axis=1)
         assert np.allclose(v, q, rtol=0, atol=1e-15)
-        assert np.allclose(model.lyapunov_grad(X), 2 * vdp_hyper.eps_pd * X,
+        assert np.allclose(model.lyapunov_grad_batch(X), 2 * vdp_hyper.eps_pd * X,
                            rtol=0, atol=1e-15)
 
     def test_quadratic_floor_sweep(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=5)
         X = np.random.default_rng(5).uniform(-1.3, 1.3, (10000, 2))
-        v = model.lyapunov(X)
+        v = model.lyapunov_batch(X)
         floor = vdp_hyper.eps_pd * np.sum(X * X, axis=1)
         assert np.all(v >= floor - 1e-15)
 
@@ -130,11 +133,11 @@ class TestLyapunov:
         model = jitter_params(small_model, rng)
         h = 1e-6
         for _ in range(20):
-            x = rng.uniform(-1.2, 1.2, 2)
-            g = model.lyapunov_grad(x)
+            x = rng.uniform(-1.2, 1.2, (1, 2))
+            g = model.lyapunov_grad_batch(x)[0]
             fd = np.array([
-                (model.lyapunov(x + h * e) - model.lyapunov(x - h * e)) / (2 * h)
-                for e in np.eye(2)])
+                (model.lyapunov_batch(x + h * e)[0] - model.lyapunov_batch(x - h * e)[0])
+                / (2 * h) for e in np.eye(2)])
             assert np.max(np.abs(g - fd)) <= 1e-5 * max(1.0, np.max(np.abs(fd)))
 
 
@@ -145,7 +148,8 @@ class TestProjection:
         grad_v = np.array([[0.0, 1.0]])
         fhat = np.array([[0.0, 2.0]])
         v = np.array([[1.0]])
-        shift = projection_shift(grad_v, fhat, v, alpha=1.0, eps_proj=1e-3)
+        resid = np.sum(grad_v * fhat, axis=1, keepdims=True) + 1.0 * v
+        shift = projection_shift(NumpyOps, grad_v, resid, eps_proj=1e-3)
         assert np.array_equal(shift, [[0.0, 3.0]])
         fstar = fhat - shift
         assert np.array_equal(fstar, [[0.0, -1.0]])
@@ -170,10 +174,9 @@ class TestProjection:
 
     def test_origin_passthrough_for_any_control(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=8)
-        for u in (np.array([0.0]), np.array([3.3]), np.array([-4.9])):
-            fhat = model.nominal(np.zeros(2), u)
-            fstar = model.project(np.zeros(2), u)
-            assert np.array_equal(fstar, fhat)
+        for u in (np.array([[0.0]]), np.array([[3.3]]), np.array([[-4.9]])):
+            pieces = model.eval_pieces(ORIGIN, u)
+            assert np.array_equal(pieces["fstar_data"], pieces["fhat_data"])
 
     def test_shift_shared_across_controls(self, small_model):
         # the correction depends on u only through u*(x)
@@ -182,8 +185,9 @@ class TestProjection:
         X = rng.uniform(-1.3, 1.3, (30, 2))
         u1 = rng.uniform(-5, 5, (30, 1))
         u2 = rng.uniform(-5, 5, (30, 1))
-        d1 = model.nominal(X, u1) - model.project(X, u1)
-        d2 = model.nominal(X, u2) - model.project(X, u2)
+        p1, p2 = model.eval_pieces(X, u1), model.eval_pieces(X, u2)
+        d1 = p1["fhat_data"] - p1["fstar_data"]
+        d2 = p2["fhat_data"] - p2["fstar_data"]
         assert np.allclose(d1, d2, rtol=0, atol=1e-14)
 
     def test_decrease_property_sweep(self, vdp_hyper):
@@ -210,8 +214,7 @@ class TestProjection:
             r = float(g @ fhat + alpha * v)
             if r <= 1e-3 or g @ g < 1e-3:
                 continue
-            shift = projection_shift(g[None, :], fhat[None, :], np.array([[v]]),
-                                     alpha, 1e-3)[0]
+            shift = projection_shift(NumpyOps, g[None, :], np.array([[r]]), 1e-3)[0]
             case = f"case {checked} (n={n})"
             dist = np.linalg.norm(shift)
             assert dist == pytest.approx(r / np.linalg.norm(g), abs=1e-10), case
@@ -240,26 +243,48 @@ class TestProjection:
 
     def test_nonfinite_input_rejected(self, small_model):
         with pytest.raises(ValueError):
-            small_model.project(np.array([np.nan, 0.0]), np.array([0.0]))
+            small_model.eval_pieces(np.array([[np.nan, 0.0]]), np.array([[0.0]]))
+
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_shift_same_on_tape_and_numpy(self, rows):
+        # one projection_shift serves both backends, with the same values;
+        # the small-gradient rows sit under the eps_proj floor
+        rng = np.random.default_rng(rows)
+        grad_v = rng.normal(size=(rows, 3)) * rng.choice([1e-3, 1.0], size=(rows, 1))
+        resid = rng.normal(size=(rows, 1))
+        tape = Tape()
+        node = projection_shift(tape, tape.constant(grad_v), tape.constant(resid), 1e-3)
+        assert np.array_equal(node.value, projection_shift(NumpyOps, grad_v, resid, 1e-3))
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_graph_shift_is_projection_shift(self, vdp_hyper, mode):
+        model = make_model(vdp_hyper, seed=23, mode=mode)
+        X = np.random.default_rng(23).uniform(-1.3, 1.3, (500, 2))
+        pieces = model.eval_pieces(X)
+        expected = projection_shift(NumpyOps, pieces["grad_v"], pieces["resid"],
+                                    vdp_hyper.eps_proj)
+        assert np.any(expected != 0.0)
+        assert np.array_equal(pieces["shift"], expected)
 
 
 class TestClosedLoop:
     def test_origin_is_equilibrium(self, vdp_hyper):
         for seed in range(10):
             model = make_model(vdp_hyper, seed=seed)
-            assert np.linalg.norm(model.closed_loop(np.zeros(2))) == 0.0
+            assert np.linalg.norm(model.eval_pieces(ORIGIN)["fstar_star"]) == 0.0
 
     def test_matches_project_of_controller(self, small_model):
         X = np.random.default_rng(11).uniform(-1.3, 1.3, (40, 2))
-        u = small_model.controller(X)
-        assert np.array_equal(small_model.closed_loop(X),
-                              small_model.project(X, u))
+        u = small_model.controller_batch(X)
+        assert np.array_equal(small_model.eval_pieces(X)["fstar_star"],
+                              small_model.eval_pieces(X, u)["fstar_data"])
 
     def test_ablation_returns_nominal(self, small_model):
         X = np.random.default_rng(12).uniform(-1.3, 1.3, (40, 2))
-        u = small_model.controller(X)
-        assert np.array_equal(small_model.closed_loop(X, ablate_projection=True),
-                              small_model.nominal(X, u))
+        u = small_model.controller_batch(X)
+        assert np.array_equal(
+            small_model.eval_pieces(X, ablate_projection=True)["fstar_star"],
+            small_model.eval_pieces(X, u)["fhat_data"])
 
 
 class TestAffineMode:
@@ -278,9 +303,9 @@ class TestAffineMode:
         model = affine_two_input
         # force the Lyapunov gradient to vanish: constant gv leaves only the
         # quadratic part, which is zero at the origin
-        coeff = model.eval_pieces(np.zeros(2))["coeff"]
+        coeff = model.eval_pieces(ORIGIN)["coeff"]
         assert np.array_equal(coeff, np.zeros((1, 2)))
-        assert np.array_equal(model.controller(np.zeros(2)), np.zeros(2))
+        assert np.array_equal(model.controller_batch(ORIGIN), np.zeros((1, 2)))
 
     def test_matches_grid_argmin(self, affine_two_input):
         model = affine_two_input
@@ -304,14 +329,17 @@ class TestAffineMode:
         X = rng.uniform(-1, 1, (30, 2))
         u1 = rng.uniform(-5, 5, (30, 2))
         u2 = rng.uniform(-5, 5, (30, 2))
-        lhs = (model.nominal(X, u1 + u2) - model.nominal(X, u1)
-               - model.nominal(X, u2) + model.nominal(X, np.zeros((30, 2))))
+
+        def nominal(U):
+            return model.eval_pieces(X, U)["fhat_data"]
+        lhs = (nominal(u1 + u2) - nominal(u1)
+               - nominal(u2) + nominal(np.zeros((30, 2))))
         assert np.max(np.abs(lhs)) <= 1e-12
 
     def test_equilibrium_shift(self, affine_two_input):
         model = affine_two_input
-        u0 = model.controller(np.zeros(2))
-        assert np.linalg.norm(model.nominal(np.zeros(2), u0)) <= 1e-12
+        u0 = model.controller_batch(ORIGIN)
+        assert np.linalg.norm(model.eval_pieces(ORIGIN, u0)["fhat_data"]) <= 1e-12
 
     def test_projection_preserves_decrease(self):
         hp = Hyper(u_lim=[3.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])
@@ -363,14 +391,14 @@ class TestPartialEvaluation:
 
 class TestParams:
     def test_roundtrip_and_cache_invalidation(self, small_model):
-        x = np.array([0.4, -0.2])
-        before = small_model.closed_loop(x)
+        x = np.array([[0.4, -0.2]])
+        before = small_model.eval_pieces(x)["fstar_star"]
         theta = small_model.get_params()
         small_model.set_params(theta * 1.01)
-        changed = small_model.closed_loop(x)
+        changed = small_model.eval_pieces(x)["fstar_star"]
         assert not np.array_equal(before, changed)
         small_model.set_params(theta)
-        assert np.array_equal(small_model.closed_loop(x), before)
+        assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
 
     def test_mode_net_names_enforced(self, vdp_hyper):
         nets = {"gf": init_network([3, 4, 2], "tanh", 0),
@@ -378,3 +406,8 @@ class TestParams:
                 "gu": init_network([2, 4, 1], "tanh", 2, out_activation="tanh")}
         with pytest.raises(ValueError):  # wrong order
             StableDynamicsModel(nets, vdp_hyper)
+
+
+def test_package_exports_resolve():
+    for name in stabledyn.__all__:
+        assert hasattr(stabledyn, name), name

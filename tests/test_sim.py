@@ -3,7 +3,7 @@ import pytest
 
 from stabledyn import sim
 from stabledyn.models import Hyper
-from stabledyn.sim import DimensionError, FieldGrid, export_field, rk4_step, rollout, rollout_many
+from stabledyn.sim import DimensionError, FieldGrid, export_field, rk4_step, rollout_many
 from stabledyn.systems import SystemSpec, get_system
 
 from conftest import make_model
@@ -41,42 +41,49 @@ class TestRk4Step:
 class TestRollout:
     def test_origin_start_stays_flat(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=1)
-        traj = rollout(model, model, np.zeros(2), T=0.5, h=1e-3)
+        traj = rollout_many(model, model, np.zeros((1, 2)), T=0.5, h=1e-3)[0]
         assert len(traj) == 501
         assert np.max(traj.norm_trace) <= 1e-9
         assert np.max(traj.v_trace) <= 1e-12
         assert not traj.escaped
 
-    def test_learned_plant_alias(self, vdp_hyper):
+    @pytest.mark.parametrize("plant", [None, "other model", "callable"])
+    def test_other_plant_rejected(self, vdp_hyper, vdp_system, plant):
+        # the plant is the model itself or a SystemSpec; nothing else is accepted
         model = make_model(vdp_hyper, seed=2)
-        x0 = np.array([0.5, -0.5])
-        a = rollout(model, model, x0, T=0.1, h=1e-3)
-        b = rollout(None, model, x0, T=0.1, h=1e-3)
-        assert np.array_equal(a.states, b.states)
+        plant = {None: None, "other model": make_model(vdp_hyper, seed=2),
+                 "callable": vdp_system.dynamics}[plant]
+        with pytest.raises(ValueError, match="plant must be"):
+            rollout_many(plant, model, np.array([[0.5, -0.5]]), T=0.1, h=1e-3)
+
+    def test_start_must_be_a_batch(self, vdp_hyper):
+        model = make_model(vdp_hyper, seed=2)
+        with pytest.raises(ValueError, match="start states"):
+            rollout_many(model, model, np.array([0.5, -0.5]), T=0.1, h=1e-3)
 
     def test_uniform_time_grid(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=3)
-        traj = rollout(model, model, np.array([0.2, 0.2]), T=0.05, h=1e-3)
+        traj = rollout_many(model, model, np.array([[0.2, 0.2]]), T=0.05, h=1e-3)[0]
         steps = np.diff(traj.times)
         assert np.allclose(steps, 1e-3, rtol=1e-12, atol=0)
         assert np.all(steps > 0)
 
     def test_v_trace_consistent_with_states(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=4)
-        traj = rollout(model, model, np.array([0.9, -0.3]), T=0.1, h=1e-3)
+        traj = rollout_many(model, model, np.array([[0.9, -0.3]]), T=0.1, h=1e-3)[0]
         recomputed = model.eval_pieces(traj.states)["v"][:, 0]
         assert np.allclose(recomputed, traj.v_trace, rtol=1e-13, atol=1e-15)
         assert np.array_equal(np.linalg.norm(traj.states, axis=1), traj.norm_trace)
 
     def test_controls_are_feedback_values(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=4)
-        traj = rollout(model, model, np.array([0.9, -0.3]), T=0.05, h=1e-3)
-        assert np.allclose(model.controller(traj.states), traj.controls,
+        traj = rollout_many(model, model, np.array([[0.9, -0.3]]), T=0.05, h=1e-3)[0]
+        assert np.allclose(model.controller_batch(traj.states), traj.controls,
                            rtol=1e-13, atol=1e-15)
 
     def test_true_plant_rollout_runs(self, vdp_system, vdp_hyper):
         model = make_model(vdp_hyper, seed=5)
-        traj = rollout(vdp_system, model, np.array([1.0, 0.0]), T=0.2, h=1e-3)
+        traj = rollout_many(vdp_system, model, np.array([[1.0, 0.0]]), T=0.2, h=1e-3)[0]
         assert len(traj) == 201
         assert not traj.escaped
 
@@ -86,7 +93,7 @@ class TestRollout:
                             u_lim=np.array([5.0]),
                             _fn=lambda x, u, **kw: 10.0 * x)
         model = make_model(vdp_hyper, seed=6)
-        traj = rollout(blowup, model, np.array([1.0, 1.0]), T=5.0, h=1e-3)
+        traj = rollout_many(blowup, model, np.array([[1.0, 1.0]]), T=5.0, h=1e-3)[0]
         assert traj.escaped and traj.reason == "escape guard"
         assert len(traj) < 5001
         limit = 10.0 * np.linalg.norm(vdp_hyper.x_ub - vdp_hyper.x_lb)
@@ -97,7 +104,7 @@ class TestRollout:
         bike = get_system("bicycle")
         hp = Hyper.for_system(bike, x_lb=[-1.5, -1.5], x_ub=[1.5, 1.5])
         model = make_model(hp, seed=7)
-        traj = rollout(bike, model, np.array([1.0 - 5e-7, 0.0]), T=0.01, h=1e-3)
+        traj = rollout_many(bike, model, np.array([[1.0 - 5e-7, 0.0]]), T=0.01, h=1e-3)[0]
         assert traj.escaped and "domain" in traj.reason
         assert len(traj) >= 1
 
@@ -183,10 +190,10 @@ class TestRollout:
         model = make_model(vdp_hyper, seed=9)
         model.nets["gu"].weights[-1][:] = 0.0
         model.invalidate_cache()
-        x0 = np.array([1.0, 0.5])
+        x0 = np.array([[1.0, 0.5]])
         ends = {}
         for h in (0.02, 0.01, 0.005):
-            ends[h] = rollout(vdp_system, model, x0, T=1.0, h=h).states[-1]
+            ends[h] = rollout_many(vdp_system, model, x0, T=1.0, h=h)[0].states[-1]
         d1 = np.linalg.norm(ends[0.02] - ends[0.01])
         d2 = np.linalg.norm(ends[0.01] - ends[0.005])
         assert 4.0 <= d1 / d2 <= 64.0
@@ -196,7 +203,7 @@ class TestRollout:
         # projection denominator is not floored; verify it pointwise along a
         # learned rollout
         model = make_model(vdp_hyper, seed=10, small=False)
-        traj = rollout(model, model, np.array([1.1, -0.9]), T=2.0, h=1e-3)
+        traj = rollout_many(model, model, np.array([[1.1, -0.9]]), T=2.0, h=1e-3)[0]
         pieces = model.eval_pieces(traj.states)
         gn2 = np.sum(pieces["grad_v"] ** 2, axis=1)
         resid = (np.sum(pieces["grad_v"] * pieces["fstar_star"], axis=1)
@@ -206,7 +213,7 @@ class TestRollout:
 
     def test_envelope_holds_until_first_floor_entry(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=11, small=False)
-        traj = rollout(model, model, np.array([-1.2, 0.7]), T=5.0, h=1e-3)
+        traj = rollout_many(model, model, np.array([[-1.2, 0.7]]), T=5.0, h=1e-3)[0]
         gn2 = np.sum(model.eval_pieces(traj.states)["grad_v"] ** 2, axis=1)
         floored = np.flatnonzero(gn2 < vdp_hyper.eps_proj)
         stop = floored[0] if len(floored) else len(traj)
@@ -216,7 +223,7 @@ class TestRollout:
     def test_bad_horizon_rejected(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=1)
         with pytest.raises(ValueError):
-            rollout(model, model, np.zeros(2), T=0.0, h=1e-3)
+            rollout_many(model, model, np.zeros((1, 2)), T=0.0, h=1e-3)
 
 
 class TestExportField:
@@ -282,7 +289,7 @@ class TestExportField:
 class TestCsv:
     def test_trajectory_csv_roundtrip(self, tmp_path, vdp_hyper):
         model = make_model(vdp_hyper, seed=20)
-        traj = rollout(model, model, np.array([0.4, 0.1]), T=0.02, h=1e-3)
+        traj = rollout_many(model, model, np.array([[0.4, 0.1]]), T=0.02, h=1e-3)[0]
         path = tmp_path / "traj.csv"
         traj.to_csv(path, comment="# config: {}")
         lines = path.read_text().splitlines()

@@ -76,7 +76,7 @@ class TestLoss:
         rng = np.random.default_rng(1)
         X = rng.uniform(-1.3, 1.3, (32, 2))
         U = rng.uniform(-5, 5, (32, 1))
-        ds = Dataset(X, U, small_model.project(X, U))
+        ds = Dataset(X, U, small_model.eval_pieces(X, U)["fstar_data"])
         graph = training.loss(small_model, ds)
         assert graph.value == 0.0
 
@@ -94,11 +94,11 @@ class TestLoss:
     def test_single_sample_hand_value(self, small_model):
         # u = u*(x) makes the kernel exactly 2; an injected residual of norm
         # 0.5 then costs 2 * 0.25
-        x = np.array([0.4, -0.7])
-        u = small_model.controller(x)
-        fstar = small_model.project(x, u)
+        x = np.array([[0.4, -0.7]])
+        u = small_model.controller_batch(x)
+        fstar = small_model.eval_pieces(x, u)["fstar_data"]
         resid = np.array([0.3, 0.4])  # norm 0.5
-        ds = Dataset(x[None, :], u[None, :], (fstar + resid)[None, :])
+        ds = Dataset(x, u, fstar + resid)
         graph = training.loss(small_model, ds)
         assert graph.value == pytest.approx(0.5, rel=1e-14)
 
@@ -109,11 +109,11 @@ class TestLoss:
         # a control offset ||u - u*(x)||^2 = beta_offset / beta sets the kernel
         # 1 + exp(-beta ||u - u*(x)||^2) to k; an injected residual of norm
         # 0.5 then costs k * 0.25
-        x = np.array([0.4, -0.7])
-        u = small_model.controller(x) + np.sqrt(beta_offset / small_model.hyper.beta)
-        fstar = small_model.project(x, u)
+        x = np.array([[0.4, -0.7]])
+        u = small_model.controller_batch(x) + np.sqrt(beta_offset / small_model.hyper.beta)
+        fstar = small_model.eval_pieces(x, u)["fstar_data"]
         resid = np.array([0.3, 0.4])  # norm 0.5
-        ds = Dataset(x[None, :], u[None, :], (fstar + resid)[None, :])
+        ds = Dataset(x, u, fstar + resid)
         graph = training.loss(small_model, ds)
         assert graph.value == pytest.approx(k * 0.25, rel=1e-14)
 
@@ -142,7 +142,7 @@ class TestLoss:
             graph = training.loss(model, ds)
             grad = graph.param_gradient()
             theta = model.get_params()
-            for c in rng.choice(model.n_params, 12, replace=False):
+            for c in rng.choice(model.layout.size, 12, replace=False):
                 tp = theta.copy(); tp[c] += h
                 model.set_params(tp)
                 lp = training.loss_value(model, ds)
@@ -236,8 +236,9 @@ class TestCheckpoint:
         rng = np.random.default_rng(16)
         X = rng.uniform(-1.3, 1.3, (100, 2))
         U = rng.uniform(-5, 5, (100, 1))
-        assert np.array_equal(back.project(X, U), small_model.project(X, U))
-        assert np.array_equal(back.lyapunov(X), small_model.lyapunov(X))
+        assert np.array_equal(back.eval_pieces(X, U)["fstar_data"],
+                              small_model.eval_pieces(X, U)["fstar_data"])
+        assert np.array_equal(back.lyapunov_batch(X), small_model.lyapunov_batch(X))
         assert np.array_equal(back.get_params(), small_model.get_params())
 
     def test_affine_roundtrip(self, tmp_path):
@@ -248,7 +249,8 @@ class TestCheckpoint:
         back = training.load_checkpoint(path)
         assert back.mode == "affine"
         X = np.random.default_rng(17).uniform(-1, 1, (20, 2))
-        assert np.array_equal(back.closed_loop(X), model.closed_loop(X))
+        assert np.array_equal(back.eval_pieces(X)["fstar_star"],
+                              model.eval_pieces(X)["fstar_star"])
 
     def test_truncated_file_is_format_error(self, tmp_path, small_model):
         path = tmp_path / "ck.json"

@@ -45,7 +45,7 @@ class TestCheckDecrease:
 class TestDecayBound:
     def test_origin_trajectory_passes(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=4)
-        traj = sim.rollout(model, model, np.zeros(2), T=0.2, h=1e-3)
+        traj = sim.rollout_many(model, model, np.zeros((1, 2)), T=0.2, h=1e-3)[0]
         rep = verify.decay_bound_check(traj, vdp_hyper)
         assert rep.passed
 
@@ -53,7 +53,7 @@ class TestDecayBound:
         # truncate the rollout to the segment where the projection denominator
         # never floors; there the construction guarantees the envelope
         model = make_model(vdp_hyper, seed=5, small=False)
-        traj = sim.rollout(model, model, np.array([1.0, 1.0]), T=3.0, h=1e-3)
+        traj = sim.rollout_many(model, model, np.array([[1.0, 1.0]]), T=3.0, h=1e-3)[0]
         gn2 = np.sum(model.eval_pieces(traj.states)["grad_v"] ** 2, axis=1)
         floored = np.flatnonzero(gn2 < vdp_hyper.eps_proj)
         stop = floored[0] if len(floored) else len(traj)
@@ -66,7 +66,7 @@ class TestDecayBound:
 
     def test_inflated_trace_fails(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=6)
-        traj = sim.rollout(model, model, np.array([0.8, -0.2]), T=1.0, h=1e-3)
+        traj = sim.rollout_many(model, model, np.array([[0.8, -0.2]]), T=1.0, h=1e-3)[0]
         bad = sim.Trajectory(
             times=traj.times, states=traj.states, controls=traj.controls,
             v_trace=traj.v_trace * np.exp(+vdp_hyper.alpha * traj.times),
@@ -129,7 +129,7 @@ class TestCertificate:
         plant = SystemSpec(
             name="model-as-plant", n=2, m=1, params={},
             x_lb=vdp_hyper.x_lb, x_ub=vdp_hyper.x_ub, u_lim=vdp_hyper.u_lim,
-            _fn=lambda x, u, **kw: model.project(x, u))
+            _fn=lambda x, u, **kw: model.eval_pieces(x, u)["fstar_data"])
         return model, plant
 
     def test_zero_model_error_when_plant_is_model(self, trained_free_setup, vdp_hyper):
@@ -157,7 +157,7 @@ class TestCertificate:
         ds = training.sample_dataset(vdp_system, vdp_hyper, 800, seed=12)
         rep = verify.certificate(model, vdp_system, ds, r=0.06, n_samples=500, seed=13)
         direct = np.sqrt(np.sum(
-            (vdp_system.dynamics(ds.X, ds.U) - model.project(ds.X, ds.U)) ** 2,
+            (vdp_system.dynamics(ds.X, ds.U) - model.eval_pieces(ds.X, ds.U)["fstar_data"]) ** 2,
             axis=1)).max()
         assert rep.e == direct
 
