@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import sys
 from dataclasses import asdict
@@ -49,10 +50,10 @@ _TOP_KEYS = {"name", "system", "seed", "hyper", "model", "train", "sample",
              "simulate", "portrait", "verify"}
 _ALL_CHECKS = ("decrease", "decay", "quad", "certificate")
 # (section, key, smallest allowed value) for integer settings, and the
-# float settings that must be positive
+# float settings that must be positive and finite when set
 _MINIMA = (("verify", "n_samples", 1), ("verify", "rollouts", 1),
            ("portrait", "resolution", 2), ("simulate", "k", 1), ("sample", "n", 1))
-_POSITIVE = (("simulate", "T"), ("simulate", "h"))
+_POSITIVE = (("simulate", "T"), ("simulate", "h"), ("verify", "r"))
 # settings kept as given that must be real numbers; beta and r may be null
 _REAL_KEYS = (("hyper", "alpha"), ("hyper", "beta"), ("hyper", "lambda"),
               ("hyper", "eps_pd"), ("hyper", "eps_proj"), ("hyper", "d"),
@@ -67,11 +68,12 @@ def _check_keys(section, allowed, where):
 
 
 def _coerce(value, name, kind=int):
-    """``kind(value)``, or a ConfigError naming the setting.  Booleans are
-    refused, and so are non-integral numbers for an int setting."""
+    """``kind(value)``, or a ConfigError naming the setting.  Only real
+    numbers are converted: strings and booleans are refused, and so are
+    non-integral numbers for an int setting."""
     try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or (kind is int and isinstance(value, float) and not value.is_integer())):
             raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -173,8 +175,9 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"{section}.{key} must be at least {least}, "
                               f"got {cfg[section][key]}")
     for section, key in _POSITIVE:
-        if not cfg[section][key] > 0:
-            raise ConfigError(f"{section}.{key} must be positive, got {cfg[section][key]}")
+        value = cfg[section][key]
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{section}.{key} must be positive and finite, got {value}")
     try:  # TrainConfig owns the training ranges
         training.TrainConfig(**{key: cfg["train"][key] for key in
                                 ("lr", "batch_size", "epochs", "clip_norm", "holdout")})

@@ -22,6 +22,21 @@ class DimensionError(ValueError):
     """Grid export requested for a non-planar state space."""
 
 
+def _write_csv(path, names, body, comment=None):
+    """Write an optional comment line, the ``names`` header and the rows of
+    the 2-D ``body`` with 17 significant digits: the bytes of
+    ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted from Python floats.
+    Rows are converted 4,096 at a time, so a large body's floats never all
+    exist as Python objects at once."""
+    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        if comment:
+            fh.write(comment.rstrip("\n") + "\n")
+        fh.write(",".join(names) + "\n")
+        for start in range(0, len(body), 4096):
+            fh.writelines(row % tuple(values) for values in body[start:start + 4096].tolist())
+
+
 @dataclass
 class Trajectory:
     """A closed-loop rollout on a uniform time grid."""
@@ -44,10 +59,7 @@ class Trajectory:
                  + [f"u{i + 1}" for i in range(m)] + ["V", "normx"])
         body = np.hstack((self.times[:, None], self.states, self.controls,
                           self.v_trace[:, None], self.norm_trace[:, None]))
-        header = ",".join(names)
-        if comment:
-            header = comment.rstrip("\n") + "\n" + header
-        np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")
+        _write_csv(path, names, body, comment)
 
 
 def rk4_step(field_fn, x, h, k1=None):
@@ -216,10 +228,7 @@ class FieldGrid:
         XX, YY = np.meshgrid(self.xs, self.ys, indexing="ij")
         body = np.column_stack((XX.ravel(), YY.ravel(),
                                 self.values.reshape(XX.size, -1)))
-        header = ",".join(cols)
-        if comment:
-            header = comment.rstrip("\n") + "\n" + header
-        np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")
+        _write_csv(path, cols, body, comment)
 
 
 def export_field(model, kinds, resolution, system=None):

@@ -17,38 +17,28 @@ class DomainError(ValueError):
 
 
 def _batch(x, u, n, m):
-    x = np.asarray(x, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if u.ndim == 0:
-        U = np.full((X.shape[0], m), float(u))
-    elif u.ndim == 1:
-        U = u[None, :] if single else u[:, None]
-    else:
-        U = u
-    if X.shape[1] != n or U.shape != (X.shape[0], m):
+    X = np.asarray(x, dtype=np.float64)
+    U = np.asarray(u, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != n or U.shape != (X.shape[0], m):
         raise ValueError(f"expected state (B,{n}) and control (B,{m}), "
                          f"got {X.shape} and {U.shape}")
-    return X, U, single
+    return X, U
 
 
 def vdp(x, u, mu=1.0):
     """Controlled Van der Pol oscillator: z'' = u - z + mu*(1 - z^2)*z'."""
-    X, U, single = _batch(x, u, 2, 1)
+    X, U = _batch(x, u, 2, 1)
     z, zdot = X[:, 0], X[:, 1]
-    out = np.stack([zdot, U[:, 0] - z + mu * (1.0 - z * z) * zdot], axis=1)
-    return out[0] if single else out
+    return np.stack([zdot, U[:, 0] - z + mu * (1.0 - z * z) * zdot], axis=1)
 
 
 def pendulum(x, u, m=0.15, g=9.81, l=0.5, b=0.1):
     """Torque-driven pendulum; angle measured from the inverted position."""
-    X, U, single = _batch(x, u, 2, 1)
+    X, U = _batch(x, u, 2, 1)
     theta, thetadot = X[:, 0], X[:, 1]
     ml2 = m * l * l
     acc = (m * g * l * np.sin(theta) + U[:, 0] - b * thetadot) / ml2
-    out = np.stack([thetadot, acc], axis=1)
-    return out[0] if single else out
+    return np.stack([thetadot, acc], axis=1)
 
 
 def bicycle(x, u, v=6.0, length=1.0):
@@ -58,7 +48,7 @@ def bicycle(x, u, v=6.0, length=1.0):
     The distance-error denominator (1 - d_e) and the steering tangent are
     singular; inputs must stay clear of both.
     """
-    X, U, single = _batch(x, u, 2, 1)
+    X, U = _batch(x, u, 2, 1)
     de, te = X[:, 0], X[:, 1]
     steer = U[:, 0]
     bad = np.abs(de - 1.0) <= 1e-6
@@ -71,10 +61,9 @@ def bicycle(x, u, v=6.0, length=1.0):
         raise DomainError(
             f"bicycle steering sample {int(np.argmax(bad))} "
             f"has |u|={abs(steer[np.argmax(bad)]):.8f} >= pi/2 - 1e-6")
-    out = np.stack([v * np.sin(te),
-                    v * np.tan(steer) / length - v * np.cos(te) / (1.0 - de)],
-                   axis=1)
-    return out[0] if single else out
+    return np.stack([v * np.sin(te),
+                     v * np.tan(steer) / length - v * np.cos(te) / (1.0 - de)],
+                    axis=1)
 
 
 @dataclass(frozen=True)

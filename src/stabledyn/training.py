@@ -20,6 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import NumpyOps, Tape, param_gradient
 from .models import Hyper, StableDynamicsModel
+from .sim import _write_csv
 
 CHECKPOINT_VERSION = 1
 
@@ -103,11 +104,7 @@ def export_dataset_csv(dataset, path, meta_path=None, comment=None):
     n, m = dataset.X.shape[1], dataset.U.shape[1]
     names = ([f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
              + [f"xdot{i + 1}" for i in range(n)])
-    body = np.hstack((dataset.X, dataset.U, dataset.Xdot))
-    header = ",".join(names)
-    if comment:
-        header = comment.rstrip("\n") + "\n" + header
-    np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")
+    _write_csv(path, names, np.hstack((dataset.X, dataset.U, dataset.Xdot)), comment)
     if meta_path is not None:
         with open(meta_path, "w") as fh:
             json.dump(dataset.meta, fh, indent=2)

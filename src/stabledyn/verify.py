@@ -19,15 +19,22 @@ from scipy.spatial import cKDTree
 ORIGIN_EXCLUSION = 1e-3  # sampling stays clear of the 0/0 at the equilibrium
 DECAY_TOL = 0.02
 LIPSCHITZ_SEPARATION = 1e-3
+# Rows per model evaluation in every audit loop.  In fresh processes running
+# a 100k-sample audit, 384-640 rows were fastest in both model modes, with
+# about 10k minor page faults and a 90 MB peak RSS.  From 768 rows on, the
+# blocks' temporaries were page-faulted in again block after block (0.3-1.5M
+# faults, up to twice the wall time), and 20,000-row blocks also more than
+# doubled the peak RSS; 256 rows paid more per-call overhead.
+BLOCK_ROWS = 512
 
 
 def _uniform_box(rng, lb, ub, count):
     return rng.uniform(lb, ub, size=(count, len(lb)))
 
 
-def _chunks(total, size=20000):
-    for start in range(0, total, size):
-        yield slice(start, min(start + size, total))
+def _chunks(total):
+    for start in range(0, total, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, total))
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +203,8 @@ def certificate(model, system, dataset, r, n_samples, seed):
     """Audit the coverage condition for a trained model on its dataset."""
     if len(dataset) == 0:
         raise ValueError("certificate needs a nonempty dataset")
-    if r <= 0:
-        raise ValueError("neighborhood radius must be positive")
+    if not r > 0:
+        raise ValueError(f"neighborhood radius must be positive, got {r}")
     hp = model.hyper
 
     # e: exact max model error over the dataset

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stabledyn import cli
+from stabledyn import cli, verify
 
 TINY = {"name": "tiny", "seed": 0,
         "model": {"widths": {"gf": 8, "gu": 8, "gv": 8}},
@@ -152,3 +152,30 @@ def test_bad_width_exits_one(tmp_path, capsys, widths, net):
     config = with_section("model", widths=dict(TINY["model"]["widths"], **widths))
     assert run(tmp_path, "train", config) == cli.EXIT_CONFIG
     assert f"model.widths.{net}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("verify", "r", float("nan")), ("verify", "r", -1.0), ("verify", "r", 0.0),
+    ("simulate", "T", float("inf")), ("simulate", "h", float("inf"))])
+def test_non_positive_or_infinite_setting_exits_one(tmp_path, capsys, section, key, value):
+    assert run(tmp_path, "verify", with_section(section, **{key: value})) == cli.EXIT_CONFIG
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_null_radius_means_default(tmp_path):
+    assert run(tmp_path, "sample", TINY, out="sample") == cli.EXIT_OK
+    config = with_section("verify", r=None, checks=["certificate"], n_samples=500,
+                          dataset=str(tmp_path / "sample" / "dataset.csv"))
+    assert run(tmp_path, "verify", config) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    hyper = cli.resolve_hyper(cli.load_config(overrides={"system": "vdp"}))
+    assert report["checks"]["certificate"]["report"]["r"] == verify.default_radius(hyper)
+
+
+@pytest.mark.parametrize("section, key, value, name", [
+    ("simulate", "T", "0.5", "simulate.T"), ("sample", "n", "300", "sample.n"),
+    ("model", "widths", {"gf": "10"}, "model.widths.gf")])
+def test_numeric_string_exits_one(tmp_path, capsys, section, key, value, name):
+    # JSON strings are not numbers, even when they spell one
+    assert run(tmp_path, "train", with_section(section, **{key: value})) == cli.EXIT_CONFIG
+    assert name in capsys.readouterr().err

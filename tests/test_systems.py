@@ -4,30 +4,35 @@ import pytest
 from stabledyn.systems import DomainError, bicycle, get_system, pendulum, system_names, vdp
 
 
+def one(fn, x, u):
+    """``fn`` at one state and control, passed as (1, n) and (1, m) batches."""
+    return fn(np.array([x], dtype=float), np.array([[u]], dtype=float))[0]
+
+
 class TestVdp:
     def test_origin_equilibrium(self):
-        assert np.array_equal(vdp([0.0, 0.0], 0.0), [0.0, 0.0])
+        assert np.array_equal(one(vdp, [0.0, 0.0], 0.0), [0.0, 0.0])
 
     def test_unit_displacement(self):
         # zddot = u - z + mu (1 - z^2) zdot = 0 - 1 + 0
-        assert np.array_equal(vdp([1.0, 0.0], 0.0), [0.0, -1.0])
+        assert np.array_equal(one(vdp, [1.0, 0.0], 0.0), [0.0, -1.0])
 
     def test_forced_point(self):
         # zddot = 2 - 0 + 1*1*1
-        assert np.array_equal(vdp([0.0, 1.0], 2.0), [1.0, 3.0])
+        assert np.array_equal(one(vdp, [0.0, 1.0], 2.0), [1.0, 3.0])
 
 
 class TestPendulum:
     def test_inverted_equilibrium(self):
-        assert np.array_equal(pendulum([0.0, 0.0], 0.0), [0.0, 0.0])
+        assert np.array_equal(one(pendulum, [0.0, 0.0], 0.0), [0.0, 0.0])
 
     def test_gravity_at_quarter_turn(self):
-        out = pendulum([np.pi / 2, 0.0], 0.0)
+        out = one(pendulum, [np.pi / 2, 0.0], 0.0)
         assert out[0] == 0.0
         assert out[1] == pytest.approx(19.62, rel=1e-12)  # g/l
 
     def test_damping_only(self):
-        out = pendulum([0.0, 1.0], 0.0)
+        out = one(pendulum, [0.0, 1.0], 0.0)
         assert out[0] == 1.0
         assert out[1] == pytest.approx(-0.1 / 0.0375, rel=1e-12)
 
@@ -35,21 +40,21 @@ class TestPendulum:
 class TestBicycle:
     def test_equilibrium_steering(self):
         # tan(pi/4) = 1 balances the curvature term at the origin
-        out = bicycle([0.0, 0.0], np.pi / 4)
+        out = one(bicycle, [0.0, 0.0], np.pi / 4)
         assert out[0] == 0.0
         assert abs(out[1]) < 1e-14
 
     def test_right_angle_heading(self):
-        out = bicycle([0.0, np.pi / 2], 0.0)
+        out = one(bicycle, [0.0, np.pi / 2], 0.0)
         assert out == pytest.approx([6.0, 0.0], abs=1e-14)
 
     def test_distance_singularity_guarded(self):
         with pytest.raises(DomainError):
-            bicycle([1.0 - 5e-7, 0.0], 0.0)
+            one(bicycle, [1.0 - 5e-7, 0.0], 0.0)
 
     def test_steering_singularity_guarded(self):
         with pytest.raises(DomainError):
-            bicycle([0.0, 0.0], np.pi / 2)
+            one(bicycle, [0.0, 0.0], np.pi / 2)
 
     def test_denominator_bounded_inside_default_box(self):
         spec = get_system("bicycle")
@@ -98,4 +103,11 @@ class TestRegistry:
         U = rng.uniform(-spec.u_lim, spec.u_lim, (10, 1))
         batch = spec.dynamics(X, U)
         for i in range(10):
-            assert np.array_equal(batch[i], spec.dynamics(X[i], U[i]))
+            assert np.array_equal(batch[i], spec.dynamics(X[i:i + 1], U[i:i + 1])[0])
+
+
+@pytest.mark.parametrize("x, u", [
+    ([0.0, 0.0], [[0.0]]), ([[0.0, 0.0]], 0.0), ([[0.0, 0.0]], [0.0])])
+def test_non_batch_input_rejected(x, u):
+    with pytest.raises(ValueError, match="expected state"):
+        vdp(x, u)

@@ -42,6 +42,39 @@ class TestCheckDecrease:
             verify.check_decrease(small_model, 0, seed=0)
 
 
+class TestChunkCoverage:
+    """The audits' block loops see every sample exactly once."""
+
+    N = 3 * verify.BLOCK_ROWS + 7  # three full blocks and a partial one
+
+    def test_decrease_counts_and_max(self, vdp_hyper):
+        model = make_model(vdp_hyper, seed=13)
+        rep = verify.check_decrease(model, self.N, seed=21)
+        X = np.random.default_rng(21).uniform(vdp_hyper.x_lb, vdp_hyper.x_ub, (self.N, 2))
+        X = X[np.linalg.norm(X, axis=1) >= verify.ORIGIN_EXCLUSION]
+        assert rep.n_used + rep.n_floor == len(X)
+        pieces = model.eval_pieces(X)
+        ok = np.sum(pieces["grad_v"] ** 2, axis=1) >= vdp_hyper.eps_proj
+        resid = (np.sum(pieces["grad_v"] * pieces["fstar_star"], axis=1)
+                 + vdp_hyper.alpha * pieces["v"][:, 0])
+        assert rep.n_used == int(ok.sum())
+        assert rep.max_residual == pytest.approx(float(resid[ok].max()), rel=1e-12, abs=0)
+
+    def test_quad_maxima(self, vdp_hyper):
+        model = make_model(vdp_hyper, seed=14)
+        r1, r2, seed = 0.2, 1.3, 22
+        rep = verify.estimate_quadratic_ratio(model, r1, r2, self.N, seed=seed)
+        cube = np.random.default_rng(np.random.SeedSequence([seed, 1])).uniform(
+            -r2, r2, (self.N, 2))
+        norms = np.linalg.norm(cube, axis=1)
+        box = np.random.default_rng(np.random.SeedSequence([seed, 2])).uniform(
+            vdp_hyper.x_lb, vdp_hyper.x_ub, (self.N, 2))
+        for X, sup in ((cube[(norms >= r1) & (norms <= r2)], rep.M),
+                       (box[np.linalg.norm(box, axis=1) >= verify.ORIGIN_EXCLUSION],
+                        rep.c2_global)):
+            assert sup == float(np.max(model.lyapunov_batch(X) / np.sum(X ** 2, axis=1)))
+
+
 class TestDecayBound:
     def test_origin_trajectory_passes(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=4)
