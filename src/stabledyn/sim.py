@@ -24,17 +24,12 @@ class DimensionError(ValueError):
 
 def _write_csv(path, names, body, comment=None):
     """Write an optional comment line, the ``names`` header and the rows of
-    the 2-D ``body`` with 17 significant digits: the bytes of
-    ``np.savetxt(fmt="%.17g", delimiter=",")``, formatted from Python floats.
-    Rows are converted 4,096 at a time, so a large body's floats never all
-    exist as Python objects at once."""
-    row = ",".join(["%.17g"] * body.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(comment.rstrip("\n") + "\n")
-        fh.write(",".join(names) + "\n")
-        for start in range(0, len(body), 4096):
-            fh.writelines(row % tuple(values) for values in body[start:start + 4096].tolist())
+    the 2-D ``body`` with 17 significant digits, enough to read every float
+    back exactly."""
+    header = ",".join(names)
+    if comment:
+        header = comment.rstrip("\n") + "\n" + header
+    np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 @dataclass

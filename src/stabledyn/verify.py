@@ -19,12 +19,13 @@ from scipy.spatial import cKDTree
 ORIGIN_EXCLUSION = 1e-3  # sampling stays clear of the 0/0 at the equilibrium
 DECAY_TOL = 0.02
 LIPSCHITZ_SEPARATION = 1e-3
-# Rows per model evaluation in every audit loop.  In fresh processes running
-# a 100k-sample audit, 384-640 rows were fastest in both model modes, with
-# about 10k minor page faults and a 90 MB peak RSS.  From 768 rows on, the
-# blocks' temporaries were page-faulted in again block after block (0.3-1.5M
+# Rows per block in every audit loop (the Lipschitz loop evaluates a block's
+# pairs as one call of twice as many rows).  In fresh processes running a
+# 100k-sample audit, 384-512 rows were fastest in both model modes, with
+# about 12k minor page faults and a 93 MB peak RSS.  From 640 rows on, the
+# blocks' temporaries were page-faulted in again block after block (0.2-1.8M
 # faults, up to twice the wall time), and 20,000-row blocks also more than
-# doubled the peak RSS; 256 rows paid more per-call overhead.
+# tripled the peak RSS; 256 rows paid more per-call overhead.
 BLOCK_ROWS = 512
 
 
@@ -249,9 +250,13 @@ def certificate(model, system, dataset, r, n_samples, seed):
     for sl in _chunks(len(Z)):
         a, b = Z[sl], Z2[sl]
         sep = np.linalg.norm(b - a, axis=1)
-        df = system.dynamics(a[:, :nmax], a[:, nmax:]) - system.dynamics(b[:, :nmax], b[:, nmax:])
-        dfs = (model.eval_pieces(a[:, :nmax], a[:, nmax:])["fstar_data"]
-               - model.eval_pieces(b[:, :nmax], b[:, nmax:])["fstar_data"])
+        # both ends of every pair in one call: rows [0, k) are a, [k, 2k) are b
+        k = len(a)
+        ab = np.concatenate((a, b))
+        f = system.dynamics(ab[:, :nmax], ab[:, nmax:])
+        fs = model.eval_pieces(ab[:, :nmax], ab[:, nmax:])["fstar_data"]
+        df = f[:k] - f[k:]
+        dfs = fs[:k] - fs[k:]
         L_f = max(L_f, float(np.max(np.linalg.norm(df, axis=1) / sep)))
         L_fstar = max(L_fstar, float(np.max(np.linalg.norm(dfs, axis=1) / sep)))
 

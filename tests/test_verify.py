@@ -74,6 +74,24 @@ class TestChunkCoverage:
                         rep.c2_global)):
             assert sup == float(np.max(model.lyapunov_batch(X) / np.sum(X ** 2, axis=1)))
 
+    def test_certificate_lipschitz_pairs(self, vdp_system, vdp_hyper):
+        model = make_model(vdp_hyper, seed=15)
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 200, seed=23)
+        seed = 24
+        rep = verify.certificate(model, vdp_system, ds, r=0.06, n_samples=self.N, seed=seed)
+        lo = np.concatenate((vdp_hyper.x_lb, -vdp_hyper.u_lim))
+        hi = np.concatenate((vdp_hyper.x_ub, vdp_hyper.u_lim))
+        Z = np.random.default_rng(np.random.SeedSequence([seed, 3])).uniform(lo, hi, (self.N, 3))
+        dirs = np.random.default_rng(np.random.SeedSequence([seed, 4])).standard_normal(Z.shape)
+        Z2 = Z + dirs * (verify.LIPSCHITZ_SEPARATION / np.linalg.norm(dirs, axis=1, keepdims=True))
+        sep = np.linalg.norm(Z2 - Z, axis=1)
+        df = vdp_system.dynamics(Z[:, :2], Z[:, 2:]) - vdp_system.dynamics(Z2[:, :2], Z2[:, 2:])
+        dfs = (model.eval_pieces(Z[:, :2], Z[:, 2:])["fstar_data"]
+               - model.eval_pieces(Z2[:, :2], Z2[:, 2:])["fstar_data"])
+        assert rep.L_f == float(np.max(np.linalg.norm(df, axis=1) / sep))
+        assert rep.L_fstar == pytest.approx(float(np.max(np.linalg.norm(dfs, axis=1) / sep)),
+                                            rel=1e-12, abs=0)
+
 
 class TestDecayBound:
     def test_origin_trajectory_passes(self, vdp_hyper):
