@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -222,13 +223,26 @@ def _outdir(args, cfg):
     return out
 
 
-def _load_or_init_model(cfg, hyper, checkpoint):
-    if checkpoint:
-        return training.load_checkpoint(checkpoint)
-    seed = _sub_seed(cfg["seed"], "model")
-    return StableDynamicsModel.initialize(
-        hyper, seed=seed, mode=cfg["model"]["mode"],
-        widths=cfg["model"]["widths"], depth=cfg["model"]["depth"])
+def _load_or_init_model(cfg, checkpoint):
+    """The checkpoint's model, or a new one from the config's seed and Hyper.
+
+    A checkpoint carries the Hyper its model was trained under, and every
+    command that loads one works with ``model.hyper``.  A key the config's
+    ``hyper`` section sets must agree with the checkpoint's value.
+    """
+    hyper = resolve_hyper(cfg)
+    if not checkpoint:
+        seed = _sub_seed(cfg["seed"], "model")
+        return StableDynamicsModel.initialize(
+            hyper, seed=seed, mode=cfg["model"]["mode"],
+            widths=cfg["model"]["widths"], depth=cfg["model"]["depth"])
+    model = training.load_checkpoint(checkpoint)
+    wanted, stored = hyper.to_dict(), model.hyper.to_dict()
+    for key in sorted(cfg["hyper"]):
+        if wanted[key] != stored[key]:
+            raise ConfigError(f"hyper.{key} = {wanted[key]!r} differs from "
+                              f"{stored[key]!r} in checkpoint {checkpoint}")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +265,17 @@ def cmd_sample(args):
 
 def cmd_train(args):
     cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
-    hyper = resolve_hyper(cfg)
     system = systems.get_system(cfg["system"])
-    out = _outdir(args, cfg)
     tc = cfg["train"]
+    model = _load_or_init_model(cfg, tc["resume_from"])
+    out = _outdir(args, cfg)
 
     if tc["dataset"]:
         dataset = training.import_dataset_csv(tc["dataset"])
     else:
         seed = int(_sub_seed(cfg["seed"], "dataset").generate_state(1)[0])
-        dataset = training.sample_dataset(system, hyper, cfg["sample"]["n"], seed)
+        dataset = training.sample_dataset(system, model.hyper, cfg["sample"]["n"], seed)
 
-    model = _load_or_init_model(cfg, hyper, tc["resume_from"])
     config = training.TrainConfig(
         lr=tc["lr"], batch_size=tc["batch_size"], epochs=tc["epochs"],
         clip_norm=tc["clip_norm"], holdout=tc["holdout"],
@@ -293,12 +306,11 @@ def cmd_train(args):
 
 def cmd_simulate(args):
     cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
-    hyper = resolve_hyper(cfg)
     system = systems.get_system(cfg["system"])
     sc = cfg["simulate"]
     if not sc["checkpoint"]:
         raise ConfigError("simulate requires simulate.checkpoint in the config")
-    model = training.load_checkpoint(sc["checkpoint"])
+    model = _load_or_init_model(cfg, sc["checkpoint"])
     out = _outdir(args, cfg)
 
     rng = np.random.default_rng(_sub_seed(cfg["seed"], "simulate"))
@@ -314,9 +326,8 @@ def cmd_simulate(args):
 
 def cmd_portrait(args):
     cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
-    hyper = resolve_hyper(cfg)
     pc = cfg["portrait"]
-    model = _load_or_init_model(cfg, hyper, pc["checkpoint"])
+    model = _load_or_init_model(cfg, pc["checkpoint"])
     out = _outdir(args, cfg)
     comment = "# config: " + _embed(cfg)
     grids = sim.export_field(model, ("fhat", "fstar", "gv", "v"), pc["resolution"])
@@ -330,24 +341,31 @@ def cmd_verify(args):
     cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
     if args.ablate_projection:
         cfg["verify"]["ablate_projection"] = True
-    hyper = resolve_hyper(cfg)
     system = systems.get_system(cfg["system"])
     vc = cfg["verify"]
-    model = _load_or_init_model(cfg, hyper, vc["checkpoint"])
+    model = _load_or_init_model(cfg, vc["checkpoint"])
+    hyper = model.hyper
     out = _outdir(args, cfg)
     seed_root = _sub_seed(cfg["seed"], "verify")
     seeds = seed_root.generate_state(4)
     ablate = vc["ablate_projection"]
     report = {"config": cfg, "checks": {}, "passed": True}
 
+    def record(name, entry, samples, t0):
+        """Add a check's entry with its wall time and sampled points."""
+        entry.update(seconds=time.perf_counter() - t0, samples=samples)
+        report["checks"][name] = entry
+        report["passed"] &= entry["passed"]
+
     if "decrease" in vc["checks"]:
+        t0 = time.perf_counter()
         dec = verify.check_decrease(model, vc["n_samples"], int(seeds[0]),
                                     ablate_projection=ablate)
         ok = dec.max_residual <= 1e-9
-        report["checks"]["decrease"] = {"report": asdict(dec), "passed": ok}
-        report["passed"] &= ok
+        record("decrease", {"report": asdict(dec), "passed": ok}, vc["n_samples"], t0)
 
     if "decay" in vc["checks"]:
+        t0 = time.perf_counter()
         rng = np.random.default_rng(int(seeds[1]))
         starts = rng.uniform(hyper.x_lb, hyper.x_ub, size=(vc["rollouts"], model.n))
         worst = None
@@ -357,31 +375,34 @@ def cmd_verify(args):
             ok &= rep.passed
             if worst is None or rep.worst_v_ratio > worst["worst_v_ratio"]:
                 worst = asdict(rep)
-        report["checks"]["decay"] = {"report": worst, "passed": bool(ok),
-                                     "rollouts": vc["rollouts"]}
-        report["passed"] &= ok
+        record("decay", {"report": worst, "passed": bool(ok),
+                         "rollouts": vc["rollouts"]}, vc["rollouts"], t0)
 
     if "quad" in vc["checks"]:
+        t0 = time.perf_counter()
         r1 = 0.1 * float(np.linalg.norm(hyper.x_ub))
         r2 = float(np.linalg.norm(hyper.x_ub))
         quad = verify.estimate_quadratic_ratio(model, r1, r2, vc["n_samples"],
                                                int(seeds[2]))
         ok = quad.M >= quad.c1
-        report["checks"]["quad"] = {"report": asdict(quad), "passed": ok}
-        report["passed"] &= ok
+        record("quad", {"report": asdict(quad), "passed": ok}, vc["n_samples"], t0)
 
     if "certificate" in vc["checks"]:
+        t0 = time.perf_counter()
         if vc["dataset"]:
             dataset = training.import_dataset_csv(vc["dataset"])
             r = vc["r"] if vc["r"] is not None else verify.default_radius(hyper)
             cert = verify.certificate(model, system, dataset, r,
                                       vc["n_samples"], int(seeds[3]))
+            import scipy  # loaded by the certificate, which builds a cKDTree
+
             # completion is the gate; whether the bound holds is reported only
-            report["checks"]["certificate"] = {"report": asdict(cert),
-                                               "passed": True}
+            record("certificate", {"report": asdict(cert), "passed": True,
+                                   "scipy": scipy.__version__}, vc["n_samples"], t0)
         else:
-            report["checks"]["certificate"] = {"report": None, "passed": True,
-                                               "skipped": "no dataset configured"}
+            record("certificate", {"report": None, "passed": True,
+                                   "skipped": "no dataset configured"}, 0, t0)
+    report["numpy"] = np.__version__
 
     with open(out / "verify.json", "w") as fh:
         json.dump(report, fh, indent=2)

@@ -298,9 +298,10 @@ def save_checkpoint(model, path):
             for name, net in model.nets.items()
         },
     }
+    # one line: any ``indent`` selects json's pure-Python encoder, while
+    # dumps without one runs the C encoder, with the same float repr
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_checkpoint(path):

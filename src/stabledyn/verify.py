@@ -7,6 +7,10 @@ the data-coverage certificate that connects learned-model stability to the
 true plant.  Every supremum and Lipschitz constant here is a Monte-Carlo
 estimate over a recorded seed and sample count — an audit, not a formal
 proof — and the reports say so.
+
+``cKDTree`` is imported inside :func:`certificate`, its only user: loading
+``scipy.spatial`` is most of what importing the CLI would otherwise cost,
+and every command but a ``verify`` with a dataset never needs it.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 ORIGIN_EXCLUSION = 1e-3  # sampling stays clear of the 0/0 at the equilibrium
 DECAY_TOL = 0.02
@@ -206,6 +209,10 @@ def certificate(model, system, dataset, r, n_samples, seed):
         raise ValueError("certificate needs a nonempty dataset")
     if not r > 0:
         raise ValueError(f"neighborhood radius must be positive, got {r}")
+    # about 0.45 s on a cold start (numpy 2.4, scipy 1.17, 2 cores), so
+    # only the one command that reaches this line pays it
+    from scipy.spatial import cKDTree
+
     hp = model.hyper
 
     # e: exact max model error over the dataset

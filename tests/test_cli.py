@@ -1,11 +1,16 @@
 """Exit codes of the command-line front end, driven through ``cli.main``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stabledyn import cli, verify
+from stabledyn import cli, systems, training, verify
+from stabledyn.models import Hyper, StableDynamicsModel
 
 TINY = {"name": "tiny", "seed": 0,
         "model": {"widths": {"gf": 8, "gu": 8, "gv": 8}},
@@ -179,3 +184,70 @@ def test_numeric_string_exits_one(tmp_path, capsys, section, key, value, name):
     # JSON strings are not numbers, even when they spell one
     assert run(tmp_path, "train", with_section(section, **{key: value})) == cli.EXIT_CONFIG
     assert name in capsys.readouterr().err
+
+
+def write_checkpoint(tmp_path, **hyper):
+    """A TINY-width vdp checkpoint trained under ``hyper``."""
+    model = StableDynamicsModel.initialize(
+        Hyper.for_system(systems.get_system("vdp"), **hyper), seed=0,
+        widths=TINY["model"]["widths"])
+    path = tmp_path / "ck.json"
+    training.save_checkpoint(model, path)
+    return str(path)
+
+
+def test_verify_audits_under_checkpoint_hyper(tmp_path):
+    # the quad radii come from the state box the checkpoint was trained on
+    box = [2.0, 2.0]
+    config = with_section("verify", checks=["quad"],
+                          checkpoint=write_checkpoint(tmp_path, x_lb=[-2.0, -2.0], x_ub=box))
+    assert run(tmp_path, "verify", config) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["checks"]["quad"]["report"]["r2"] == float(np.linalg.norm(box))
+    # keys the config sets to the checkpoint's values are accepted
+    config["hyper"] = {"x_ub": box, "alpha": 1.0}
+    assert run(tmp_path, "verify", config) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("verify", "verify", "checkpoint"), ("simulate", "simulate", "checkpoint"),
+    ("portrait", "portrait", "checkpoint"), ("train", "train", "resume_from")])
+def test_hyper_differing_from_checkpoint_exits_one(tmp_path, capsys, command, section, key):
+    config = with_section(section, **{key: write_checkpoint(tmp_path, alpha=0.05)})
+    config["hyper"] = {"alpha": 0.5}
+    assert run(tmp_path, command, config) == cli.EXIT_CONFIG
+    assert "hyper.alpha" in capsys.readouterr().err
+
+
+def test_verify_report_records_check_cost(tmp_path):
+    assert run(tmp_path, "sample", TINY, out="sample") == cli.EXIT_OK
+    config = with_section("verify", checks=["decrease", "quad", "certificate"],
+                          n_samples=500, dataset=str(tmp_path / "sample" / "dataset.csv"))
+    assert run(tmp_path, "verify", config) == cli.EXIT_OK
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert report["numpy"] == np.__version__
+    assert list(report["checks"]) == ["decrease", "quad", "certificate"]
+    for name, entry in report["checks"].items():
+        assert entry["samples"] == 500, name
+        assert entry["seconds"] > 0.0, name
+    assert report["checks"]["certificate"]["scipy"]
+    assert report["checks"]["certificate"]["report"]["n_samples"] == 500
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # a fresh interpreter: this test session has imported scipy already
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(TINY))
+    argv = ["sample", "--config", str(config), "--out", str(tmp_path / "out")]
+    code = f"""
+import sys
+import stabledyn, stabledyn.cli
+assert "scipy" not in sys.modules, "import"
+assert stabledyn.cli.main({argv!r}) == 0
+assert "scipy" not in sys.modules, "sample"
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out" / "dataset.csv").exists()

@@ -241,6 +241,29 @@ class TestCheckpoint:
         assert np.array_equal(back.lyapunov_batch(X), small_model.lyapunov_batch(X))
         assert np.array_equal(back.get_params(), small_model.get_params())
 
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_indented_layout_loads_bit_identically(self, tmp_path, vdp_hyper, mode):
+        # checkpoints were once written by json.dump(doc, fh, indent=1)
+        model = make_model(vdp_hyper, seed=18, mode=mode)
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(model, path)
+        assert len(path.read_text().splitlines()) == 1
+        doc = json.loads(path.read_text())
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        back = training.load_checkpoint(path)
+        assert np.array_equal(back.get_params(), model.get_params())
+        rng = np.random.default_rng(18)
+        X = rng.uniform(-1.3, 1.3, (50, 2))
+        U = rng.uniform(-5, 5, (50, 1))
+        for U_ in (None, U):
+            want = model.eval_pieces(X, U_)
+            got = back.eval_pieces(X, U_)
+            assert want.keys() == got.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key]), key
+
     def test_affine_roundtrip(self, tmp_path):
         hp = Hyper(u_lim=[2.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])
         model = make_model(hp, seed=17, mode="affine")
