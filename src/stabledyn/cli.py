@@ -32,6 +32,14 @@ class ConfigError(ValueError):
     pass
 
 
+class RunConfig(dict):
+    """A resolved run config, with the ``model`` keys the config itself set
+    in ``model_keys``: the defaults filled in for the rest must not be held
+    against a checkpoint."""
+
+    model_keys = frozenset()
+
+
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
@@ -137,7 +145,7 @@ def load_config(path=None, overrides=None):
         return _coerce(value, key if section is None else f"{section}.{key}", kind)
 
     train = training.TrainConfig()  # the training defaults live there
-    cfg = {
+    cfg = RunConfig({
         "name": raw.get("name", "run"),
         "system": raw.get("system", "vdp"),
         "seed": number(None, "seed", 0),
@@ -166,7 +174,8 @@ def load_config(path=None, overrides=None):
                    "rollouts": number("verify", "rollouts", 5),
                    "ablate_projection": raw["verify"].get("ablate_projection", False),
                    "checks": raw["verify"].get("checks", list(_ALL_CHECKS))},
-    }
+    })
+    cfg.model_keys = frozenset(raw["model"])
     for key, kind, what in (("ablate_projection", bool, "true or false"),
                             ("checks", list, "a list of check names")):
         if not isinstance(cfg["verify"][key], kind):
@@ -214,8 +223,12 @@ def _embed(cfg):
     return json.dumps(cfg, sort_keys=True)
 
 
+def _outpath(args, cfg):
+    return Path(args.out) if args.out else Path("runs") / cfg["name"]
+
+
 def _outdir(args, cfg):
-    out = Path(args.out) if args.out else Path("runs") / cfg["name"]
+    out = _outpath(args, cfg)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w") as fh:
         json.dump(cfg, fh, indent=2)
@@ -223,26 +236,51 @@ def _outdir(args, cfg):
     return out
 
 
+def _check_model_section(cfg, model, checkpoint):
+    """The ``model`` keys the config sets must describe the checkpoint's
+    networks.  A width for a network the checkpoint's mode lacks is ignored,
+    as :meth:`StableDynamicsModel.initialize` ignores it."""
+    where = f"checkpoint {checkpoint}"
+    mode, depth = cfg["model"]["mode"], cfg["model"]["depth"]
+    if "mode" in cfg.model_keys and mode != model.mode:
+        raise ConfigError(f"model.mode = {mode!r} differs from {model.mode!r} in {where}")
+    stored = sorted({len(net.dims) - 2 for net in model.nets.values()})
+    if "depth" in cfg.model_keys and stored != [depth]:
+        raise ConfigError(f"model.depth = {depth} differs from {stored} in {where}")
+    for net, width in (cfg["model"]["widths"] or {}).items():
+        if net not in model.nets:  # a network of the other mode, unused here too
+            continue
+        stored = sorted(set(model.nets[net].dims[1:-1]))
+        if stored != [width]:
+            raise ConfigError(f"model.widths.{net} = {width} differs from {stored} in {where}")
+
+
 def _load_or_init_model(cfg, checkpoint):
-    """The checkpoint's model, or a new one from the config's seed and Hyper.
+    """The checkpoint's model and optimizer state, or a new model from the
+    config's seed and Hyper with no optimizer state.
 
     A checkpoint carries the Hyper its model was trained under, and every
     command that loads one works with ``model.hyper``.  A key the config's
-    ``hyper`` section sets must agree with the checkpoint's value.
+    ``hyper`` or ``model`` section sets must agree with the checkpoint's
+    value, and so must the run's system where the checkpoint records one.
     """
     hyper = resolve_hyper(cfg)
     if not checkpoint:
         seed = _sub_seed(cfg["seed"], "model")
         return StableDynamicsModel.initialize(
             hyper, seed=seed, mode=cfg["model"]["mode"],
-            widths=cfg["model"]["widths"], depth=cfg["model"]["depth"])
-    model = training.load_checkpoint(checkpoint)
+            widths=cfg["model"]["widths"], depth=cfg["model"]["depth"]), None
+    model, system, optimizer = training.load_checkpoint(checkpoint, return_state=True)
+    if system is not None and system != cfg["system"]:
+        raise ConfigError(f"system = {cfg['system']!r} differs from {system!r} "
+                          f"in checkpoint {checkpoint}")
     wanted, stored = hyper.to_dict(), model.hyper.to_dict()
     for key in sorted(cfg["hyper"]):
         if wanted[key] != stored[key]:
             raise ConfigError(f"hyper.{key} = {wanted[key]!r} differs from "
                               f"{stored[key]!r} in checkpoint {checkpoint}")
-    return model
+    _check_model_section(cfg, model, checkpoint)
+    return model, optimizer
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +301,26 @@ def cmd_sample(args):
     return EXIT_OK
 
 
+LOSS_COLUMNS = "epoch,train_loss,holdout_loss,grad_norm_max,clip_frac"
+
+
 def cmd_train(args):
     cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
     system = systems.get_system(cfg["system"])
     tc = cfg["train"]
-    model = _load_or_init_model(cfg, tc["resume_from"])
+    model, optimizer = _load_or_init_model(cfg, tc["resume_from"])
+    losses_path = _outpath(args, cfg) / "losses.csv"
+    existing, offset = "", 0
+    if tc["resume_from"] and losses_path.exists():
+        existing = losses_path.read_text()
+        lines = [ln for ln in existing.splitlines() if ln and not ln.startswith("#")]
+        header = lines[0] if lines else None
+        if header != LOSS_COLUMNS:  # never append rows under other columns
+            raise ConfigError(f"{losses_path} has columns {header!r}, not "
+                              f"{LOSS_COLUMNS!r}; resume into another output directory")
+        offset = len(lines) - 1
+    if tc["resume_from"] and optimizer is None:
+        print(f"{tc['resume_from']} holds no optimizer state; Adam starts at step 0")
     out = _outdir(args, cfg)
 
     if tc["dataset"]:
@@ -280,24 +333,19 @@ def cmd_train(args):
         lr=tc["lr"], batch_size=tc["batch_size"], epochs=tc["epochs"],
         clip_norm=tc["clip_norm"], holdout=tc["holdout"],
         seed=int(_sub_seed(cfg["seed"], "train").generate_state(1)[0]))
-    result = training.train(model, dataset, config)
+    result = training.train(model, dataset, config, optimizer)
 
-    training.save_checkpoint(model, out / "checkpoint.json")
-    losses_path = out / "losses.csv"
-    offset = 0
-    existing = ""
-    if tc["resume_from"] and losses_path.exists():
-        existing = losses_path.read_text()
-        rows = [ln for ln in existing.splitlines() if ln and not ln.startswith(("#", "epoch"))]
-        offset = len(rows)
+    training.save_checkpoint(model, out / "checkpoint.json", system=cfg["system"],
+                             optimizer=result.optimizer)
     with open(losses_path, "w") as fh:
         if existing:
             fh.write(existing)
         else:
             fh.write("# config: " + _embed(cfg) + "\n")
-            fh.write("epoch,train_loss,holdout_loss\n")
-        for i, (tr, ho) in enumerate(zip(result.train_losses, result.holdout_losses)):
-            fh.write(f"{offset + i},{tr:.17g},{ho:.17g}\n")
+            fh.write(LOSS_COLUMNS + "\n")
+        for i, row in enumerate(zip(result.train_losses, result.holdout_losses,
+                                    result.grad_norm_max, result.clip_frac)):
+            fh.write(f"{offset + i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     final = result.train_losses[-1] if result.train_losses else result.initial_loss
     print(f"trained {config.epochs} epochs; loss {result.initial_loss:.4g} -> {final:.4g}")
     print(f"checkpoint: {out / 'checkpoint.json'}")
@@ -310,7 +358,7 @@ def cmd_simulate(args):
     sc = cfg["simulate"]
     if not sc["checkpoint"]:
         raise ConfigError("simulate requires simulate.checkpoint in the config")
-    model = _load_or_init_model(cfg, sc["checkpoint"])
+    model, _ = _load_or_init_model(cfg, sc["checkpoint"])
     out = _outdir(args, cfg)
 
     rng = np.random.default_rng(_sub_seed(cfg["seed"], "simulate"))
@@ -327,7 +375,7 @@ def cmd_simulate(args):
 def cmd_portrait(args):
     cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
     pc = cfg["portrait"]
-    model = _load_or_init_model(cfg, pc["checkpoint"])
+    model, _ = _load_or_init_model(cfg, pc["checkpoint"])
     out = _outdir(args, cfg)
     comment = "# config: " + _embed(cfg)
     grids = sim.export_field(model, ("fhat", "fstar", "gv", "v"), pc["resolution"])
@@ -343,7 +391,7 @@ def cmd_verify(args):
         cfg["verify"]["ablate_projection"] = True
     system = systems.get_system(cfg["system"])
     vc = cfg["verify"]
-    model = _load_or_init_model(cfg, vc["checkpoint"])
+    model, _ = _load_or_init_model(cfg, vc["checkpoint"])
     hyper = model.hyper
     out = _outdir(args, cfg)
     seed_root = _sub_seed(cfg["seed"], "verify")

@@ -1,5 +1,5 @@
 """Dataset generation, the kernel-weighted regression loss, the mini-batch
-SGD loop with global-norm gradient clipping, and checkpoint / dataset I/O.
+Adam loop with global-norm gradient clipping, and checkpoint / dataset I/O.
 
 The loss over a batch is
 
@@ -12,7 +12,9 @@ and the projection's u*(x) term), and the Lyapunov function.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,9 @@ from .diffcore import NumpyOps, Tape, param_gradient
 from .models import Hyper, StableDynamicsModel
 from .sim import _write_csv
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# format 1 lacks the optional ``system`` and ``optimizer`` entries
+READABLE_VERSIONS = (1, 2)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -202,9 +206,9 @@ def loss_value(model, batch, chunk=20000):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-4
+    lr: float = 1e-3
     batch_size: int = 256
-    epochs: int = 200
+    epochs: int = 12
     clip_norm: float = 1.0
     seed: int = 0
     holdout: float = 0.1
@@ -223,23 +227,91 @@ class TrainConfig:
             raise ValueError(f"holdout must be in [0, 1), got {self.holdout}")
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+@dataclass
+class AdamState:
+    """Adam's moment estimates and step count, and the epochs trained so far:
+    what a resumed :func:`train` needs to continue an earlier run exactly."""
+
+    m: np.ndarray
+    v: np.ndarray
+    step: int = 0
+    epochs: int = 0
+
+    def __post_init__(self):
+        self._scratch = np.empty_like(self.m)
+
+    @classmethod
+    def zeros(cls, size):
+        return cls(np.zeros(size), np.zeros(size))
+
+
+def adam_step(theta, grad, state, lr):
+    """One bias-corrected Adam step (Kingma & Ba, ICLR 2015) on ``theta``,
+    in place, as are the updates of ``state``'s moments:
+
+        theta -= lr * m_hat / (sqrt(v_hat) + eps)
+    """
+    state.step += 1
+    m, v, buf = state.m, state.v, state._scratch
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=buf)
+    m *= ADAM_BETA1
+    m += buf
+    np.multiply(grad, grad, out=buf)
+    buf *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += buf
+    np.sqrt(v, out=buf)
+    buf /= math.sqrt(1.0 - ADAM_BETA2 ** state.step)
+    buf += ADAM_EPS
+    np.divide(m, buf, out=buf)
+    buf *= lr / (1.0 - ADAM_BETA1 ** state.step)
+    theta -= buf
+
+
 @dataclass
 class TrainResult:
+    """Per-epoch losses and gradient telemetry, and the optimizer state."""
+
     model: StableDynamicsModel
     train_losses: list
     holdout_losses: list
     initial_loss: float
+    grad_norm_max: list  # largest pre-clip gradient norm of each epoch
+    clip_frac: list      # fraction of each epoch's steps that were clipped
+    optimizer: AdamState
 
 
 DIVERGENCE_FACTOR = 1e6
 
 
-def train(model, dataset, config):
-    """Mini-batch SGD with global-norm clipping; mutates ``model`` in place.
+def train(model, dataset, config, state=None):
+    """Mini-batch Adam on the globally norm-clipped gradient; mutates
+    ``model`` in place.
 
-    Per-epoch train losses are means of the batch losses seen during the
-    epoch; holdout losses are evaluated at epoch end on a fixed split.
-    Fully deterministic per config seed.
+    The default ``lr`` of 1e-3 was measured against 3e-4 and 3e-3 on vdp,
+    in both model modes: 3e-4 converges more slowly, and 3e-3, while lower
+    after 8 epochs on 40k samples, sent the holdout loss of the default
+    100k-sample run back up to 0.16 and 0.12 on two of 3 seeds and ended
+    it higher (median 0.015 against 0.008 after 12 epochs).  Global-norm
+    clipping is kept as the guard it was under SGD: it
+    bounds what one batch feeds into Adam's moments, and first-epoch
+    gradient norms reach 17-60.  At ``clip_norm`` 1.0 it clips most
+    general-mode steps; the result's per-epoch ``grad_norm_max`` and
+    ``clip_frac`` show how often.
+
+    ``state`` continues an earlier run: Adam resumes from its moments and
+    step count, and the batch orders of the ``state.epochs`` epochs already
+    trained are drawn and skipped, so a run resumed on the same data and
+    config repeats the uninterrupted one bit for bit.  Per-epoch train
+    losses are means of the batch losses seen during the epoch; holdout
+    losses are evaluated at epoch end on a fixed split.  Deterministic per
+    config seed at a fixed BLAS thread count; the thread count changes the
+    rounding of the matrix products, and so the trajectory.
     """
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(dataset))
@@ -248,12 +320,20 @@ def train(model, dataset, config):
     work = dataset.subset(perm[n_hold:])
     if len(work) == 0:
         raise ValueError("holdout fraction leaves no training samples")
+    if state is None:
+        state = AdamState.zeros(model.layout.size)
+    elif state.m.shape != (model.layout.size,):
+        raise ValueError(f"optimizer state has {state.m.size} entries, "
+                         f"the model {model.layout.size} parameters")
+    for _done in range(state.epochs):
+        rng.permutation(len(work))
 
-    train_losses, holdout_losses = [], []
+    theta = model.get_params()
+    train_losses, holdout_losses, grad_norm_max, clip_frac = [], [], [], []
     initial = None
     for _epoch in range(config.epochs):
         order = rng.permutation(len(work))
-        batch_losses = []
+        batch_losses, norms = [], []
         for start in range(0, len(work), config.batch_size):
             batch = work.subset(order[start:start + config.batch_size])
             graph = loss(model, batch)
@@ -266,23 +346,53 @@ def train(model, dataset, config):
             grad = graph.param_gradient()
             norm = float(np.linalg.norm(grad))
             if norm > config.clip_norm:
-                grad = grad * (config.clip_norm / norm)
-            if config.lr != 0.0:
-                model.set_params(model.get_params() - config.lr * grad)
+                grad *= config.clip_norm / norm
+            adam_step(theta, grad, state, config.lr)
+            model.set_params(theta)
             batch_losses.append(graph.value)
+            norms.append(norm)
+        state.epochs += 1
         train_losses.append(float(np.mean(batch_losses)))
+        grad_norm_max.append(max(norms))
+        clip_frac.append(sum(nm > config.clip_norm for nm in norms) / len(norms))
         holdout_losses.append(loss_value(model, hold) if hold is not None else float("nan"))
     if initial is None:  # zero epochs: still report the starting loss
         initial = loss_value(model, work)
-    return TrainResult(model, train_losses, holdout_losses, initial)
+    return TrainResult(model, train_losses, holdout_losses, initial,
+                       grad_norm_max, clip_frac, state)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model, path):
-    """Single JSON document; floats round-trip exactly via shortest repr."""
+def _encode_floats(vec):
+    """Base64 of little-endian float64 bytes: exact, and far cheaper to write
+    and parse than a JSON list of 30-50k float reprs."""
+    return base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_floats(text, size, what):
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"optimizer {what}: {exc}") from exc
+    if len(raw) != 8 * size:
+        raise CheckpointShapeError(
+            f"optimizer {what} holds {len(raw) // 8} values, the model {size} parameters")
+    vec = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.all(np.isfinite(vec)):
+        raise CheckpointFormatError(f"optimizer {what} has non-finite entries")
+    return vec
+
+
+def save_checkpoint(model, path, *, system=None, optimizer=None):
+    """Single JSON document; floats round-trip exactly via shortest repr.
+
+    ``system`` names the plant the model was trained on, and ``optimizer``
+    is the :class:`AdamState` a resumed run continues from; either may be
+    left out, and :func:`load_checkpoint` then reports None for it.
+    """
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "mode": model.mode,
@@ -298,13 +408,38 @@ def save_checkpoint(model, path):
             for name, net in model.nets.items()
         },
     }
+    if system is not None:
+        doc["system"] = system
+    if optimizer is not None:
+        doc["optimizer"] = {"step": optimizer.step, "epochs": optimizer.epochs,
+                            "m": _encode_floats(optimizer.m),
+                            "v": _encode_floats(optimizer.v)}
     # one line: any ``indent`` selects json's pure-Python encoder, while
     # dumps without one runs the C encoder, with the same float repr
     with open(path, "w") as fh:
         fh.write(json.dumps(doc) + "\n")
 
 
-def load_checkpoint(path):
+def _optimizer_state(spec, size):
+    try:
+        step, epochs = spec["step"], spec["epochs"]
+        m, v = spec["m"], spec["v"]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointFormatError(f"optimizer state malformed: {exc}") from exc
+    for name, count in (("step", step), ("epochs", epochs)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise CheckpointFormatError(
+                f"optimizer {name} must be a nonnegative integer, got {count!r}")
+    v = _decode_floats(v, size, "v")
+    if np.any(v < 0):
+        raise CheckpointFormatError("optimizer v has negative entries")
+    return AdamState(_decode_floats(m, size, "m"), v, step, epochs)
+
+
+def load_checkpoint(path, *, return_state=False):
+    """The checkpoint's model; with ``return_state``, the tuple
+    ``(model, system, optimizer)``, where a checkpoint that recorded no
+    system or optimizer state gives None for it."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -312,9 +447,10 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"malformed checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CheckpointFormatError(f"{path} is not a checkpoint document")
-    if doc["format_version"] != CHECKPOINT_VERSION:
+    if doc["format_version"] not in READABLE_VERSIONS:
         raise CheckpointVersionError(
-            f"checkpoint version {doc['format_version']!r}, expected {CHECKPOINT_VERSION}")
+            f"checkpoint version {doc['format_version']!r}, expected one of "
+            f"{READABLE_VERSIONS}")
     try:
         mode = doc["mode"]
         hyper = Hyper.from_dict(doc["hyper"])
@@ -342,6 +478,15 @@ def load_checkpoint(path):
         except ValueError as exc:
             raise CheckpointShapeError(f"network {name!r}: {exc}") from exc
     try:
-        return StableDynamicsModel(nets, hyper, mode)
+        model = StableDynamicsModel(nets, hyper, mode)
     except ValueError as exc:
         raise CheckpointFormatError(f"checkpoint {path}: {exc}") from exc
+    if not return_state:
+        return model
+    system = doc.get("system")
+    if system is not None and not isinstance(system, str):
+        raise CheckpointFormatError(f"checkpoint {path}: system must be a name, got {system!r}")
+    optimizer = doc.get("optimizer")
+    if optimizer is not None:
+        optimizer = _optimizer_state(optimizer, model.layout.size)
+    return model, system, optimizer

@@ -251,3 +251,114 @@ assert "scipy" not in sys.modules, "sample"
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "out" / "dataset.csv").exists()
+
+
+def data_rows(path):
+    lines = [ln for ln in path.read_text().splitlines()
+             if ln and not ln.startswith(("#", "epoch"))]
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines])
+
+
+@pytest.mark.parametrize("mode", ["general", "affine"])
+def test_resume_repeats_uninterrupted_run(tmp_path, mode):
+    config = with_section("model", mode=mode, widths={"gf": 8, "gu": 8, "gv": 8,
+                                                      "gf1": 8, "gf2": 8})
+    config["train"]["epochs"] = 4
+    assert run(tmp_path, "train", config, out="whole") == cli.EXIT_OK
+    config["train"]["epochs"] = 2
+    assert run(tmp_path, "train", config, out="part") == cli.EXIT_OK
+    config["train"]["resume_from"] = str(tmp_path / "part" / "checkpoint.json")
+    assert run(tmp_path, "train", config, out="part") == cli.EXIT_OK
+    whole, part = (training.load_checkpoint(tmp_path / out / "checkpoint.json")
+                   for out in ("whole", "part"))
+    assert np.array_equal(part.get_params(), whole.get_params())
+    rows = data_rows(tmp_path / "part" / "losses.csv")
+    assert rows.shape == (4, 5)
+    assert np.array_equal(rows, data_rows(tmp_path / "whole" / "losses.csv"))
+
+
+def test_resume_from_stateless_checkpoint_starts_adam_afresh(tmp_path, capsys):
+    # a format-1 file of the model a fresh run starts from: Adam restarts at
+    # step 0 and the epoch orders at epoch 0, so the fresh run is repeated
+    assert run(tmp_path, "train", TINY, out="fresh") == cli.EXIT_OK
+    cfg = cli.load_config(overrides=TINY)
+    model = StableDynamicsModel.initialize(
+        cli.resolve_hyper(cfg), seed=cli._sub_seed(0, "model"), widths=TINY["model"]["widths"])
+    path = tmp_path / "v1.json"
+    training.save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    config = with_section("train", resume_from=str(path))
+    assert run(tmp_path, "train", config, out="resumed") == cli.EXIT_OK
+    assert "no optimizer state; Adam starts at step 0" in capsys.readouterr().out
+    fresh, resumed = (training.load_checkpoint(tmp_path / out / "checkpoint.json")
+                      for out in ("fresh", "resumed"))
+    assert np.array_equal(resumed.get_params(), fresh.get_params())
+    assert np.array_equal(data_rows(tmp_path / "resumed" / "losses.csv"),
+                          data_rows(tmp_path / "fresh" / "losses.csv"))
+
+
+def test_losses_csv_records_gradient_telemetry(tmp_path):
+    assert run(tmp_path, "train", with_section("train", epochs=2)) == cli.EXIT_OK
+    lines = (tmp_path / "out" / "losses.csv").read_text().splitlines()
+    assert lines[1] == "epoch,train_loss,holdout_loss,grad_norm_max,clip_frac"
+    rows = data_rows(tmp_path / "out" / "losses.csv")
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 3] > 0)
+    assert np.all((rows[:, 4] >= 0) & (rows[:, 4] <= 1))
+
+
+def test_resume_onto_other_loss_columns_exits_one(tmp_path, capsys):
+    assert run(tmp_path, "train", TINY) == cli.EXIT_OK
+    losses = tmp_path / "out" / "losses.csv"
+    old = "# config: {}\nepoch,train_loss,holdout_loss\n0,1.5,1.25\n"
+    losses.write_text(old)
+    written = (tmp_path / "out" / "config.json").read_text()
+    config = with_section("train", resume_from=str(tmp_path / "out" / "checkpoint.json"))
+    assert run(tmp_path, "train", config) == cli.EXIT_CONFIG
+    assert str(losses) in capsys.readouterr().err
+    assert losses.read_text() == old
+    assert (tmp_path / "out" / "config.json").read_text() == written
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("verify", "verify", "checkpoint"), ("simulate", "simulate", "checkpoint"),
+    ("train", "train", "resume_from")])
+@pytest.mark.parametrize("setting, name", [
+    ({"mode": "affine"}, "model.mode"), ({"depth": 2}, "model.depth"),
+    ({"widths": {"gf": 8, "gu": 16, "gv": 8}}, "model.widths.gu")])
+def test_model_differing_from_checkpoint_exits_one(tmp_path, capsys, command, section,
+                                                   key, setting, name):
+    config = with_section(section, **{key: write_checkpoint(tmp_path)})
+    config["model"] = dict(config["model"], **setting)
+    assert run(tmp_path, command, config) == cli.EXIT_CONFIG
+    assert name in capsys.readouterr().err
+
+
+def test_model_keys_matching_checkpoint_accepted(tmp_path):
+    # widths of the other mode's networks are ignored, as a fresh model ignores them
+    config = with_section("verify", checkpoint=write_checkpoint(tmp_path))
+    config["model"] = {"mode": "general", "depth": 3,
+                       "widths": dict(TINY["model"]["widths"], gf1=5)}
+    assert run(tmp_path, "verify", config) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("how", ["config", "flag"])
+def test_system_differing_from_checkpoint_exits_one(tmp_path, capsys, command, how):
+    assert run(tmp_path, "train", TINY, out="train") == cli.EXIT_OK
+    config = with_section(command, checkpoint=str(tmp_path / "train" / "checkpoint.json"))
+    if command == "simulate":
+        config["simulate"].update(k=1, T=0.01)
+    flags = []
+    if how == "config":
+        config["system"] = "pendulum"
+    else:
+        flags = ["--system", "pendulum"]
+    assert run(tmp_path, command, config, *flags) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "system = 'pendulum' differs from 'vdp'" in err
+    # the system the checkpoint records is accepted
+    config["system"] = "vdp"
+    assert run(tmp_path, command, config) == cli.EXIT_OK

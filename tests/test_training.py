@@ -197,15 +197,75 @@ class TestTrain:
         assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1] and runs[0][2] == runs[1][2]
 
-    def test_clipping_bounds_update_norm(self, small_model, vdp_system, vdp_hyper):
-        ds = training.sample_dataset(vdp_system, vdp_hyper, 64, seed=9)
-        clip = 1e-3
-        before = small_model.get_params()
-        cfg = TrainConfig(lr=1.0, epochs=1, batch_size=64, clip_norm=clip,
+    @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["every-step", "no-step"])
+    def test_adam_receives_clipped_gradient(self, monkeypatch, small_model, vdp_system,
+                                            vdp_hyper, clip):
+        # every gradient Adam is fed is the step's raw gradient, rescaled to
+        # norm clip_norm where it was longer, and passed as it is otherwise
+        raw, fed = [], []
+        param_gradient, adam_step = training.param_gradient, training.adam_step
+
+        def record_raw(*args):
+            grad = param_gradient(*args)
+            raw.append(grad.copy())
+            return grad
+
+        def record_fed(theta, grad, state, lr):
+            fed.append(grad.copy())
+            return adam_step(theta, grad, state, lr)
+
+        monkeypatch.setattr(training, "param_gradient", record_raw)
+        monkeypatch.setattr(training, "adam_step", record_fed)
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 256, seed=9)
+        cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=64, clip_norm=clip,
                           holdout=0.0, seed=4)
-        training.train(small_model, ds, cfg)
-        step = small_model.get_params() - before
-        assert np.linalg.norm(step) <= cfg.lr * clip + 1e-12
+        result = training.train(small_model, ds, cfg)
+        assert len(raw) == len(fed) == 8
+        norms = [np.linalg.norm(g) for g in raw]
+        if clip < 1:
+            assert min(norms) > clip and result.clip_frac == [1.0, 1.0]
+            for g, f, nm in zip(raw, fed, norms):
+                assert np.linalg.norm(f) <= clip * (1 + 1e-12)
+                assert np.allclose(f, g * (clip / nm), rtol=1e-15, atol=0.0)
+        else:
+            assert max(norms) < clip and result.clip_frac == [0.0, 0.0]
+            for g, f in zip(raw, fed):
+                assert np.array_equal(f, g)
+        assert result.grad_norm_max == [max(norms[:4]), max(norms[4:])]
+
+    def test_adam_step_matches_textbook_update(self):
+        rng = np.random.default_rng(19)
+        theta = rng.normal(size=50)
+        state = training.AdamState.zeros(50)
+        ref, m, v = theta.copy(), np.zeros(50), np.zeros(50)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
+        for t in range(1, 6):
+            grad = rng.normal(size=50)
+            training.adam_step(theta, grad, state, lr)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            ref = ref - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+            assert state.step == t
+            assert np.allclose(state.m, m, rtol=1e-15, atol=0.0)
+            assert np.allclose(state.v, v, rtol=1e-15, atol=0.0)
+            assert np.allclose(theta, ref, rtol=1e-13, atol=1e-16)
+
+    def test_continued_state_matches_uninterrupted_run(self, vdp_system, vdp_hyper):
+        # 2 + 2 epochs through a saved and reloaded optimizer state, against 4
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 200, seed=20)
+        cfg = TrainConfig(epochs=4, batch_size=64, seed=7)
+        whole = make_model(vdp_hyper, seed=21)
+        full = training.train(whole, ds, cfg)
+        part = make_model(vdp_hyper, seed=21)
+        first = training.train(part, ds, TrainConfig(epochs=2, batch_size=64, seed=7))
+        assert first.optimizer.epochs == 2
+        second = training.train(part, ds, TrainConfig(epochs=2, batch_size=64, seed=7),
+                                first.optimizer)
+        assert np.array_equal(part.get_params(), whole.get_params())
+        assert first.train_losses + second.train_losses == full.train_losses
+        assert first.holdout_losses + second.holdout_losses == full.holdout_losses
+        assert np.array_equal(second.optimizer.m, full.optimizer.m)
+        assert second.optimizer.step == full.optimizer.step == 12
 
     def test_divergence_guard(self, small_model, vdp_system, vdp_hyper):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 64, seed=10)
@@ -305,3 +365,47 @@ class TestCheckpoint:
         path.write_text('{"something": "else"}')
         with pytest.raises(CheckpointFormatError):
             training.load_checkpoint(path)
+
+    def test_optimizer_state_and_system_roundtrip(self, tmp_path, small_model,
+                                                  vdp_system, vdp_hyper):
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 100, seed=22)
+        state = training.train(small_model, ds, TrainConfig(epochs=1, batch_size=32)).optimizer
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path, system="vdp", optimizer=state)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2 and doc["system"] == "vdp"
+        assert isinstance(doc["optimizer"]["m"], str)
+        model, system, back = training.load_checkpoint(path, return_state=True)
+        assert system == "vdp"
+        assert np.array_equal(model.get_params(), small_model.get_params())
+        assert (back.step, back.epochs) == (state.step, state.epochs) == (3, 1)
+        assert np.array_equal(back.m, state.m) and np.array_equal(back.v, state.v)
+
+    def test_format_one_loads_without_state(self, tmp_path, small_model):
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        doc = json.loads(path.read_text())
+        assert "system" not in doc and "optimizer" not in doc
+        doc["format_version"] = 1
+        path.write_text(json.dumps(doc))
+        model, system, state = training.load_checkpoint(path, return_state=True)
+        assert system is None and state is None
+        assert np.array_equal(model.get_params(), small_model.get_params())
+
+    @pytest.mark.parametrize("entry, error", [
+        ({"step": -1}, CheckpointFormatError), ({"epochs": 1.5}, CheckpointFormatError),
+        ({"m": "not base64!"}, CheckpointFormatError),
+        ({"v": "AAAAAAAA8P8="}, CheckpointShapeError),
+        ({"v": None}, CheckpointFormatError)],
+        ids=["step", "epochs", "m", "v-size", "v-type"])
+    def test_malformed_optimizer_state(self, tmp_path, small_model, entry, error):
+        path = tmp_path / "ck.json"
+        size = small_model.layout.size
+        state = training.AdamState(np.zeros(size), np.ones(size), 5, 1)
+        training.save_checkpoint(small_model, path, optimizer=state)
+        doc = json.loads(path.read_text())
+        doc["optimizer"].update(entry)
+        path.write_text(json.dumps(doc))
+        training.load_checkpoint(path)  # the model alone does not read the state
+        with pytest.raises(error):
+            training.load_checkpoint(path, return_state=True)
