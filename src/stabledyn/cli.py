@@ -1,12 +1,15 @@
 """Command-line front end: sample, train, simulate, portrait, verify.
 
 Every command is driven by a JSON config (all keys optional, published
-hyperparameters as defaults) plus a few overriding flags, and is fully
-reproducible from config + seed.  The resolved config is embedded in every
-artifact the command writes.
+hyperparameters as defaults) plus a few overriding flags.  A run is
+reproducible from config + seed at a fixed BLAS thread count: a trained
+model also depends on the thread count, which no artifact records.  The
+resolved config is embedded in every artifact the command writes, and goes
+to the output directory's ``config.json`` once the command has finished, so
+a command that fails leaves that file as it was.
 
-Exit codes: 0 success, 1 validation/config error, 2 numerical failure,
-3 verification failure.
+Exit codes: 0 success, 1 validation/config error (bad arguments included),
+2 numerical failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +36,12 @@ class ConfigError(ValueError):
 
 
 class RunConfig(dict):
-    """A resolved run config, with the ``model`` keys the config itself set
-    in ``model_keys``: the defaults filled in for the rest must not be held
-    against a checkpoint."""
+    """A resolved run config.  ``model_keys`` holds the ``model`` keys the
+    config itself set: the defaults filled in for the rest must not be held
+    against a checkpoint.  ``trainer`` is the run's TrainConfig."""
 
     model_keys = frozenset()
+    trainer = None
 
 
 EXIT_OK = 0
@@ -45,70 +49,150 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
 
-_HYPER_KEYS = {"alpha", "beta", "lambda", "eps_pd", "eps_proj", "d",
-               "u_lim", "x_lb", "x_ub", "v_cap"}
-_MODEL_KEYS = {"mode", "widths", "depth"}
-_TRAIN_KEYS = {"lr", "batch_size", "epochs", "clip_norm", "holdout",
-               "dataset", "resume_from"}
-_SAMPLE_KEYS = {"n"}
-_SIM_KEYS = {"k", "T", "h", "checkpoint"}
-_PORTRAIT_KEYS = {"resolution", "checkpoint"}
-_VERIFY_KEYS = {"checkpoint", "dataset", "n_samples", "r", "rollouts",
-                "ablate_projection", "checks"}
-_TOP_KEYS = {"name", "system", "seed", "hyper", "model", "train", "sample",
-             "simulate", "portrait", "verify"}
 _ALL_CHECKS = ("decrease", "decay", "quad", "certificate")
-# (section, key, smallest allowed value) for integer settings, and the
-# float settings that must be positive and finite when set
-_MINIMA = (("verify", "n_samples", 1), ("verify", "rollouts", 1),
-           ("portrait", "resolution", 2), ("simulate", "k", 1), ("sample", "n", 1))
-_POSITIVE = (("simulate", "T"), ("simulate", "h"), ("verify", "r"))
-# settings kept as given that must be real numbers; beta and r may be null
-_REAL_KEYS = (("hyper", "alpha"), ("hyper", "beta"), ("hyper", "lambda"),
-              ("hyper", "eps_pd"), ("hyper", "eps_proj"), ("hyper", "d"),
-              ("hyper", "v_cap"), ("train", "lr"), ("train", "clip_norm"),
-              ("train", "holdout"), ("verify", "r"))
 
 
-def _check_keys(section, allowed, where):
-    unknown = set(section) - allowed
+# ---------------------------------------------------------------------------
+# Config schema: each key's default and the rule that checks and resolves it
+# ---------------------------------------------------------------------------
+
+def _number(kind=None, least=-math.inf, positive=False, null=False):
+    """A number, converted by ``kind`` (int or float) or kept as given: at
+    least ``least``, positive and finite where ``positive``, null where
+    ``null``.  Strings and booleans are refused, and so are non-integral
+    numbers for an int."""
+    def rule(value, name):
+        if value is None and null:
+            return None
+        try:
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or (kind is int and isinstance(value, float) and not value.is_integer())):
+                raise TypeError
+            value = value if kind is None else kind(value)
+        except (TypeError, ValueError, OverflowError):
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+        if value < least:
+            raise ConfigError(f"{name} must be at least {least}, got {value}")
+        if positive and not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+        return value
+    return rule
+
+
+def _typed(kind, what):
+    def rule(value, name):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return value
+    return rule
+
+
+def _choice(options):
+    def rule(value, name):
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {list(options)}, got {value!r}")
+        return value
+    return rule
+
+
+def _checks(value, name):
+    if not isinstance(value, list) or any(check not in _ALL_CHECKS for check in value):
+        raise ConfigError(f"{name} must be a list of checks from {list(_ALL_CHECKS)}, "
+                          f"got {value!r}")
+    return list(value)
+
+
+def _keyed(rules, null=False):
+    """An object of known keys, each checked by its own rule and kept in the
+    config's order (null where ``null``)."""
+    def rule(value, name):
+        if value is None and null:
+            return None
+        _check_keys(value, rules, name)
+        return {key: rules[key](v, f"{name}.{key}") for key, v in value.items()}
+    return rule
+
+
+def _field_rule(field):
+    """A dataclass field's type rule: an integer for an int, a number kept as
+    given (null where the default is None) for a float.  The dataclass
+    checks every other field and every range itself."""
+    kind = getattr(field.type, "__name__", field.type)  # annotations may be strings
+    if kind in ("int", "float"):
+        return _number(int if kind == "int" else None, null=field.default is None)
+    return lambda value, name: value
+
+
+# Hyper's fields, with ``lam`` spelled "lambda"; only the keys the config
+# sets are kept, and Hyper fills in the rest
+_HYPER_RULES = {("lambda" if f.name == "lam" else f.name): _field_rule(f)
+                for f in fields(Hyper)}
+# TrainConfig's fields; its seed comes from the run's seed
+_TRAIN_FIELDS = [f for f in fields(training.TrainConfig) if f.name != "seed"]
+
+_PATH = (None, _typed((str, type(None)), "a string or null"))
+_SCHEMA = {
+    "name": ("run", _typed(str, "a string")),
+    "system": ("vdp", _choice(systems.system_names())),
+    "seed": (0, _number(int, 0)),
+    "hyper": ({}, _keyed(_HYPER_RULES)),
+    "model": {"mode": ("general", _choice(("general", "affine"))),
+              "widths": (None, _keyed(dict.fromkeys(DEFAULT_WIDTHS, _number(int, 1)),
+                                      null=True)),
+              "depth": (DEFAULT_DEPTH, _number(int))},
+    "train": {**{f.name: (f.default, _field_rule(f)) for f in _TRAIN_FIELDS},
+              "dataset": _PATH, "resume_from": _PATH},
+    "sample": {"n": (100000, _number(int, 1))},
+    "simulate": {"k": (5, _number(int, 1)),
+                 "T": (10.0, _number(float, positive=True)),
+                 "h": (1e-3, _number(float, positive=True)),
+                 "checkpoint": _PATH},
+    "portrait": {"resolution": (41, _number(int, 2)), "checkpoint": _PATH},
+    "verify": {"checkpoint": _PATH, "dataset": _PATH,
+               "n_samples": (100000, _number(int, 1)),
+               "r": (None, _number(positive=True, null=True)),
+               "rollouts": (5, _number(int, 1)),
+               "ablate_projection": (False, _typed(bool, "true or false")),
+               "checks": (list(_ALL_CHECKS), _checks)},
+}
+
+
+def _check_keys(section, allowed, where=None):
+    """``section`` is an object whose keys are all ``allowed``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where or 'config root'} must be an object, got {section!r}")
+    unknown = sorted(f"{where}.{key}" if where else key
+                     for key in set(section) - set(allowed))
     if unknown:
-        raise ConfigError(f"unknown config key(s) in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}; "
+                          f"choose from {sorted(allowed)}")
 
 
-def _coerce(value, name, kind=int):
-    """``kind(value)``, or a ConfigError naming the setting.  Only real
-    numbers are converted: strings and booleans are refused, and so are
-    non-integral numbers for an int setting."""
-    try:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or (kind is int and isinstance(value, float) and not value.is_integer())):
-            raise TypeError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
-
-
-def _widths(widths):
-    """``model.widths`` with known network names and integer widths >= 1."""
-    if widths is None:
-        return None
-    if not isinstance(widths, dict):
-        raise ConfigError(f"model.widths must be an object, got {widths!r}")
+def _resolve(schema, raw, where=None):
+    """``raw`` under ``schema``: each key's rule applied to its value or
+    default, in schema order, and each section resolved in turn."""
+    _check_keys(raw, schema, where)
     out = {}
-    for net, value in widths.items():
-        name = f"model.widths.{net}"
-        if net not in DEFAULT_WIDTHS:
-            raise ConfigError(f"{name}: unknown network; choose from {sorted(DEFAULT_WIDTHS)}")
-        out[net] = _coerce(value, name)
-        if out[net] < 1:
-            raise ConfigError(f"{name} must be at least 1, got {out[net]}")
+    for key, entry in schema.items():
+        name = f"{where}.{key}" if where else key
+        if isinstance(entry, dict):
+            out[key] = _resolve(entry, raw.get(key, {}), name)
+        else:
+            default, rule = entry
+            out[key] = rule(raw.get(key, default), name)
     return out
 
 
 def load_config(path=None, overrides=None):
-    """Parse, validate, and default-fill a run config."""
+    """Parse, validate, and default-fill a run config.
+
+    ``overrides`` replace top-level keys of the file (None values are
+    skipped) before any check runs.  A new key is added in one place: an
+    entry of ``_SCHEMA`` with its default and rule, or a field of
+    :class:`Hyper` (the ``hyper`` section) or :class:`training.TrainConfig`
+    (the ``train`` section), which also own their ranges.
+    """
     raw = {}
     if path is not None:
         try:
@@ -118,89 +202,16 @@ def load_config(path=None, overrides=None):
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config root")
-    for key, allowed in (("hyper", _HYPER_KEYS), ("model", _MODEL_KEYS),
-                         ("train", _TRAIN_KEYS), ("sample", _SAMPLE_KEYS),
-                         ("simulate", _SIM_KEYS), ("portrait", _PORTRAIT_KEYS),
-                         ("verify", _VERIFY_KEYS)):
-        section = raw.get(key, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        _check_keys(section, allowed, f"section {key!r}")
-        raw[key] = section
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            raw[key] = value
-
-    for section, key in _REAL_KEYS:
-        value = raw[section].get(key)
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if key in raw[section] and not real and not (value is None and key in ("beta", "r")):
-            raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-
-    def number(section, key, default, kind=int):
-        """raw[section][key] (top level when section is None) or ``default``,
-        coerced by ``kind``."""
-        value = (raw if section is None else raw[section]).get(key, default)
-        return _coerce(value, key if section is None else f"{section}.{key}", kind)
-
-    train = training.TrainConfig()  # the training defaults live there
-    cfg = RunConfig({
-        "name": raw.get("name", "run"),
-        "system": raw.get("system", "vdp"),
-        "seed": number(None, "seed", 0),
-        "hyper": raw["hyper"],
-        "model": {"mode": raw["model"].get("mode", "general"),
-                  "widths": _widths(raw["model"].get("widths")),
-                  "depth": number("model", "depth", DEFAULT_DEPTH)},
-        "train": {"lr": raw["train"].get("lr", train.lr),
-                  "batch_size": number("train", "batch_size", train.batch_size),
-                  "epochs": number("train", "epochs", train.epochs),
-                  "clip_norm": raw["train"].get("clip_norm", train.clip_norm),
-                  "holdout": raw["train"].get("holdout", train.holdout),
-                  "dataset": raw["train"].get("dataset"),
-                  "resume_from": raw["train"].get("resume_from")},
-        "sample": {"n": number("sample", "n", 100000)},
-        "simulate": {"k": number("simulate", "k", 5),
-                     "T": number("simulate", "T", 10.0, float),
-                     "h": number("simulate", "h", 1e-3, float),
-                     "checkpoint": raw["simulate"].get("checkpoint")},
-        "portrait": {"resolution": number("portrait", "resolution", 41),
-                     "checkpoint": raw["portrait"].get("checkpoint")},
-        "verify": {"checkpoint": raw["verify"].get("checkpoint"),
-                   "dataset": raw["verify"].get("dataset"),
-                   "n_samples": number("verify", "n_samples", 100000),
-                   "r": raw["verify"].get("r"),
-                   "rollouts": number("verify", "rollouts", 5),
-                   "ablate_projection": raw["verify"].get("ablate_projection", False),
-                   "checks": raw["verify"].get("checks", list(_ALL_CHECKS))},
-    })
-    cfg.model_keys = frozenset(raw["model"])
-    for key, kind, what in (("ablate_projection", bool, "true or false"),
-                            ("checks", list, "a list of check names")):
-        if not isinstance(cfg["verify"][key], kind):
-            raise ConfigError(f"verify.{key} must be {what}, got {cfg['verify'][key]!r}")
-    for section, key, least in _MINIMA:
-        if cfg[section][key] < least:
-            raise ConfigError(f"{section}.{key} must be at least {least}, "
-                              f"got {cfg[section][key]}")
-    for section, key in _POSITIVE:
-        value = cfg[section][key]
-        if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"{section}.{key} must be positive and finite, got {value}")
+    raw.update((key, value) for key, value in (overrides or {}).items()
+               if value is not None)
+    cfg = RunConfig(_resolve(_SCHEMA, raw))
+    cfg.model_keys = frozenset(raw.get("model", {}))
+    seed = int(_sub_seed(cfg["seed"], "train").generate_state(1)[0])
     try:  # TrainConfig owns the training ranges
-        training.TrainConfig(**{key: cfg["train"][key] for key in
-                                ("lr", "batch_size", "epochs", "clip_norm", "holdout")})
+        cfg.trainer = training.TrainConfig(
+            seed=seed, **{f.name: cfg["train"][f.name] for f in _TRAIN_FIELDS})
     except ValueError as exc:
         raise ConfigError(f"train.{exc}") from None
-    if cfg["system"] not in systems.system_names():
-        raise ConfigError(f"unknown system {cfg['system']!r}")
-    if cfg["model"]["mode"] not in ("general", "affine"):
-        raise ConfigError(f"model.mode must be 'general' or 'affine', "
-                          f"got {cfg['model']['mode']!r}")
-    for check in cfg["verify"]["checks"]:
-        if check not in _ALL_CHECKS:
-            raise ConfigError(f"unknown verify check {check!r}")
     return cfg
 
 
@@ -221,19 +232,6 @@ def _sub_seed(seed, label):
 def _embed(cfg):
     """The resolved config, paths included, as one line of sorted-key JSON."""
     return json.dumps(cfg, sort_keys=True)
-
-
-def _outpath(args, cfg):
-    return Path(args.out) if args.out else Path("runs") / cfg["name"]
-
-
-def _outdir(args, cfg):
-    out = _outpath(args, cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2)
-        fh.write("\n")
-    return out
 
 
 def _check_model_section(cfg, model, checkpoint):
@@ -287,11 +285,8 @@ def _load_or_init_model(cfg, checkpoint):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_sample(args):
-    cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
+def cmd_sample(cfg, system, out):
     hyper = resolve_hyper(cfg)
-    system = systems.get_system(cfg["system"])
-    out = _outdir(args, cfg)
     seed = int(_sub_seed(cfg["seed"], "dataset").generate_state(1)[0])
     dataset = training.sample_dataset(system, hyper, cfg["sample"]["n"], seed)
     training.export_dataset_csv(dataset, out / "dataset.csv",
@@ -304,12 +299,10 @@ def cmd_sample(args):
 LOSS_COLUMNS = "epoch,train_loss,holdout_loss,grad_norm_max,clip_frac"
 
 
-def cmd_train(args):
-    cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
-    system = systems.get_system(cfg["system"])
+def cmd_train(cfg, system, out):
     tc = cfg["train"]
     model, optimizer = _load_or_init_model(cfg, tc["resume_from"])
-    losses_path = _outpath(args, cfg) / "losses.csv"
+    losses_path = out / "losses.csv"
     existing, offset = "", 0
     if tc["resume_from"] and losses_path.exists():
         existing = losses_path.read_text()
@@ -321,7 +314,6 @@ def cmd_train(args):
         offset = len(lines) - 1
     if tc["resume_from"] and optimizer is None:
         print(f"{tc['resume_from']} holds no optimizer state; Adam starts at step 0")
-    out = _outdir(args, cfg)
 
     if tc["dataset"]:
         dataset = training.import_dataset_csv(tc["dataset"])
@@ -329,11 +321,7 @@ def cmd_train(args):
         seed = int(_sub_seed(cfg["seed"], "dataset").generate_state(1)[0])
         dataset = training.sample_dataset(system, model.hyper, cfg["sample"]["n"], seed)
 
-    config = training.TrainConfig(
-        lr=tc["lr"], batch_size=tc["batch_size"], epochs=tc["epochs"],
-        clip_norm=tc["clip_norm"], holdout=tc["holdout"],
-        seed=int(_sub_seed(cfg["seed"], "train").generate_state(1)[0]))
-    result = training.train(model, dataset, config, optimizer)
+    result = training.train(model, dataset, cfg.trainer, optimizer)
 
     training.save_checkpoint(model, out / "checkpoint.json", system=cfg["system"],
                              optimizer=result.optimizer)
@@ -347,19 +335,16 @@ def cmd_train(args):
                                     result.grad_norm_max, result.clip_frac)):
             fh.write(f"{offset + i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     final = result.train_losses[-1] if result.train_losses else result.initial_loss
-    print(f"trained {config.epochs} epochs; loss {result.initial_loss:.4g} -> {final:.4g}")
+    print(f"trained {cfg.trainer.epochs} epochs; loss {result.initial_loss:.4g} -> {final:.4g}")
     print(f"checkpoint: {out / 'checkpoint.json'}")
     return EXIT_OK
 
 
-def cmd_simulate(args):
-    cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
-    system = systems.get_system(cfg["system"])
+def cmd_simulate(cfg, system, out):
     sc = cfg["simulate"]
     if not sc["checkpoint"]:
         raise ConfigError("simulate requires simulate.checkpoint in the config")
     model, _ = _load_or_init_model(cfg, sc["checkpoint"])
-    out = _outdir(args, cfg)
 
     rng = np.random.default_rng(_sub_seed(cfg["seed"], "simulate"))
     starts = rng.uniform(model.hyper.x_lb, model.hyper.x_ub, size=(sc["k"], model.n))
@@ -372,11 +357,9 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def cmd_portrait(args):
-    cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
+def cmd_portrait(cfg, system, out):
     pc = cfg["portrait"]
     model, _ = _load_or_init_model(cfg, pc["checkpoint"])
-    out = _outdir(args, cfg)
     comment = "# config: " + _embed(cfg)
     grids = sim.export_field(model, ("fhat", "fstar", "gv", "v"), pc["resolution"])
     for kind, grid in grids.items():
@@ -385,15 +368,10 @@ def cmd_portrait(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
-    if args.ablate_projection:
-        cfg["verify"]["ablate_projection"] = True
-    system = systems.get_system(cfg["system"])
+def cmd_verify(cfg, system, out):
     vc = cfg["verify"]
     model, _ = _load_or_init_model(cfg, vc["checkpoint"])
     hyper = model.hyper
-    out = _outdir(args, cfg)
     seed_root = _sub_seed(cfg["seed"], "verify")
     seeds = seed_root.generate_state(4)
     ablate = vc["ablate_projection"]
@@ -485,7 +463,7 @@ def build_parser():
         if name == "verify":
             p.add_argument("--ablate-projection", action="store_true",
                            help="negative control: audit the raw nominal model")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, ablate_projection=False)
     return parser
 
 
@@ -495,10 +473,21 @@ def main(argv=None):
     except argparse.ArgumentError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SystemExit as exc:  # --help or argparse-internal exits
-        return int(exc.code or 0)
+    except SystemExit as exc:  # --help exits 0, argparse's usage errors 2
+        return EXIT_OK if not exc.code else EXIT_CONFIG
     try:
-        return args.fn(args)
+        cfg = load_config(args.config, {"seed": args.seed, "system": args.system})
+        if args.ablate_projection:
+            cfg["verify"]["ablate_projection"] = True
+        out = Path(args.out) if args.out else Path("runs") / cfg["name"]
+        out.mkdir(parents=True, exist_ok=True)
+        code = args.fn(cfg, systems.get_system(cfg["system"]), out)  # 0 or 3
+        # written only now: a failed command leaves the directory's config.json
+        # describing the run that made its other files
+        with open(out / "config.json", "w") as fh:
+            json.dump(cfg, fh, indent=2)
+            fh.write("\n")
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -362,3 +362,59 @@ def test_system_differing_from_checkpoint_exits_one(tmp_path, capsys, command, h
     # the system the checkpoint records is accepted
     config["system"] = "vdp"
     assert run(tmp_path, command, config) == cli.EXIT_OK
+
+
+def test_failed_command_keeps_run_directory_config(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    marker = b'{"marker": true}\n'
+    (out / "config.json").write_bytes(marker)
+    config = with_section("train", dataset=str(tmp_path / "missing.csv"))
+    assert run(tmp_path, "train", config) == cli.EXIT_CONFIG
+    assert "input error" in capsys.readouterr().err
+    assert (out / "config.json").read_bytes() == marker
+
+
+@pytest.mark.parametrize("overrides, name", [
+    ({"train": {"bogus": 1}}, "train.bogus"), ({"hyper": {"nonsense": 3}}, "hyper.nonsense"),
+    ({"verify": {"n_samples": 0}}, "verify.n_samples")])
+def test_overrides_pass_the_same_checks(overrides, name):
+    with pytest.raises(cli.ConfigError, match=name):
+        cli.load_config(overrides=overrides)
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", None, "name", 5), ("train", "train", "dataset", 0),
+    ("train", "train", "resume_from", 2.5), ("verify", "verify", "dataset", ["d.csv"]),
+    ("verify", "verify", "checkpoint", False), ("simulate", "simulate", "checkpoint", 12345),
+    ("portrait", "portrait", "checkpoint", {"path": "ck.json"})])
+def test_non_string_name_or_path_exits_one(tmp_path, capsys, command, section, key, value):
+    if section is None:
+        config = dict(TINY, **{key: value})
+    else:
+        config = with_section(section, **{key: value})
+    assert run(tmp_path, command, config) == cli.EXIT_CONFIG
+    assert (key if section is None else f"{section}.{key}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], cli.EXIT_CONFIG), (["train", "--nosuchflag"], cli.EXIT_CONFIG),
+    (["train", "--seed", "x"], cli.EXIT_CONFIG), (["nosuchcommand"], cli.EXIT_CONFIG),
+    (["--help"], cli.EXIT_OK), (["verify", "--help"], cli.EXIT_OK)])
+def test_argument_exit_codes(capsys, argv, code):
+    assert cli.main(argv) == code
+
+
+def test_hyper_and_train_keys_are_their_dataclass_fields():
+    hyper = Hyper.for_system(systems.get_system("vdp"), alpha=0.5, lam=1e-4)
+    cfg = cli.load_config(overrides={"hyper": hyper.to_dict(),
+                                     "train": {"lr": 0.5, "epochs": 3.0}})
+    assert cli.resolve_hyper(cfg).to_dict() == hyper.to_dict()
+    assert cfg.trainer == training.TrainConfig(lr=0.5, epochs=3, seed=cfg.trainer.seed)
+    assert isinstance(cfg.trainer.epochs, int)
+
+
+def test_negative_seed_exits_one(tmp_path, capsys):
+    # SeedSequence refuses it; the config check names it before any work
+    assert cli.main(["sample", "--seed", "-1", "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert "seed must be at least 0" in capsys.readouterr().err

@@ -113,7 +113,7 @@ class TestDecayBound:
             controls=traj.controls[:stop], v_trace=traj.v_trace[:stop],
             norm_trace=traj.norm_trace[:stop])
         rep = verify.decay_bound_check(clipped, vdp_hyper)
-        assert rep.passed, (rep.worst_v_ratio, rep.worst_norm_ratio)
+        assert rep.passed, rep.worst_v_ratio
 
     def test_inflated_trace_fails(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=6)
