@@ -27,7 +27,7 @@ import numpy as np
 
 from . import sim, systems, training, verify
 from .diffcore import GradientError
-from .models import DEFAULT_DEPTH, DEFAULT_WIDTHS, Hyper, StableDynamicsModel
+from .models import DEFAULT_DEPTH, NETWORKS, Hyper, StableDynamicsModel
 from .systems import DomainError
 
 
@@ -137,10 +137,11 @@ _SCHEMA = {
     "system": ("vdp", _choice(systems.system_names())),
     "seed": (0, _number(int, 0)),
     "hyper": ({}, _keyed(_HYPER_RULES)),
-    "model": {"mode": ("general", _choice(("general", "affine"))),
-              "widths": (None, _keyed(dict.fromkeys(DEFAULT_WIDTHS, _number(int, 1)),
+    "model": {"mode": ("general", _choice(tuple(NETWORKS))),
+              "widths": (None, _keyed({role.name: _number(int, 1)
+                                       for roles in NETWORKS.values() for role in roles},
                                       null=True)),
-              "depth": (DEFAULT_DEPTH, _number(int))},
+              "depth": (DEFAULT_DEPTH, _number(int, 0))},
     "train": {**{f.name: (f.default, _field_rule(f)) for f in _TRAIN_FIELDS},
               "dataset": _PATH, "resume_from": _PATH},
     "sample": {"n": (100000, _number(int, 1))},
@@ -268,7 +269,7 @@ def _load_or_init_model(cfg, checkpoint):
         return StableDynamicsModel.initialize(
             hyper, seed=seed, mode=cfg["model"]["mode"],
             widths=cfg["model"]["widths"], depth=cfg["model"]["depth"]), None
-    model, system, optimizer = training.load_checkpoint(checkpoint, return_state=True)
+    model, system, optimizer = training.load_checkpoint(checkpoint)
     if system is not None and system != cfg["system"]:
         raise ConfigError(f"system = {cfg['system']!r} differs from {system!r} "
                           f"in checkpoint {checkpoint}")
@@ -361,8 +362,7 @@ def cmd_portrait(cfg, system, out):
     pc = cfg["portrait"]
     model, _ = _load_or_init_model(cfg, pc["checkpoint"])
     comment = "# config: " + _embed(cfg)
-    grids = sim.export_field(model, ("fhat", "fstar", "gv", "v"), pc["resolution"])
-    for kind, grid in grids.items():
+    for kind, grid in sim.export_field(model, pc["resolution"]).items():
         grid.to_csv(out / f"field_{kind}.csv", comment=comment)
     print(f"wrote 4 field grids at resolution {pc['resolution']} to {out}")
     return EXIT_OK

@@ -25,7 +25,9 @@ needed.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,8 +55,16 @@ class Hyper:
 
     def __post_init__(self):
         for name in ("u_lim", "x_lb", "x_ub"):
-            box = np.atleast_1d(np.asarray(getattr(self, name), dtype=np.float64))
-            # a null (NaN) or infinite bound would pass every ordering check
+            value = getattr(self, name)
+            items = value.tolist() if isinstance(value, np.ndarray) else value
+            items = items if isinstance(items, (list, tuple)) else [items]
+            # numbers only: numpy would read "1.3" and true as bounds
+            if not items or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                                for v in items):
+                raise ValueError(f"{name} must be a number or a flat list of numbers, "
+                                 f"got {value!r}")
+            box = np.array(items, dtype=np.float64)
+            # an infinite or NaN bound would pass every ordering check
             if not np.all(np.isfinite(box)):
                 raise ValueError(f"{name} must be finite, got {box.tolist()}")
             object.__setattr__(self, name, box)
@@ -108,9 +118,27 @@ class Hyper:
         return cls.from_dict(base)
 
 
-GENERAL_NETS = ("gf", "gu", "gv")
-AFFINE_NETS = ("gf1", "gf2", "gv")
-DEFAULT_WIDTHS = {"gf": 100, "gu": 50, "gv": 50, "gf1": 100, "gf2": 100}
+class NetRole(NamedTuple):
+    """A learned network's role: its (input, output) widths as a function of
+    the state and control dimensions n and m, its hidden and output
+    activations, and its default hidden width."""
+
+    name: str
+    dims: Callable
+    hidden: str
+    out: str
+    width: int
+
+
+_GV = NetRole("gv", lambda n, m: (n, 1), "smoothed_relu", "tanh", 50)
+# Each mode's networks in layout order, gv last so that layouts stay
+# mode-consistent; initialize draws network i from seed stream i.
+NETWORKS = {
+    "general": (NetRole("gf", lambda n, m: (n + m, n), "tanh", "identity", 100),
+                NetRole("gu", lambda n, m: (n, m), "tanh", "tanh", 50), _GV),
+    "affine": (NetRole("gf1", lambda n, m: (n, n), "tanh", "identity", 100),
+               NetRole("gf2", lambda n, m: (n, n * m), "tanh", "identity", 100), _GV),
+}
 DEFAULT_DEPTH = 3
 
 
@@ -136,7 +164,11 @@ class StableDynamicsModel:
     """The learned triple (nominal dynamics, controller, Lyapunov function).
 
     ``mode`` is "general" (networks gf, gu, gv) or "affine" (gf1, gf2, gv
-    with the bang-bang controller induced by the Lyapunov gradient).  All
+    with the bang-bang controller induced by the Lyapunov gradient).
+    :data:`NETWORKS` declares each mode's networks; the constructor raises
+    ValueError, naming the network, unless ``nets`` holds them in that
+    order with the declared input and output widths and activations, and
+    with ``srelu_width == hyper.d`` wherever a layer is smoothed-ReLU.  All
     evaluation methods take (B, n) state batches, and (B, m) control
     batches where they take controls, and return row-batched arrays.
 
@@ -146,11 +178,23 @@ class StableDynamicsModel:
     """
 
     def __init__(self, nets, hyper, mode="general"):
-        expected = GENERAL_NETS if mode == "general" else AFFINE_NETS
-        if mode not in ("general", "affine"):
+        if not isinstance(mode, str) or mode not in NETWORKS:
             raise ValueError(f"unknown mode {mode!r}")
+        expected = tuple(role.name for role in NETWORKS[mode])
         if tuple(nets) != expected:
             raise ValueError(f"mode {mode!r} requires networks {expected}, got {tuple(nets)}")
+        for role in NETWORKS[mode]:
+            net, dims = nets[role.name], role.dims(hyper.n, hyper.m)
+            if (net.in_dim, net.out_dim) != dims:
+                raise ValueError(f"{role.name} must have (input, output) widths {dims}, "
+                                 f"got {(net.in_dim, net.out_dim)}")
+            acts = [role.hidden] * (len(net.activations) - 1) + [role.out]
+            if list(net.activations) != acts:
+                raise ValueError(f"{role.name} must have {role.hidden} hidden layers and "
+                                 f"a {role.out} output, got {list(net.activations)}")
+            if "smoothed_relu" in acts and net.srelu_width != hyper.d:
+                raise ValueError(f"{role.name} srelu_width {net.srelu_width} differs "
+                                 f"from hyper.d = {hyper.d}")
         self.nets = nets
         self.hyper = hyper
         self.mode = mode
@@ -158,46 +202,24 @@ class StableDynamicsModel:
         self.m = hyper.m
         self.layout = ParamLayout(nets)
         self._np_cache = None
-        self._check_shapes()
-
-    def _check_shapes(self):
-        n, m = self.n, self.m
-        shapes = {"gv": (n, 1, "state to a scalar"),
-                  "gf": (n + m, n, "(state, control) to state derivative"),
-                  "gu": (n, m, "state to control"),
-                  "gf1": (n, n, "state to state derivative"),
-                  "gf2": (n, n * m, "state to an n*m coefficient block")}
-        for name, net in self.nets.items():
-            in_dim, out_dim, what = shapes[name]
-            if (net.in_dim, net.out_dim) != (in_dim, out_dim):
-                raise ValueError(f"{name} must map {what}")
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def initialize(cls, hyper, seed=0, mode="general", widths=None, depth=DEFAULT_DEPTH):
-        """Fresh deterministic initialization with the standard layer sizes."""
-        n, m = hyper.n, hyper.m
-        widths = dict(DEFAULT_WIDTHS, **(widths or {}))
+        """Fresh deterministic initialization of the mode's :data:`NETWORKS`,
+        at their default widths unless ``widths`` names others."""
+        roles = NETWORKS.get(mode, ())  # the constructor names an unknown mode
+        widths = widths or {}
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        children = ss.spawn(3)
         nets = {}
-        if mode == "general":
-            nets["gf"] = init_network([n + m] + [widths["gf"]] * depth + [n],
-                                      "tanh", children[0])
-            nets["gu"] = init_network([n] + [widths["gu"]] * depth + [m],
-                                      "tanh", children[1], out_activation="tanh")
-        else:
-            nets["gf1"] = init_network([n] + [widths["gf1"]] * depth + [n],
-                                       "tanh", children[0])
-            nets["gf2"] = init_network([n] + [widths["gf2"]] * depth + [n * m],
-                                       "tanh", children[1])
-        nets["gv"] = init_network([n] + [widths["gv"]] * depth + [1],
-                                  "smoothed_relu", children[2],
-                                  out_activation="tanh", srelu_width=hyper.d)
-        # gv is keyed last in both modes so layouts stay mode-consistent
-        ordered = {name: nets[name] for name in (GENERAL_NETS if mode == "general" else AFFINE_NETS)}
-        return cls(ordered, hyper, mode)
+        for role, child in zip(roles, ss.spawn(len(roles))):
+            in_dim, out_dim = role.dims(hyper.n, hyper.m)
+            srelu = {"srelu_width": hyper.d} if role.hidden == "smoothed_relu" else {}
+            nets[role.name] = init_network(
+                [in_dim] + [widths.get(role.name, role.width)] * depth + [out_dim],
+                role.hidden, child, out_activation=role.out, **srelu)
+        return cls(nets, hyper, mode)
 
     # -- parameter plumbing ------------------------------------------------
 

@@ -198,9 +198,6 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
 # Grid exports
 # ---------------------------------------------------------------------------
 
-FIELD_KINDS = ("fstar", "fhat", "true", "v", "gv")
-
-
 @dataclass
 class FieldGrid:
     """Values of a planar field or scalar on a regular node grid.
@@ -226,44 +223,26 @@ class FieldGrid:
         _write_csv(path, cols, body, comment)
 
 
-def export_field(model, kinds, resolution, system=None):
-    """Evaluate model/system quantities on the state box grid (planar only).
+def export_field(model, resolution):
+    """The model's four planar grids on the state box (planar only), all read
+    from one evaluation of the model on the grid.
 
-    Returns ``{kind: FieldGrid}`` for each of ``kinds``, all read from one
-    evaluation of the model on the grid.  Kinds: "fstar" and "fhat" are the
-    projected/nominal closed-loop fields, "true" is the true plant under the
-    learned controller (needs ``system``), "v" and "gv" are the Lyapunov
-    value and its raw network.
+    Returns ``{kind: FieldGrid}`` for the kinds "fhat", "fstar", "gv" and
+    "v", in that order: the nominal and projected closed-loop fields
+    fhat(x, u*(x)) and f*(x, u*(x)), the Lyapunov network's raw term
+    v_cap (gv(x) - gv(0)), and the Lyapunov value V(x).
     """
     if model.n != 2:
         raise DimensionError(f"grid export needs a planar state space, n={model.n}")
-    if isinstance(kinds, str):
-        raise TypeError("kinds must be a tuple of field kinds, not a string")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    for kind in kinds:
-        if kind not in FIELD_KINDS:
-            raise ValueError(f"unknown field kind {kind!r}; choose from {FIELD_KINDS}")
-    if "true" in kinds and system is None:
-        raise ValueError("kind 'true' requires the true system")
     hp = model.hyper
     xs = np.linspace(hp.x_lb[0], hp.x_ub[0], resolution)
     ys = np.linspace(hp.x_lb[1], hp.x_ub[1], resolution)
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
-    grid = np.column_stack((XX.ravel(), YY.ravel()))
-    pieces = model.eval_pieces(grid)
-    grids = {}
-    for kind in kinds:
-        if kind == "fstar":
-            vals = pieces["fstar_star"]
-        elif kind == "fhat":
-            vals = pieces["fhat_star"]
-        elif kind == "true":
-            vals = system.dynamics(grid, pieces["u_star"])
-        elif kind == "v":
-            vals = pieces["v"][:, 0]
-        else:
-            vals = (pieces["gv_x"] - pieces["gv_0"])[:, 0]
-        shape = (resolution, resolution) + ((vals.shape[1],) if vals.ndim == 2 else ())
-        grids[kind] = FieldGrid(xs, ys, vals.reshape(shape), kind)
-    return grids
+    pieces = model.eval_pieces(np.column_stack((XX.ravel(), YY.ravel())))
+    values = {"fhat": pieces["fhat_star"], "fstar": pieces["fstar_star"],
+              "gv": (pieces["gv_x"] - pieces["gv_0"])[:, 0], "v": pieces["v"][:, 0]}
+    return {kind: FieldGrid(xs, ys, vals.reshape((resolution, resolution) + vals.shape[1:]),
+                            kind)
+            for kind, vals in values.items()}

@@ -71,8 +71,6 @@ class SystemSpec:
     """A named benchmark plant with its published domain boxes."""
 
     name: str
-    n: int
-    m: int
     params: dict
     x_lb: np.ndarray
     x_ub: np.ndarray
@@ -85,7 +83,7 @@ class SystemSpec:
 
 def _spec(name, fn, params, x_bound, u_bound):
     return SystemSpec(
-        name=name, n=2, m=1, params=params,
+        name=name, params=params,
         x_lb=np.array([-x_bound, -x_bound]),
         x_ub=np.array([x_bound, x_bound]),
         u_lim=np.array([u_bound]),

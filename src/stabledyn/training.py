@@ -27,6 +27,7 @@ from .sim import _write_csv
 CHECKPOINT_VERSION = 2
 # format 1 lacks the optional ``system`` and ``optimizer`` entries
 READABLE_VERSIONS = (1, 2)
+LOSS_CHUNK = 20000  # rows per loss_value evaluation
 
 
 class TrainingDivergedError(RuntimeError):
@@ -115,18 +116,15 @@ def export_dataset_csv(dataset, path, meta_path=None, comment=None):
             fh.write("\n")
 
 
-def import_dataset_csv(path, meta_path=None):
+def import_dataset_csv(path):
+    """The rows :func:`export_dataset_csv` wrote, with empty provenance."""
     with open(path) as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
     names = lines[0].strip().split(",")
     n = sum(1 for c in names if c.startswith("x") and not c.startswith("xdot"))
     m = sum(1 for c in names if c.startswith("u"))
     body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    meta = {}
-    if meta_path is not None:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    return Dataset(body[:, :n], body[:, n:n + m], body[:, n + m:], meta)
+    return Dataset(body[:, :n], body[:, n:n + m], body[:, n + m:])
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +181,14 @@ def loss(model, batch):
     return LossGraph(tape, out, model.leaf_blocks(handles), model.layout, value)
 
 
-def loss_value(model, batch, chunk=20000):
+def loss_value(model, batch):
     """Loss of a dataset slice without recording a tape."""
     if len(batch) == 0:
         raise ValueError("loss of an empty batch")
     handles = model.numpy_cache()[0]
     total = 0.0
-    for start in range(0, len(batch), chunk):
-        sl = slice(start, min(start + chunk, len(batch)))
+    for start in range(0, len(batch), LOSS_CHUNK):
+        sl = slice(start, min(start + LOSS_CHUNK, len(batch)))
         part = _loss_node(NumpyOps, model, handles,
                           batch.X[sl], batch.U[sl], batch.Xdot[sl])
         total += float(part) * (sl.stop - sl.start)
@@ -436,10 +434,10 @@ def _optimizer_state(spec, size):
     return AdamState(_decode_floats(m, size, "m"), v, step, epochs)
 
 
-def load_checkpoint(path, *, return_state=False):
-    """The checkpoint's model; with ``return_state``, the tuple
-    ``(model, system, optimizer)``, where a checkpoint that recorded no
-    system or optimizer state gives None for it."""
+def load_checkpoint(path):
+    """The checkpoint's ``(model, system, optimizer)``, with None for a system
+    or optimizer state it did not record.  A network that contradicts its
+    role in :data:`models.NETWORKS` raises CheckpointFormatError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -481,8 +479,6 @@ def load_checkpoint(path, *, return_state=False):
         model = StableDynamicsModel(nets, hyper, mode)
     except ValueError as exc:
         raise CheckpointFormatError(f"checkpoint {path}: {exc}") from exc
-    if not return_state:
-        return model
     system = doc.get("system")
     if system is not None and not isinstance(system, str):
         raise CheckpointFormatError(f"checkpoint {path}: system must be a name, got {system!r}")

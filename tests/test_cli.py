@@ -143,6 +143,18 @@ def test_non_finite_box_exits_one(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [{"a": 1}, "abc", ["-1.3", "-1.3"], [True, -1.3]],
+                         ids=["object", "string", "numeric-strings", "boolean"])
+def test_box_that_is_not_numbers_exits_one(tmp_path, capsys, value):
+    assert run(tmp_path, "sample", with_section("hyper", x_lb=value)) == cli.EXIT_CONFIG
+    assert "x_lb must be a number or a flat list of numbers" in capsys.readouterr().err
+
+
+def test_negative_depth_exits_one(tmp_path, capsys):
+    assert run(tmp_path, "train", with_section("model", depth=-1)) == cli.EXIT_CONFIG
+    assert "model.depth" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("lr", -1), ("clip_norm", 0), ("holdout", 1.0), ("holdout", -0.1),
     ("batch_size", 0), ("epochs", -1)])
@@ -194,6 +206,17 @@ def write_checkpoint(tmp_path, **hyper):
     path = tmp_path / "ck.json"
     training.save_checkpoint(model, path)
     return str(path)
+
+
+def test_portrait_of_checkpoint_with_unbounded_controller_exits_one(tmp_path, capsys):
+    # a gu with an identity output would let u* leave the control box
+    path = Path(write_checkpoint(tmp_path))
+    doc = json.loads(path.read_text())
+    doc["networks"]["gu"]["activations"][-1] = "identity"
+    path.write_text(json.dumps(doc))
+    config = with_section("portrait", checkpoint=str(path), resolution=3)
+    assert run(tmp_path, "portrait", config) == cli.EXIT_CONFIG
+    assert "gu must have tanh hidden layers and a tanh output" in capsys.readouterr().err
 
 
 def test_verify_audits_under_checkpoint_hyper(tmp_path):
@@ -269,7 +292,7 @@ def test_resume_repeats_uninterrupted_run(tmp_path, mode):
     assert run(tmp_path, "train", config, out="part") == cli.EXIT_OK
     config["train"]["resume_from"] = str(tmp_path / "part" / "checkpoint.json")
     assert run(tmp_path, "train", config, out="part") == cli.EXIT_OK
-    whole, part = (training.load_checkpoint(tmp_path / out / "checkpoint.json")
+    whole, part = (training.load_checkpoint(tmp_path / out / "checkpoint.json")[0]
                    for out in ("whole", "part"))
     assert np.array_equal(part.get_params(), whole.get_params())
     rows = data_rows(tmp_path / "part" / "losses.csv")
@@ -293,7 +316,7 @@ def test_resume_from_stateless_checkpoint_starts_adam_afresh(tmp_path, capsys):
     config = with_section("train", resume_from=str(path))
     assert run(tmp_path, "train", config, out="resumed") == cli.EXIT_OK
     assert "no optimizer state; Adam starts at step 0" in capsys.readouterr().out
-    fresh, resumed = (training.load_checkpoint(tmp_path / out / "checkpoint.json")
+    fresh, resumed = (training.load_checkpoint(tmp_path / out / "checkpoint.json")[0]
                       for out in ("fresh", "resumed"))
     assert np.array_equal(resumed.get_params(), fresh.get_params())
     assert np.array_equal(data_rows(tmp_path / "resumed" / "losses.csv"),

@@ -34,7 +34,7 @@ class TestRk4Step:
             rk4_step(lambda x: x, np.zeros((1, 2)), 0.0)
 
     def test_nonfinite_stage_rejected(self):
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError), np.errstate(divide="ignore"):
             rk4_step(lambda x: x / 0.0, np.ones((1, 2)), 0.1)
 
 
@@ -88,7 +88,7 @@ class TestRollout:
         assert not traj.escaped
 
     def test_escape_guard_truncates_with_flag(self, vdp_hyper):
-        blowup = SystemSpec(name="blowup", n=2, m=1, params={},
+        blowup = SystemSpec(name="blowup", params={},
                             x_lb=np.array([-1.3, -1.3]), x_ub=np.array([1.3, 1.3]),
                             u_lim=np.array([5.0]),
                             _fn=lambda x, u, **kw: 10.0 * x)
@@ -109,7 +109,7 @@ class TestRollout:
         assert len(traj) >= 1
 
     def test_batch_mixed_truncation(self, vdp_hyper):
-        blowup = SystemSpec(name="blowup", n=2, m=1, params={},
+        blowup = SystemSpec(name="blowup", params={},
                             x_lb=np.array([-1.3, -1.3]), x_ub=np.array([1.3, 1.3]),
                             u_lim=np.array([5.0]),
                             _fn=lambda x, u, **kw: 10.0 * x)
@@ -123,7 +123,7 @@ class TestRollout:
     def test_nonfinite_row_truncated_alone(self, vdp_hyper, mode):
         # the row whose plant derivative is inf stops at its start with its
         # own cause; the other row runs the full horizon
-        spiky = SystemSpec(name="spiky", n=2, m=1, params={},
+        spiky = SystemSpec(name="spiky", params={},
                            x_lb=np.array([-1.3, -1.3]), x_ub=np.array([1.3, 1.3]),
                            u_lim=np.array([5.0]),
                            _fn=lambda x, u: np.where(x[:, :1] > 0.5, np.inf, -x))
@@ -141,7 +141,7 @@ class TestRollout:
         def broken(x, u):
             raise ValueError("broken plant")
 
-        plant = SystemSpec(name="broken", n=2, m=1, params={},
+        plant = SystemSpec(name="broken", params={},
                            x_lb=np.array([-1.3, -1.3]), x_ub=np.array([1.3, 1.3]),
                            u_lim=np.array([5.0]), _fn=broken)
         model = make_model(vdp_hyper, seed=8, mode=mode)
@@ -230,60 +230,47 @@ class TestExportField:
     def test_three_by_three_nodes(self, vdp_hyper):
         hp = Hyper(u_lim=[5.0], x_lb=[-1.0, -1.0], x_ub=[1.0, 1.0])
         model = make_model(hp, seed=13)
-        grid = export_field(model, ("v",), 3)["v"]
+        grid = export_field(model, 3)["v"]
         assert np.array_equal(grid.xs, [-1.0, 0.0, 1.0])
         assert np.array_equal(grid.ys, [-1.0, 0.0, 1.0])
         assert grid.values.shape == (3, 3)
 
     def test_v_contour_zero_at_origin_node(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=14)
-        grid = export_field(model, ("v",), 5)["v"]  # odd resolution includes 0
+        grid = export_field(model, 5)["v"]  # odd resolution includes 0
         assert grid.values[2, 2] == 0.0
 
     def test_closed_loop_field_zero_at_origin_node(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=15)
-        grid = export_field(model, ("fstar",), 5)["fstar"]
+        grid = export_field(model, 5)["fstar"]
         assert grid.values.shape == (5, 5, 2)
         assert np.array_equal(grid.values[2, 2], np.zeros(2))
 
-    def test_true_field_needs_system(self, vdp_hyper, vdp_system):
-        model = make_model(vdp_hyper, seed=16)
-        with pytest.raises(ValueError):
-            export_field(model, ("true",), 3)
-        grid = export_field(model, ("true",), 3, system=vdp_system)["true"]
-        assert grid.values.shape == (3, 3, 2)
-
-    def test_kinds_share_one_evaluation(self, vdp_hyper, vdp_system, monkeypatch):
+    def test_kinds_share_one_evaluation(self, vdp_hyper, monkeypatch):
         model = make_model(vdp_hyper, seed=22)
-        alone = {kind: export_field(model, (kind,), 4, system=vdp_system)[kind]
-                 for kind in sim.FIELD_KINDS}
         calls = []
         real = model.eval_pieces
-        monkeypatch.setattr(model, "eval_pieces", lambda *a: calls.append(1) or real(*a))
-        grids = export_field(model, sim.FIELD_KINDS, 4, system=vdp_system)
+        monkeypatch.setattr(model, "eval_pieces", lambda *a: calls.append(a) or real(*a))
+        grids = export_field(model, 4)
         assert len(calls) == 1
-        assert list(grids) == list(sim.FIELD_KINDS)
+        assert list(grids) == ["fhat", "fstar", "gv", "v"]
+        pieces = real(*calls[0])
+        want = {"fhat": pieces["fhat_star"], "fstar": pieces["fstar_star"],
+                "gv": pieces["gv_x"] - pieces["gv_0"], "v": pieces["v"]}
         for kind, grid in grids.items():
             assert grid.kind == kind
-            assert np.array_equal(grid.values, alone[kind].values)
+            assert np.array_equal(grid.values.reshape(16, -1), want[kind])
 
     def test_resolution_floor(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=17)
         with pytest.raises(ValueError):
-            export_field(model, ("v",), 1)
+            export_field(model, 1)
 
     def test_non_planar_rejected(self):
         hp = Hyper(u_lim=[1.0], x_lb=[-1.0, -1.0, -1.0], x_ub=[1.0, 1.0, 1.0])
         model = make_model(hp, seed=18)
         with pytest.raises(DimensionError):
-            export_field(model, ("v",), 3)
-
-    def test_unknown_kind(self, vdp_hyper):
-        model = make_model(vdp_hyper, seed=19)
-        with pytest.raises(ValueError):
-            export_field(model, ("vorticity",), 3)
-        with pytest.raises(TypeError):
-            export_field(model, "v", 3)
+            export_field(model, 3)
 
 
 class TestCsv:
@@ -312,7 +299,7 @@ class TestCsv:
 
     def test_field_csv_layout(self, tmp_path, vdp_hyper):
         model = make_model(vdp_hyper, seed=21)
-        grid = export_field(model, ("fstar",), 2)["fstar"]
+        grid = export_field(model, 2)["fstar"]
         path = tmp_path / "field.csv"
         grid.to_csv(path)
         lines = path.read_text().splitlines()

@@ -83,7 +83,7 @@ class TestRegistry:
         assert np.array_equal(spec.x_ub, [x_bound, x_bound])
         assert np.array_equal(spec.x_lb, [-x_bound, -x_bound])
         assert spec.u_lim == pytest.approx([u_bound], rel=0)
-        assert spec.n == 2 and spec.m == 1
+        assert spec.x_lb.shape == (2,) and spec.u_lim.shape == (1,)
 
     @pytest.mark.parametrize("name", ["vdp", "pendulum", "bicycle"])
     def test_pure_and_deterministic(self, name):

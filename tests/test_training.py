@@ -56,11 +56,11 @@ class TestDatasetCsv:
         path = tmp_path / "data.csv"
         meta = tmp_path / "data.meta.json"
         training.export_dataset_csv(ds, path, meta_path=meta)
-        back = training.import_dataset_csv(path, meta_path=meta)
+        back = training.import_dataset_csv(path)
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.U, ds.U)
         assert np.array_equal(back.Xdot, ds.Xdot)
-        assert back.meta == ds.meta
+        assert json.loads(meta.read_text()) == ds.meta
 
     def test_header_layout(self, tmp_path, vdp_system, vdp_hyper):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 3, seed=5)
@@ -174,7 +174,7 @@ class TestTrain:
         assert np.array_equal(small_model.get_params(), before)
 
     def test_toy_linear_system_loss_decreases(self, vdp_hyper):
-        lin = SystemSpec(name="lin", n=2, m=1, params={},
+        lin = SystemSpec(name="lin", params={},
                          x_lb=np.array([-1.0, -1.0]), x_ub=np.array([1.0, 1.0]),
                          u_lim=np.array([1.0]),
                          _fn=lambda x, u: np.stack(
@@ -292,7 +292,7 @@ class TestCheckpoint:
     def test_roundtrip_bit_identical_evaluation(self, tmp_path, small_model):
         path = tmp_path / "ck.json"
         training.save_checkpoint(small_model, path)
-        back = training.load_checkpoint(path)
+        back = training.load_checkpoint(path)[0]
         rng = np.random.default_rng(16)
         X = rng.uniform(-1.3, 1.3, (100, 2))
         U = rng.uniform(-5, 5, (100, 1))
@@ -312,7 +312,7 @@ class TestCheckpoint:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-        back = training.load_checkpoint(path)
+        back = training.load_checkpoint(path)[0]
         assert np.array_equal(back.get_params(), model.get_params())
         rng = np.random.default_rng(18)
         X = rng.uniform(-1.3, 1.3, (50, 2))
@@ -329,11 +329,27 @@ class TestCheckpoint:
         model = make_model(hp, seed=17, mode="affine")
         path = tmp_path / "ck.json"
         training.save_checkpoint(model, path)
-        back = training.load_checkpoint(path)
+        back = training.load_checkpoint(path)[0]
         assert back.mode == "affine"
         X = np.random.default_rng(17).uniform(-1, 1, (20, 2))
         assert np.array_equal(back.eval_pieces(X)["fstar_star"],
                               model.eval_pieces(X)["fstar_star"])
+
+    @pytest.mark.parametrize("net, field, value, message", [
+        ("gu", "activations", ["tanh", "tanh", "tanh", "identity"], "gu must have"),
+        ("gv", "activations", ["tanh", "smoothed_relu", "smoothed_relu", "tanh"],
+         "gv must have"),
+        ("gv", "srelu_width", 0.01, "gv srelu_width 0.01 differs")],
+        ids=["gu-output", "gv-hidden", "gv-srelu-width"])
+    def test_network_contradicting_its_role_is_format_error(self, tmp_path, small_model,
+                                                            net, field, value, message):
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        doc = json.loads(path.read_text())
+        doc["networks"][net][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointFormatError, match=message):
+            training.load_checkpoint(path)
 
     def test_truncated_file_is_format_error(self, tmp_path, small_model):
         path = tmp_path / "ck.json"
@@ -375,7 +391,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         assert doc["format_version"] == 2 and doc["system"] == "vdp"
         assert isinstance(doc["optimizer"]["m"], str)
-        model, system, back = training.load_checkpoint(path, return_state=True)
+        model, system, back = training.load_checkpoint(path)
         assert system == "vdp"
         assert np.array_equal(model.get_params(), small_model.get_params())
         assert (back.step, back.epochs) == (state.step, state.epochs) == (3, 1)
@@ -388,7 +404,7 @@ class TestCheckpoint:
         assert "system" not in doc and "optimizer" not in doc
         doc["format_version"] = 1
         path.write_text(json.dumps(doc))
-        model, system, state = training.load_checkpoint(path, return_state=True)
+        model, system, state = training.load_checkpoint(path)
         assert system is None and state is None
         assert np.array_equal(model.get_params(), small_model.get_params())
 
@@ -406,6 +422,5 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         doc["optimizer"].update(entry)
         path.write_text(json.dumps(doc))
-        training.load_checkpoint(path)  # the model alone does not read the state
         with pytest.raises(error):
-            training.load_checkpoint(path, return_state=True)
+            training.load_checkpoint(path)

@@ -178,7 +178,7 @@ class TestCertificate:
         """A 'perfectly learned' plant: the true system IS the model."""
         model = make_model(vdp_hyper, seed=8)
         plant = SystemSpec(
-            name="model-as-plant", n=2, m=1, params={},
+            name="model-as-plant", params={},
             x_lb=vdp_hyper.x_lb, x_ub=vdp_hyper.x_ub, u_lim=vdp_hyper.u_lim,
             _fn=lambda x, u, **kw: model.eval_pieces(x, u)["fstar_data"])
         return model, plant
