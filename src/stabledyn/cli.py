@@ -300,6 +300,18 @@ def cmd_sample(cfg, system, out):
 LOSS_COLUMNS = "epoch,train_loss,holdout_loss,grad_norm_max,clip_frac"
 
 
+def _read_dataset(path, model, system):
+    """The dataset CSV at ``path``, whose columns must fit the model's state
+    and control dimensions."""
+    dataset = training.import_dataset_csv(path)
+    k, j = dataset.X.shape[1], dataset.U.shape[1]
+    if (k, j) != (model.n, model.m):
+        raise training.DatasetError(
+            f"{path}: {k} state and {j} control columns where {system.name} has "
+            f"{model.n} and {model.m}")
+    return dataset
+
+
 def cmd_train(cfg, system, out):
     tc = cfg["train"]
     model, optimizer = _load_or_init_model(cfg, tc["resume_from"])
@@ -317,7 +329,7 @@ def cmd_train(cfg, system, out):
         print(f"{tc['resume_from']} holds no optimizer state; Adam starts at step 0")
 
     if tc["dataset"]:
-        dataset = training.import_dataset_csv(tc["dataset"])
+        dataset = _read_dataset(tc["dataset"], model, system)
     else:
         seed = int(_sub_seed(cfg["seed"], "dataset").generate_state(1)[0])
         dataset = training.sample_dataset(system, model.hyper, cfg["sample"]["n"], seed)
@@ -375,6 +387,9 @@ def cmd_verify(cfg, system, out):
     seed_root = _sub_seed(cfg["seed"], "verify")
     seeds = seed_root.generate_state(4)
     ablate = vc["ablate_projection"]
+    # read before any check runs, so a bad file fails at once
+    dataset = (_read_dataset(vc["dataset"], model, system)
+               if vc["dataset"] and "certificate" in vc["checks"] else None)
     report = {"config": cfg, "checks": {}, "passed": True}
 
     def record(name, entry, samples, t0):
@@ -415,8 +430,7 @@ def cmd_verify(cfg, system, out):
 
     if "certificate" in vc["checks"]:
         t0 = time.perf_counter()
-        if vc["dataset"]:
-            dataset = training.import_dataset_csv(vc["dataset"])
+        if dataset is not None:
             r = vc["r"] if vc["r"] is not None else verify.default_radius(hyper)
             cert = verify.certificate(model, system, dataset, r,
                                       vc["n_samples"], int(seeds[3]))
@@ -491,7 +505,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (training.CheckpointError, OSError) as exc:
+    except (training.CheckpointError, training.DatasetError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (training.TrainingDivergedError, GradientError, DomainError,

@@ -1,11 +1,14 @@
 """Reverse-mode differentiation core for small dense feedforward networks.
 
-Two evaluation backends share one primitive vocabulary:
+Each primitive is declared once, in ``PRIMITIVES``: its number of array
+operands, its forward on raw float64 arrays, and its vector-Jacobian
+product.  Both evaluation backends are built from that table:
 
-* ``NumpyOps`` executes each primitive immediately on float64 arrays.
-* ``Tape`` records a Wengert list while computing the same values, so a
-  scalar result can later be differentiated with respect to any designated
-  leaf arrays in a single reverse sweep.
+* ``NumpyOps`` exposes each forward as is, executing immediately on arrays.
+* ``Tape`` records each primitive as a node of a Wengert list while
+  computing the same value, so a scalar result can later be differentiated
+  with respect to any designated leaf arrays in a single reverse sweep that
+  calls the table's VJPs.
 
 The operator set is deliberately small: ``dense(a, w, b)`` for a whole
 affine layer ``a @ w.T + b`` (one recorded node per layer), three C1
@@ -23,17 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 ACTIVATIONS = ("smoothed_relu", "tanh", "identity")
 
 
-class DiffcoreError(RuntimeError):
-    """Base error for evaluation/differentiation failures."""
-
-
-class GradientError(DiffcoreError):
+class GradientError(RuntimeError):
     """Raised when a reverse sweep produces a non-finite adjoint."""
 
 
@@ -210,108 +210,105 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _tanh_vjp(adj, out, a):
+    d = out * out
+    np.subtract(1.0, d, out=d)
+    d *= adj
+    return (d,)
+
+
+def _dense(a, w, b):
+    z = a @ w.T
+    z += b
+    return z
+
+
+class Primitive(NamedTuple):
+    """One differentiable operation.
+
+    ``forward(*operands, *constants)`` computes the value on raw arrays from
+    ``arity`` array operands and any trailing constants.  ``vjp(adj, out,
+    *operands, *constants)`` returns one adjoint contribution per operand,
+    or ``None`` for an operand that receives no gradient.
+    """
+
+    arity: int
+    forward: Callable
+    vjp: Callable
+
+
+PRIMITIVES = {
+    "add": Primitive(
+        2, lambda a, b: a + b,
+        lambda adj, out, a, b: (_unbroadcast(adj, a.shape), _unbroadcast(adj, b.shape))),
+    "sub": Primitive(
+        2, lambda a, b: a - b,
+        lambda adj, out, a, b: (_unbroadcast(adj, a.shape), _unbroadcast(-adj, b.shape))),
+    "mul": Primitive(
+        2, lambda a, b: a * b,
+        lambda adj, out, a, b: (_unbroadcast(adj * b, a.shape),
+                                _unbroadcast(adj * a, b.shape))),
+    "div": Primitive(
+        2, lambda a, b: a / b,
+        lambda adj, out, a, b: (_unbroadcast(adj / b, a.shape),
+                                _unbroadcast(-adj * a / (b * b), b.shape))),
+    "matmul": Primitive(
+        2, lambda a, b: a @ b,
+        lambda adj, out, a, b: (adj @ b.T, a.T @ adj)),
+    # a whole affine layer a @ w.T + b is one node
+    "dense": Primitive(
+        3, _dense,
+        lambda adj, out, a, w, b: (adj @ w, adj.T @ a, adj.sum(axis=0))),
+    "concat_cols": Primitive(
+        2, lambda a, b: np.concatenate((a, b), axis=-1),
+        lambda adj, out, a, b: (adj[:, :a.shape[1]], adj[:, a.shape[1]:])),
+    "tanh": Primitive(1, np.tanh, _tanh_vjp),
+    "srelu": Primitive(
+        1, _srelu_raw,
+        lambda adj, out, a, d: (adj * _srelu_grad_raw(a, d),)),
+    "srelu_grad": Primitive(
+        1, _srelu_grad_raw,
+        lambda adj, out, a, d: (adj * _srelu_curv_raw(a, d),)),
+    "exp": Primitive(1, np.exp, lambda adj, out, a: (adj * out,)),
+    "scale": Primitive(1, lambda a, s: a * s, lambda adj, out, a, s: (adj * s,)),
+    "add_scalar": Primitive(1, lambda a, c: a + c, lambda adj, out, a, c: (adj,)),
+    # ties take the constant branch: no gradient at a == c (so relu, c = 0,
+    # is dead at 0)
+    "maximum_scalar": Primitive(
+        1, np.maximum, lambda adj, out, a, c: (adj * (a > c),)),
+    "row_sum": Primitive(
+        1, lambda a: a.sum(axis=-1, keepdims=True),
+        lambda adj, out, a: (np.broadcast_to(adj, a.shape),)),
+    "sum_all": Primitive(
+        1, lambda a: a.sum(),
+        lambda adj, out, a: (np.broadcast_to(adj, a.shape),)),
+    "mean_all": Primitive(
+        1, lambda a: a.mean(),
+        lambda adj, out, a: (np.broadcast_to(adj / a.size, a.shape),)),
+    "reshape": Primitive(
+        1, lambda a, shape: a.reshape(shape),
+        lambda adj, out, a, shape: (adj.reshape(a.shape),)),
+    "bmat_vec": Primitive(
+        2, lambda A, u: np.einsum("bnm,bm->bn", A, u),
+        lambda adj, out, A, u: (np.einsum("bn,bm->bnm", adj, u),
+                                np.einsum("bn,bnm->bm", adj, A))),
+    "vec_bmat": Primitive(
+        2, lambda g, A: np.einsum("bn,bnm->bm", g, A),
+        lambda adj, out, g, A: (np.einsum("bm,bnm->bn", adj, A),
+                                np.einsum("bn,bm->bnm", g, adj))),
+    # piecewise-constant: carries no gradient by construction
+    "sign_detached": Primitive(1, np.sign, lambda adj, out, a: (None,)),
+}
+
+
+def _as_array(x):
+    return np.asarray(x, dtype=np.float64)
+
+
 class NumpyOps:
-    """Immediate-execution backend; mirrors the Tape method set on ndarrays."""
+    """Immediate-execution backend: each primitive's forward on ndarrays."""
 
-    @staticmethod
-    def constant(x):
-        return np.asarray(x, dtype=np.float64)
-
-    leaf = constant
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def matmul(a, b):
-        return a @ b
-
-    @staticmethod
-    def dense(a, w, b):
-        z = a @ w.T
-        z += b
-        return z
-
-    @staticmethod
-    def concat_cols(a, b):
-        return np.concatenate((a, b), axis=-1)
-
-    @staticmethod
-    def tanh(a):
-        return np.tanh(a)
-
-    @staticmethod
-    def srelu(a, d):
-        return _srelu_raw(a, d)
-
-    @staticmethod
-    def srelu_grad(a, d):
-        return _srelu_grad_raw(a, d)
-
-    @staticmethod
-    def relu(a):
-        return np.maximum(a, 0.0)
-
-    @staticmethod
-    def exp(a):
-        return np.exp(a)
-
-    @staticmethod
-    def scale(a, s):
-        return a * s
-
-    @staticmethod
-    def add_scalar(a, c):
-        return a + c
-
-    @staticmethod
-    def maximum_scalar(a, c):
-        return np.maximum(a, c)
-
-    @staticmethod
-    def row_sum(a):
-        return a.sum(axis=-1, keepdims=True)
-
-    @staticmethod
-    def sum_all(a):
-        return a.sum()
-
-    @staticmethod
-    def mean_all(a):
-        return a.mean()
-
-    @staticmethod
-    def reshape(a, shape):
-        return a.reshape(shape)
-
-    @staticmethod
-    def bmat_vec(A, u):
-        return np.einsum("bnm,bm->bn", A, u)
-
-    @staticmethod
-    def vec_bmat(g, A):
-        return np.einsum("bn,bnm->bm", g, A)
-
-    @staticmethod
-    def sign_detached(a):
-        return np.sign(a)
+    leaf = constant = staticmethod(_as_array)
 
     @staticmethod
     def value(a):
@@ -319,15 +316,17 @@ class NumpyOps:
 
 
 class Node:
-    """One recorded primitive: value plus the recipe to reverse it."""
+    """One recorded primitive: its value, its parent nodes, and the raw
+    operands and constants its VJP reads."""
 
-    __slots__ = ("idx", "op", "value", "parents", "vjp")
+    __slots__ = ("idx", "op", "value", "parents", "args", "vjp")
 
-    def __init__(self, idx, op, value, parents, vjp):
+    def __init__(self, idx, op, value, parents, args, vjp):
         self.idx = idx
         self.op = op
         self.value = value
         self.parents = parents
+        self.args = args
         self.vjp = vjp
 
 
@@ -345,173 +344,17 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def _record(self, op, value, parents, vjp):
-        node = Node(len(self._nodes), op, value, parents, vjp)
+    def leaf(self, x):
+        """Register a differentiation leaf (parameter, input or constant)."""
+        node = Node(len(self._nodes), "leaf", _as_array(x), (), (), None)
         self._nodes.append(node)
         return node
 
-    def leaf(self, x):
-        """Register a differentiation leaf (parameter or input array)."""
-        v = np.asarray(x, dtype=np.float64)
-        return self._record("leaf", v, (), None)
-
-    def constant(self, x):
-        # Constants are leaves never asked for a gradient; kept distinct
-        # only for readability of recorded tapes.
-        v = np.asarray(x, dtype=np.float64)
-        return self._record("const", v, (), None)
+    constant = leaf
 
     @staticmethod
     def value(node):
         return node.value
-
-    # -- primitives ---------------------------------------------------
-
-    def add(self, a, b):
-        out = a.value + b.value
-        ash, bsh = a.value.shape, b.value.shape
-        return self._record(
-            "add", out, (a, b),
-            lambda adj: (_unbroadcast(adj, ash), _unbroadcast(adj, bsh)))
-
-    def sub(self, a, b):
-        out = a.value - b.value
-        ash, bsh = a.value.shape, b.value.shape
-        return self._record(
-            "sub", out, (a, b),
-            lambda adj: (_unbroadcast(adj, ash), _unbroadcast(-adj, bsh)))
-
-    def mul(self, a, b):
-        out = a.value * b.value
-        av, bv = a.value, b.value
-        return self._record(
-            "mul", out, (a, b),
-            lambda adj: (_unbroadcast(adj * bv, av.shape),
-                         _unbroadcast(adj * av, bv.shape)))
-
-    def div(self, a, b):
-        out = a.value / b.value
-        av, bv = a.value, b.value
-        return self._record(
-            "div", out, (a, b),
-            lambda adj: (_unbroadcast(adj / bv, av.shape),
-                         _unbroadcast(-adj * av / (bv * bv), bv.shape)))
-
-    def neg(self, a):
-        return self._record("neg", -a.value, (a,), lambda adj: (-adj,))
-
-    def matmul(self, a, b):
-        out = a.value @ b.value
-        av, bv = a.value, b.value
-        return self._record("matmul", out, (a, b),
-                            lambda adj: (adj @ bv.T, av.T @ adj))
-
-    def dense(self, a, w, b):
-        out = a.value @ w.value.T
-        out += b.value
-        av, wv = a.value, w.value
-        return self._record("dense", out, (a, w, b),
-                            lambda adj: (adj @ wv, adj.T @ av, adj.sum(axis=0)))
-
-    def concat_cols(self, a, b):
-        out = np.hstack((a.value, b.value))
-        ka = a.value.shape[1]
-        return self._record("concat_cols", out, (a, b),
-                            lambda adj: (adj[:, :ka], adj[:, ka:]))
-
-    def tanh(self, a):
-        out = np.tanh(a.value)
-
-        def vjp(adj):
-            d = out * out
-            np.subtract(1.0, d, out=d)
-            d *= adj
-            return (d,)
-        return self._record("tanh", out, (a,), vjp)
-
-    def srelu(self, a, d):
-        out = _srelu_raw(a.value, d)
-        av = a.value
-        return self._record("srelu", out, (a,),
-                            lambda adj: (adj * _srelu_grad_raw(av, d),))
-
-    def srelu_grad(self, a, d):
-        out = _srelu_grad_raw(a.value, d)
-        av = a.value
-        return self._record("srelu_grad", out, (a,),
-                            lambda adj: (adj * _srelu_curv_raw(av, d),))
-
-    def relu(self, a):
-        out = np.maximum(a.value, 0.0)
-        av = a.value
-        # subgradient at exactly 0 is taken as 0 (dead at the boundary)
-        return self._record("relu", out, (a,), lambda adj: (adj * (av > 0.0),))
-
-    def exp(self, a):
-        out = np.exp(a.value)
-        return self._record("exp", out, (a,), lambda adj: (adj * out,))
-
-    def scale(self, a, s):
-        s = float(s)
-        return self._record("scale", a.value * s, (a,), lambda adj: (adj * s,))
-
-    def add_scalar(self, a, c):
-        c = float(c)
-        return self._record("add_scalar", a.value + c, (a,), lambda adj: (adj,))
-
-    def maximum_scalar(self, a, c):
-        c = float(c)
-        out = np.maximum(a.value, c)
-        av = a.value
-        # ties take the constant branch: no gradient at a == c
-        return self._record("maximum_scalar", out, (a,),
-                            lambda adj: (adj * (av > c),))
-
-    def row_sum(self, a):
-        out = a.value.sum(axis=1, keepdims=True)
-        shape = a.value.shape
-        return self._record("row_sum", out, (a,),
-                            lambda adj: (np.broadcast_to(adj, shape),))
-
-    def sum_all(self, a):
-        out = a.value.sum()
-        shape = a.value.shape
-        return self._record("sum_all", out, (a,),
-                            lambda adj: (np.broadcast_to(adj, shape),))
-
-    def mean_all(self, a):
-        out = a.value.mean()
-        shape = a.value.shape
-        n = a.value.size
-        return self._record("mean_all", out, (a,),
-                            lambda adj: (np.broadcast_to(adj / n, shape),))
-
-    def reshape(self, a, shape):
-        shape = tuple(shape)
-        old = a.value.shape
-        return self._record("reshape", a.value.reshape(shape), (a,),
-                            lambda adj: (adj.reshape(old),))
-
-    def bmat_vec(self, A, u):
-        out = np.einsum("bnm,bm->bn", A.value, u.value)
-        Av, uv = A.value, u.value
-        return self._record(
-            "bmat_vec", out, (A, u),
-            lambda adj: (np.einsum("bn,bm->bnm", adj, uv),
-                         np.einsum("bn,bnm->bm", adj, Av)))
-
-    def vec_bmat(self, g, A):
-        out = np.einsum("bn,bnm->bm", g.value, A.value)
-        gv, Av = g.value, A.value
-        return self._record(
-            "vec_bmat", out, (g, A),
-            lambda adj: (np.einsum("bm,bnm->bn", adj, Av),
-                         np.einsum("bn,bm->bnm", gv, adj)))
-
-    def sign_detached(self, a):
-        # piecewise-constant: carries no gradient by construction
-        return self._record("sign_detached", np.sign(a.value), (a,),
-                            lambda adj: (None,))
 
     # -- reverse sweep -------------------------------------------------
 
@@ -546,7 +389,8 @@ class Tape:
             if node.vjp is None:
                 ends.append(adj)
                 continue
-            for parent, contrib in zip(node.parents, node.vjp(adj)):
+            for parent, contrib in zip(node.parents,
+                                       node.vjp(adj, node.value, *node.args)):
                 if contrib is None:
                     ends.append(adj)
                 elif adjoints[parent.idx] is None:
@@ -565,6 +409,27 @@ class Tape:
             g = adjoints[leaf.idx]
             out.append(np.zeros_like(leaf.value) if g is None else np.asarray(g))
         return out
+
+
+def _bind(name, prim):
+    """The ``Tape`` method that records primitive ``name``."""
+    arity, forward, vjp = prim
+
+    def record(self, *args):
+        parents = args[:arity]
+        raw = (*[p.value for p in parents], *args[arity:])
+        node = Node(len(self._nodes), name, forward(*raw), parents, raw, vjp)
+        self._nodes.append(node)
+        return node
+
+    record.__name__ = name
+    record.__qualname__ = f"Tape.{name}"
+    return record
+
+
+for _name, _prim in PRIMITIVES.items():
+    setattr(NumpyOps, _name, staticmethod(_prim.forward))
+    setattr(Tape, _name, _bind(_name, _prim))
 
 
 def param_gradient(tape, output, leaf_blocks, layout):
@@ -617,7 +482,7 @@ def net_input_gradient(ops, handles, activations, srelu_width, cache):
     for (w, _b), act, (z, a) in zip(reversed(handles), reversed(activations),
                                     reversed(cache)):
         if act == "tanh":
-            dphi = ops.add_scalar(ops.neg(ops.mul(a, a)), 1.0)
+            dphi = ops.add_scalar(ops.scale(ops.mul(a, a), -1.0), 1.0)
         elif act == "smoothed_relu":
             dphi = ops.srelu_grad(z, srelu_width)
         else:

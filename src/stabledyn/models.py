@@ -34,6 +34,23 @@ import numpy as np
 from .diffcore import NumpyOps, ParamLayout, init_network, net_apply, net_input_gradient
 
 
+def _box(name, value):
+    """``value`` as a finite float64 box: a number or a non-empty flat list
+    of numbers."""
+    items = value.tolist() if isinstance(value, np.ndarray) else value
+    items = items if isinstance(items, (list, tuple)) else [items]
+    # numbers only: numpy would read "1.3" and true as bounds
+    if not items or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                        for v in items):
+        raise ValueError(f"{name} must be a number or a flat list of numbers, "
+                         f"got {value!r}")
+    box = np.array(items, dtype=np.float64)
+    # an infinite or NaN bound would pass every ordering check
+    if not np.all(np.isfinite(box)):
+        raise ValueError(f"{name} must be finite, got {box.tolist()}")
+    return box
+
+
 @dataclass(frozen=True)
 class Hyper:
     """Scalar hyperparameters plus the sampling boxes.
@@ -55,19 +72,7 @@ class Hyper:
 
     def __post_init__(self):
         for name in ("u_lim", "x_lb", "x_ub"):
-            value = getattr(self, name)
-            items = value.tolist() if isinstance(value, np.ndarray) else value
-            items = items if isinstance(items, (list, tuple)) else [items]
-            # numbers only: numpy would read "1.3" and true as bounds
-            if not items or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                                for v in items):
-                raise ValueError(f"{name} must be a number or a flat list of numbers, "
-                                 f"got {value!r}")
-            box = np.array(items, dtype=np.float64)
-            # an infinite or NaN bound would pass every ordering check
-            if not np.all(np.isfinite(box)):
-                raise ValueError(f"{name} must be finite, got {box.tolist()}")
-            object.__setattr__(self, name, box)
+            object.__setattr__(self, name, _box(name, getattr(self, name)))
         if self.beta is None:
             top = float(np.max(self.u_lim))
             # an all-zero control box leaves the kernel argument identically
@@ -114,6 +119,12 @@ class Hyper:
         """The system's boxes and these defaults under ``overrides``, which
         may spell ``lam`` as "lambda" (``**{"lambda": ...}``)."""
         base = dict(u_lim=system.u_lim, x_lb=system.x_lb, x_ub=system.x_ub)
+        for name in base:
+            if name in overrides:
+                box = _box(name, overrides[name])
+                if box.shape != base[name].shape:
+                    raise ValueError(f"hyper.{name} has {box.size} entries where "
+                                     f"{system.name} has {base[name].size}")
         base.update(overrides)
         return cls.from_dict(base)
 
@@ -157,7 +168,7 @@ def projection_shift(ops, grad_v, resid, eps_proj):
     and the decrease condition may stay violated on those rows.
     """
     den = ops.maximum_scalar(ops.row_sum(ops.mul(grad_v, grad_v)), eps_proj)
-    return ops.mul(grad_v, ops.div(ops.relu(resid), den))
+    return ops.mul(grad_v, ops.div(ops.maximum_scalar(resid, 0.0), den))
 
 
 class StableDynamicsModel:
@@ -345,7 +356,7 @@ class StableDynamicsModel:
             return {"u_star": ops.mul(u_lim_row, out)}
         f2 = ops.reshape(out, (ops.value(X).shape[0], self.n, self.m))
         coeff = ops.vec_bmat(grad_v(), f2)
-        return {"u_star": ops.mul(ops.neg(ops.sign_detached(coeff)), u_lim_row),
+        return {"u_star": ops.mul(ops.scale(ops.sign_detached(coeff), -1.0), u_lim_row),
                 "f2": f2, "coeff": coeff}
 
     def _nominal(self, ops, handles, X, ctrl, offset=None):

@@ -50,6 +50,11 @@ class CheckpointShapeError(CheckpointError):
     """Stored parameter arrays disagree with the declared dims."""
 
 
+class DatasetError(ValueError):
+    """A dataset file that is not the table :func:`export_dataset_csv`
+    writes, or does not fit the run's system."""
+
+
 # ---------------------------------------------------------------------------
 # Dataset
 # ---------------------------------------------------------------------------
@@ -104,11 +109,14 @@ def sample_dataset(system, hyper, n, seed):
     return Dataset(X, U, Xdot, meta)
 
 
+def _dataset_columns(n, m):
+    return ([f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
+            + [f"xdot{i + 1}" for i in range(n)])
+
+
 def export_dataset_csv(dataset, path, meta_path=None, comment=None):
     """Write `x1..xn,u1..um,xdot1..xdotn` rows with 17 significant digits."""
-    n, m = dataset.X.shape[1], dataset.U.shape[1]
-    names = ([f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
-             + [f"xdot{i + 1}" for i in range(n)])
+    names = _dataset_columns(dataset.X.shape[1], dataset.U.shape[1])
     _write_csv(path, names, np.hstack((dataset.X, dataset.U, dataset.Xdot)), comment)
     if meta_path is not None:
         with open(meta_path, "w") as fh:
@@ -117,14 +125,41 @@ def export_dataset_csv(dataset, path, meta_path=None, comment=None):
 
 
 def import_dataset_csv(path):
-    """The rows :func:`export_dataset_csv` wrote, with empty provenance."""
+    """The rows :func:`export_dataset_csv` wrote, with empty provenance.
+
+    Any other file raises :class:`DatasetError` naming ``path`` and the
+    fault: a header other than ``x1..xn,u1..um,xdot1..xdotn``, no rows, or
+    the first line that is not a row of that many finite numbers.
+    """
     with open(path) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    names = lines[0].strip().split(",")
+        lines = [(i, ln) for i, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
+    names = lines[0][1].strip().split(",") if lines else []
     n = sum(1 for c in names if c.startswith("x") and not c.startswith("xdot"))
     m = sum(1 for c in names if c.startswith("u"))
-    body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    if not names or names != _dataset_columns(n, m):
+        raise DatasetError(f"{path}: header {','.join(names)!r} is not "
+                           f"x1..xn,u1..um,xdot1..xdotn")
+    if len(lines) == 1:
+        raise DatasetError(f"{path}: no data rows")
+    try:
+        body = np.loadtxt([ln for _, ln in lines[1:]], delimiter=",", ndmin=2)
+    except ValueError:
+        body = None
+    if body is None or body.shape[1] != len(names) or not np.all(np.isfinite(body)):
+        i, line = next(((i, ln) for i, ln in lines[1:] if not _is_row(ln, len(names))),
+                       lines[1])
+        raise DatasetError(f"{path} line {i}: expected {len(names)} finite numbers, "
+                           f"got {line.strip()!r}")
     return Dataset(body[:, :n], body[:, n:n + m], body[:, n + m:])
+
+
+def _is_row(line, width):
+    try:
+        cells = [float(c) for c in line.split(",")]
+    except ValueError:
+        return False
+    return len(cells) == width and all(map(math.isfinite, cells))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,33 @@ def test_unknown_train_key_exits_one(tmp_path, key):
     assert run(tmp_path, "train", with_section("train", **{key: True})) == cli.EXIT_CONFIG
 
 
-def test_portrait_of_non_planar_state_exits_two(tmp_path):
-    config = with_section("hyper", x_lb=[-1.0, -1.0, -1.0], x_ub=[1.0, 1.0, 1.0])
-    assert run(tmp_path, "portrait", config) == cli.EXIT_NUMERICAL
+@pytest.mark.parametrize("command, key, box", [
+    ("portrait", "x_lb", {"x_lb": [-1.0] * 3, "x_ub": [1.0] * 3}),
+    ("sample", "x_ub", {"x_ub": [1.0] * 3}),
+    ("sample", "u_lim", {"u_lim": [5.0, 5.0]})], ids=["portrait-x_lb", "sample-x_ub",
+                                                       "sample-u_lim"])
+def test_box_of_wrong_length_exits_one(tmp_path, capsys, command, key, box):
+    # vdp has two states and one control
+    assert run(tmp_path, command, with_section("hyper", **box)) == cli.EXIT_CONFIG
+    assert f"hyper.{key} has" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "verify"])
+@pytest.mark.parametrize("text, fault", [
+    ("x1,x2,u1,xdot1,xdot2\n", "no data rows"),
+    ("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n0.1,abc,0.3,0.4,0.5\n",
+     "line 3: expected 5 finite numbers"),
+    ("x1,x2,x3,u1,xdot1,xdot2,xdot3\n0.1,0.2,0.3,0.4,0.5,0.6,0.7\n",
+     "3 state and 1 control columns where vdp has 2 and 1")],
+    ids=["header-only", "non-numeric", "three-states"])
+def test_bad_dataset_csv_exits_one(tmp_path, capsys, command, text, fault):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    config = with_section(command, dataset=str(path))
+    config["verify"]["checks"] = ["certificate"]
+    assert run(tmp_path, command, config) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and fault in err
 
 
 def test_ablated_decrease_exits_three(tmp_path):

@@ -257,7 +257,7 @@ class TestTape:
     def test_relu_subgradient_dead_at_zero(self):
         tape = Tape()
         a = tape.leaf(np.array([[0.0, -1.0, 2.0]]))
-        out = tape.sum_all(tape.relu(a))
+        out = tape.sum_all(tape.maximum_scalar(a, 0.0))
         (g,) = tape.gradient(out, [a])
         assert np.array_equal(g, [[0.0, 0.0, 1.0]])
 
@@ -342,6 +342,88 @@ class TestDense:
         model = StableDynamicsModel.initialize(vdp_hyper, seed=0, mode=mode)
         batch = training.sample_dataset(vdp_system, vdp_hyper, 256, 0)
         assert len(training.loss(model, batch).tape) == nodes
+
+
+def _primitive_inputs(name):
+    """Operands and constants for one primitive, away from its seams."""
+    rng = np.random.default_rng(sorted(dc.PRIMITIVES).index(name))
+
+    def away(shape, *seams):
+        # uniform in [-1, 1], at least 0.05 from every seam
+        x = rng.uniform(-1, 1, shape)
+        for c in seams:
+            x = np.where(np.abs(x - c) < 0.05, c + 0.1, x)
+        return x
+
+    m34 = away((3, 4))
+    return {
+        "add": ([m34, away((1, 4))], []),
+        "sub": ([m34, away((1, 4))], []),
+        "mul": ([m34, away((1, 4))], []),
+        "div": ([m34, rng.choice([-1, 1], (3, 4)) * rng.uniform(0.5, 1.5, (3, 4))], []),
+        "matmul": ([m34, away((4, 2))], []),
+        "dense": ([away((4, 3)), away((5, 3)), away((5,))], []),
+        "concat_cols": ([away((3, 2)), away((3, 3))], []),
+        "tanh": ([m34], []),
+        "srelu": ([away((3, 4), 0.0, 0.3)], [0.3]),
+        "srelu_grad": ([away((3, 4), 0.0, 0.3)], [0.3]),
+        "exp": ([m34], []),
+        "scale": ([m34], [-1.7]),
+        "add_scalar": ([m34], [0.3]),
+        "maximum_scalar": ([away((3, 4), 0.2)], [0.2]),
+        "row_sum": ([m34], []),
+        "sum_all": ([m34], []),
+        "mean_all": ([m34], []),
+        "reshape": ([m34], [(3, 2, 2)]),
+        "bmat_vec": ([away((3, 2, 4)), away((3, 4))], []),
+        "vec_bmat": ([away((3, 2)), away((3, 2, 4))], []),
+        "sign_detached": ([away((3, 4), 0.0)], []),
+    }[name]
+
+
+class TestPrimitiveTable:
+    @pytest.mark.parametrize("name", sorted(dc.PRIMITIVES))
+    def test_entry(self, name):
+        # a primitive added to the table fails here until it has inputs
+        operands, consts = _primitive_inputs(name)
+        assert len(operands) == dc.PRIMITIVES[name].arity
+        forward = getattr(NumpyOps, name)
+        cot = np.random.default_rng(99).normal(size=np.shape(forward(*operands, *consts)))
+
+        def record(vals):
+            tape = Tape()
+            leaves = [tape.leaf(v) for v in vals]
+            node = getattr(tape, name)(*leaves, *consts)
+            return tape, node, leaves
+
+        tape, node, leaves = record(operands)
+        assert node.op == name
+        assert np.array_equal(node.value, forward(*operands, *consts))
+        grads = tape.gradient(tape.sum_all(tape.mul(node, tape.constant(cot))), leaves)
+
+        # same step and tolerance as test_tape_dense_matches_fd
+        h = 1e-5
+        for i, (v, g) in enumerate(zip(operands, grads)):
+            assert g.shape == v.shape
+            for c in np.ndindex(v.shape):
+                plus = [x.copy() for x in operands]
+                plus[i][c] += h
+                minus = [x.copy() for x in operands]
+                minus[i][c] -= h
+                fd = (np.sum(forward(*plus, *consts) * cot)
+                      - np.sum(forward(*minus, *consts) * cot)) / (2 * h)
+                assert abs(fd - g[c]) / max(abs(fd), abs(g[c]), 1e-8) <= 1e-4
+
+        # only sign_detached drops its adjoint, so the sweep must check it there
+        ends = any(c is None for c in node.vjp(cot, node.value, *node.args))
+        assert ends == (name == "sign_detached")
+        if ends:
+            tape, node, leaves = record(operands)
+            inf = tape.constant(np.copysign(np.inf, node.value))  # sums to +inf
+            out = tape.sum_all(tape.mul(node, inf))
+            with pytest.raises(GradientError,
+                               match=rf"non-finite adjoint at node {node.idx} \({name}\)"):
+                tape.gradient(out, leaves)
 
 
 class TestBackendConsistency:
