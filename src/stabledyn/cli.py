@@ -20,7 +20,7 @@ import math
 import numbers
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,6 @@ import numpy as np
 from . import sim, systems, training, verify
 from .diffcore import GradientError
 from .models import DEFAULT_DEPTH, NETWORKS, Hyper, StableDynamicsModel
-from .systems import DomainError
 
 
 class ConfigError(ValueError):
@@ -48,8 +47,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
-
-_ALL_CHECKS = ("decrease", "decay", "quad", "certificate")
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +94,8 @@ def _choice(options):
 
 
 def _checks(value, name):
-    if not isinstance(value, list) or any(check not in _ALL_CHECKS for check in value):
-        raise ConfigError(f"{name} must be a list of checks from {list(_ALL_CHECKS)}, "
+    if not isinstance(value, list) or any(check not in verify.CHECKS for check in value):
+        raise ConfigError(f"{name} must be a list of checks from {list(verify.CHECKS)}, "
                           f"got {value!r}")
     return list(value)
 
@@ -155,7 +152,7 @@ _SCHEMA = {
                "r": (None, _number(positive=True, null=True)),
                "rollouts": (5, _number(int, 1)),
                "ablate_projection": (False, _typed(bool, "true or false")),
-               "checks": (list(_ALL_CHECKS), _checks)},
+               "checks": (list(verify.CHECKS), _checks)},
 }
 
 
@@ -261,7 +258,7 @@ def _load_or_init_model(cfg, checkpoint):
     A checkpoint carries the Hyper its model was trained under, and every
     command that loads one works with ``model.hyper``.  A key the config's
     ``hyper`` or ``model`` section sets must agree with the checkpoint's
-    value, and so must the run's system where the checkpoint records one.
+    value, and the run's system with its dimensions and recorded name.
     """
     hyper = resolve_hyper(cfg)
     if not checkpoint:
@@ -273,6 +270,9 @@ def _load_or_init_model(cfg, checkpoint):
     if system is not None and system != cfg["system"]:
         raise ConfigError(f"system = {cfg['system']!r} differs from {system!r} "
                           f"in checkpoint {checkpoint}")
+    if (model.n, model.m) != (hyper.n, hyper.m):
+        raise ConfigError(f"checkpoint {checkpoint} has {model.n} states and {model.m} "
+                          f"controls where {cfg['system']} has {hyper.n} and {hyper.m}")
     wanted, stored = hyper.to_dict(), model.hyper.to_dict()
     for key in sorted(cfg["hyper"]):
         if wanted[key] != stored[key]:
@@ -383,73 +383,27 @@ def cmd_portrait(cfg, system, out):
 def cmd_verify(cfg, system, out):
     vc = cfg["verify"]
     model, _ = _load_or_init_model(cfg, vc["checkpoint"])
-    hyper = model.hyper
-    seed_root = _sub_seed(cfg["seed"], "verify")
-    seeds = seed_root.generate_state(4)
-    ablate = vc["ablate_projection"]
+    # check i keeps seed i of the table, whichever checks run
+    seeds = _sub_seed(cfg["seed"], "verify").generate_state(len(verify.CHECKS))
+    checks = [(name, check, int(seed)) for (name, check), seed
+              in zip(verify.CHECKS.items(), seeds) if name in vc["checks"]]
     # read before any check runs, so a bad file fails at once
-    dataset = (_read_dataset(vc["dataset"], model, system)
-               if vc["dataset"] and "certificate" in vc["checks"] else None)
+    dataset = (_read_dataset(vc["dataset"], model, system) if vc["dataset"]
+               and any(check.reads_dataset for _, check, _ in checks) else None)
     report = {"config": cfg, "checks": {}, "passed": True}
-
-    def record(name, entry, samples, t0):
-        """Add a check's entry with its wall time and sampled points."""
+    for name, check, seed in checks:
+        t0 = time.perf_counter()
+        entry, samples = check.run(model, system, vc, seed, dataset)
         entry.update(seconds=time.perf_counter() - t0, samples=samples)
         report["checks"][name] = entry
         report["passed"] &= entry["passed"]
-
-    if "decrease" in vc["checks"]:
-        t0 = time.perf_counter()
-        dec = verify.check_decrease(model, vc["n_samples"], int(seeds[0]),
-                                    ablate_projection=ablate)
-        ok = dec.max_residual <= 1e-9
-        record("decrease", {"report": asdict(dec), "passed": ok}, vc["n_samples"], t0)
-
-    if "decay" in vc["checks"]:
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(int(seeds[1]))
-        starts = rng.uniform(hyper.x_lb, hyper.x_ub, size=(vc["rollouts"], model.n))
-        worst = None
-        ok = True
-        for traj in sim.rollout_many(model, model, starts):
-            rep = verify.decay_bound_check(traj, hyper)
-            ok &= rep.passed
-            if worst is None or rep.worst_v_ratio > worst["worst_v_ratio"]:
-                worst = asdict(rep)
-        record("decay", {"report": worst, "passed": bool(ok),
-                         "rollouts": vc["rollouts"]}, vc["rollouts"], t0)
-
-    if "quad" in vc["checks"]:
-        t0 = time.perf_counter()
-        r1 = 0.1 * float(np.linalg.norm(hyper.x_ub))
-        r2 = float(np.linalg.norm(hyper.x_ub))
-        quad = verify.estimate_quadratic_ratio(model, r1, r2, vc["n_samples"],
-                                               int(seeds[2]))
-        ok = quad.M >= quad.c1
-        record("quad", {"report": asdict(quad), "passed": ok}, vc["n_samples"], t0)
-
-    if "certificate" in vc["checks"]:
-        t0 = time.perf_counter()
-        if dataset is not None:
-            r = vc["r"] if vc["r"] is not None else verify.default_radius(hyper)
-            cert = verify.certificate(model, system, dataset, r,
-                                      vc["n_samples"], int(seeds[3]))
-            import scipy  # loaded by the certificate, which builds a cKDTree
-
-            # completion is the gate; whether the bound holds is reported only
-            record("certificate", {"report": asdict(cert), "passed": True,
-                                   "scipy": scipy.__version__}, vc["n_samples"], t0)
-        else:
-            record("certificate", {"report": None, "passed": True,
-                                   "skipped": "no dataset configured"}, 0, t0)
     report["numpy"] = np.__version__
 
     with open(out / "verify.json", "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     for name, entry in report["checks"].items():
-        status = "pass" if entry["passed"] else "FAIL"
-        print(f"verify {name}: {status}")
+        print(f"verify {name}: {'pass' if entry['passed'] else 'FAIL'}")
     print(f"report: {out / 'verify.json'}")
     return EXIT_OK if report["passed"] else EXIT_VERIFY
 
@@ -508,8 +462,8 @@ def main(argv=None):
     except (training.CheckpointError, training.DatasetError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (training.TrainingDivergedError, GradientError, DomainError,
-            FloatingPointError, sim.DimensionError, ValueError) as exc:
+    except (training.TrainingDivergedError, GradientError, FloatingPointError,
+            ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -78,10 +78,13 @@ class Hyper:
             # an all-zero control box leaves the kernel argument identically
             # zero, so any positive sharpness works; keep the numerator
             object.__setattr__(self, "beta", 5.0 / top if top > 0 else 5.0)
-        # each check asks for the valid range, so NaN fails it
-        for name in ("alpha", "beta", "eps_pd", "eps_proj", "d", "v_cap"):
+        # numbers only, as for the boxes: true would pass every range check;
+        # each range check asks for the valid range, so NaN fails it
+        for name in ("alpha", "beta", "lam", "eps_pd", "eps_proj", "d", "v_cap"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name != "lam" and not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")

@@ -18,10 +18,6 @@ from .systems import DomainError, SystemSpec
 ESCAPE_FACTOR = 10.0
 
 
-class DimensionError(ValueError):
-    """Grid export requested for a non-planar state space."""
-
-
 def _write_csv(path, names, body, comment=None):
     """Write an optional comment line, the ``names`` header and the rows of
     the 2-D ``body`` with 17 significant digits, enough to read every float
@@ -233,7 +229,7 @@ def export_field(model, resolution):
     v_cap (gv(x) - gv(0)), and the Lyapunov value V(x).
     """
     if model.n != 2:
-        raise DimensionError(f"grid export needs a planar state space, n={model.n}")
+        raise ValueError(f"grid export needs a planar state space, n={model.n}")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     hp = model.hyper

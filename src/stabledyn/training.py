@@ -35,19 +35,8 @@ class TrainingDivergedError(RuntimeError):
 
 
 class CheckpointError(ValueError):
-    pass
-
-
-class CheckpointFormatError(CheckpointError):
-    """File is not a well-formed checkpoint document."""
-
-
-class CheckpointVersionError(CheckpointError):
-    """Checkpoint was written by an incompatible format version."""
-
-
-class CheckpointShapeError(CheckpointError):
-    """Stored parameter arrays disagree with the declared dims."""
+    """A checkpoint file that is not well formed, has an unreadable format
+    version, or whose stored arrays disagree with their declared shapes."""
 
 
 class DatasetError(ValueError):
@@ -409,13 +398,13 @@ def _decode_floats(text, size, what):
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"optimizer {what}: {exc}") from exc
+        raise CheckpointError(f"optimizer {what}: {exc}") from exc
     if len(raw) != 8 * size:
-        raise CheckpointShapeError(
+        raise CheckpointError(
             f"optimizer {what} holds {len(raw) // 8} values, the model {size} parameters")
     vec = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(vec)):
-        raise CheckpointFormatError(f"optimizer {what} has non-finite entries")
+        raise CheckpointError(f"optimizer {what} has non-finite entries")
     return vec
 
 
@@ -458,38 +447,37 @@ def _optimizer_state(spec, size):
         step, epochs = spec["step"], spec["epochs"]
         m, v = spec["m"], spec["v"]
     except (KeyError, TypeError) as exc:
-        raise CheckpointFormatError(f"optimizer state malformed: {exc}") from exc
+        raise CheckpointError(f"optimizer state malformed: {exc}") from exc
     for name, count in (("step", step), ("epochs", epochs)):
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise CheckpointFormatError(
+            raise CheckpointError(
                 f"optimizer {name} must be a nonnegative integer, got {count!r}")
     v = _decode_floats(v, size, "v")
     if np.any(v < 0):
-        raise CheckpointFormatError("optimizer v has negative entries")
+        raise CheckpointError("optimizer v has negative entries")
     return AdamState(_decode_floats(m, size, "m"), v, step, epochs)
 
 
 def load_checkpoint(path):
     """The checkpoint's ``(model, system, optimizer)``, with None for a system
     or optimizer state it did not record.  A network that contradicts its
-    role in :data:`models.NETWORKS` raises CheckpointFormatError."""
+    role in :data:`models.NETWORKS` raises CheckpointError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"malformed checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
-        raise CheckpointFormatError(f"{path} is not a checkpoint document")
+        raise CheckpointError(f"{path} is not a checkpoint document")
     if doc["format_version"] not in READABLE_VERSIONS:
-        raise CheckpointVersionError(
-            f"checkpoint version {doc['format_version']!r}, expected one of "
-            f"{READABLE_VERSIONS}")
+        raise CheckpointError(f"checkpoint version {doc['format_version']!r}, "
+                              f"expected one of {READABLE_VERSIONS}")
     try:
         mode = doc["mode"]
         hyper = Hyper.from_dict(doc["hyper"])
         raw_nets = doc["networks"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"checkpoint {path} missing fields: {exc}") from exc
+        raise CheckpointError(f"checkpoint {path} missing or malformed fields: {exc}") from exc
 
     nets = {}
     for name, spec in raw_nets.items():
@@ -500,23 +488,23 @@ def load_checkpoint(path):
             weights = [np.asarray(w, dtype=np.float64) for w in spec["weights"]]
             biases = [np.asarray(b, dtype=np.float64) for b in spec["biases"]]
         except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointFormatError(f"network {name!r} malformed: {exc}") from exc
+            raise CheckpointError(f"network {name!r} malformed: {exc}") from exc
         expected = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
         got = [w.shape for w in weights]
         if got != expected or [b.shape for b in biases] != [(d,) for d in dims[1:]]:
-            raise CheckpointShapeError(
+            raise CheckpointError(
                 f"network {name!r}: stored arrays {got} do not match dims {dims}")
         try:
             nets[name] = dc.Network(weights, biases, acts, srelu_width=width)
         except ValueError as exc:
-            raise CheckpointShapeError(f"network {name!r}: {exc}") from exc
+            raise CheckpointError(f"network {name!r}: {exc}") from exc
     try:
         model = StableDynamicsModel(nets, hyper, mode)
     except ValueError as exc:
-        raise CheckpointFormatError(f"checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     system = doc.get("system")
     if system is not None and not isinstance(system, str):
-        raise CheckpointFormatError(f"checkpoint {path}: system must be a name, got {system!r}")
+        raise CheckpointError(f"checkpoint {path}: system must be a name, got {system!r}")
     optimizer = doc.get("optimizer")
     if optimizer is not None:
         optimizer = _optimizer_state(optimizer, model.layout.size)

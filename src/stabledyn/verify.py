@@ -8,6 +8,10 @@ true plant.  Every supremum and Lipschitz constant here is a Monte-Carlo
 estimate over a recorded seed and sample count — an audit, not a formal
 proof — and the reports say so.
 
+:data:`CHECKS` is what ``verify`` runs: ``decrease``, ``decay``, ``quad`` and
+``certificate``, in that order, each beside its gate.  A new check or gate is
+one entry there.
+
 ``cKDTree`` is imported inside :func:`certificate`, its only user: loading
 ``scipy.spatial`` is most of what importing the CLI would otherwise cost,
 and every command but a ``verify`` with a dataset never needs it.
@@ -15,11 +19,15 @@ and every command but a ``verify`` with a dataset never needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import sim
+
 ORIGIN_EXCLUSION = 1e-3  # sampling stays clear of the 0/0 at the equilibrium
+DECREASE_TOL = 1e-9  # largest sampled decrease residual that passes
 DECAY_TOL = 0.02
 LIPSCHITZ_SEPARATION = 1e-3
 # Rows per block in every audit loop (the Lipschitz loop evaluates a block's
@@ -118,6 +126,7 @@ def decay_bound_check(traj, hyper):
                           np.where(traj.v_trace <= 0.0, 0.0, np.inf))
     worst = float(np.max(ratios)) if len(ratios) else 0.0
     return DecayReport(bool(worst <= 1.0 + DECAY_TOL), worst, DECAY_TOL)
+
 
 
 # ---------------------------------------------------------------------------
@@ -274,3 +283,52 @@ def certificate(model, system, dataset, r, n_samples, seed):
 def default_radius(hyper):
     """Default certificate neighborhood: 5% of the box corner norm."""
     return 0.05 * float(np.linalg.norm(hyper.x_ub))
+
+
+# ---------------------------------------------------------------------------
+# The checks `verify` runs
+# ---------------------------------------------------------------------------
+# An entry reaches the check functions and ``sim.rollout_many`` through their
+# modules at call time, so a wrapper set on either one sees every call.
+
+class Check(NamedTuple):
+    run: Callable  # (model, system, vc, seed, dataset) -> (verify.json entry, samples)
+    reads_dataset: bool = False  # the CLI then reads it before any check runs
+
+
+def _decrease(model, system, vc, seed, dataset):
+    rep = check_decrease(model, vc["n_samples"], seed,
+                         ablate_projection=vc["ablate_projection"])
+    return {"report": asdict(rep), "passed": rep.max_residual <= DECREASE_TOL}, vc["n_samples"]
+
+
+def _decay(model, system, vc, seed, dataset):
+    # passes when every learned-plant rollout from a seeded box start does
+    hp, count = model.hyper, vc["rollouts"]
+    starts = _uniform_box(np.random.default_rng(seed), hp.x_lb, hp.x_ub, count)
+    reports = [decay_bound_check(traj, hp) for traj in sim.rollout_many(model, model, starts)]
+    worst = max(reports, key=lambda rep: rep.worst_v_ratio)
+    return ({"report": asdict(worst), "passed": all(rep.passed for rep in reports),
+             "rollouts": count}, count)
+
+
+def _quad(model, system, vc, seed, dataset):
+    r2 = float(np.linalg.norm(model.hyper.x_ub))
+    rep = estimate_quadratic_ratio(model, 0.1 * r2, r2, vc["n_samples"], seed)
+    return {"report": asdict(rep), "passed": rep.M >= rep.c1}, vc["n_samples"]
+
+
+def _certificate(model, system, vc, seed, dataset):
+    if dataset is None:
+        return {"report": None, "passed": True, "skipped": "no dataset configured"}, 0
+    r = vc["r"] if vc["r"] is not None else default_radius(model.hyper)
+    rep = certificate(model, system, dataset, r, vc["n_samples"], seed)
+    import scipy  # loaded by the certificate, which builds a cKDTree
+
+    # completion is the gate; whether the bound holds is reported only
+    return {"report": asdict(rep), "passed": True, "scipy": scipy.__version__}, vc["n_samples"]
+
+
+# check i draws seed i of the run's verify seeds, so a new entry goes last
+CHECKS = {"decrease": Check(_decrease), "decay": Check(_decay), "quad": Check(_quad),
+          "certificate": Check(_certificate, reads_dataset=True)}

@@ -1,20 +1,32 @@
-"""The benchmark's tracer still finds every name it wraps in ``stabledyn``.
+"""The benchmark still finds what it relies on in ``stabledyn``.
 
-``bench/tracer.py`` patches package functions and methods by name, so a
-rename in ``src/`` would otherwise break only the traced benchmark run.
+``bench/tracer.py`` patches package functions and methods by name, and
+``bench/pipeline.py`` restates the verify gate and check names it audits, so
+a change in ``src/`` would otherwise break only the benchmark runs.
 """
 
+import functools
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
-from stabledyn import training
+from stabledyn import cli, sim, training, verify
 
 from conftest import make_model
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
-tracer_mod = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracer_mod)
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"bench_{name}", Path(__file__).resolve().parents[1] / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer_mod = _load_bench("tracer")
+pipeline_mod = _load_bench("pipeline")
 
 
 def test_install_patches_every_target_and_uninstall_restores_it(vdp_system, vdp_hyper):
@@ -38,3 +50,35 @@ def test_install_patches_every_target_and_uninstall_restores_it(vdp_system, vdp_
         tracer.uninstall()
     for owner, attr, fn in patched:
         assert getattr(owner, attr) is fn
+
+
+def test_traced_verify_records_every_check(tmp_path, monkeypatch):
+    # the check table must reach each wrapped function at call time; one that
+    # held the functions themselves would leave these spans unrecorded.  The
+    # decay check's rollouts are cut to T = 0.5 from its fixed T = 10.
+    monkeypatch.setattr(sim, "rollout_many", functools.partial(sim.rollout_many, T=0.5))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"widths": {"gf": 8, "gu": 8, "gv": 8}}, "sample": {"n": 200},
+        "verify": {"n_samples": 500, "rollouts": 1,
+                   "dataset": str(tmp_path / "sample" / "dataset.csv")}}))
+    assert cli.main(["sample", "--config", str(config), "--out", str(tmp_path / "sample")]) == 0
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        cli.main(["verify", "--config", str(config), "--out", str(tmp_path / "verify")])
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    report = json.loads((tmp_path / "verify" / "verify.json").read_text())
+    assert list(report["checks"]) == list(verify.CHECKS)
+    names = {span[tracer_mod.NAME] for span in tracer.spans}
+    assert {"verify.check_decrease", "verify.decay_bound_check",
+            "verify.estimate_quadratic_ratio", "verify.certificate",
+            "sim.rollout_many.learned"} <= names
+
+
+def test_pipeline_audits_what_verify_declares():
+    assert pipeline_mod.DECREASE_TOL == verify.DECREASE_TOL
+    assert set(pipeline_mod.AUDIT_EVALS) <= set(verify.CHECKS)

@@ -1,5 +1,6 @@
 """Exit codes of the command-line front end, driven through ``cli.main``."""
 
+import functools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stabledyn import cli, systems, training, verify
+from stabledyn import cli, sim, systems, training, verify
 from stabledyn.models import Hyper, StableDynamicsModel
 
 TINY = {"name": "tiny", "seed": 0,
@@ -264,6 +265,58 @@ def test_hyper_differing_from_checkpoint_exits_one(tmp_path, capsys, command, se
     config["hyper"] = {"alpha": 0.5}
     assert run(tmp_path, command, config) == cli.EXIT_CONFIG
     assert "hyper.alpha" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("verify", "verify", "checkpoint"), ("simulate", "simulate", "checkpoint"),
+    ("portrait", "portrait", "checkpoint"), ("train", "train", "resume_from")])
+def test_checkpoint_of_other_dimensions_exits_one(tmp_path, capsys, command, section, key):
+    # three states and no recorded system, run as vdp (two states, one control)
+    model = StableDynamicsModel.initialize(
+        Hyper(u_lim=[5.0], x_lb=[-1.0] * 3, x_ub=[1.0] * 3), seed=0,
+        widths=TINY["model"]["widths"])
+    path = tmp_path / "ck.json"
+    training.save_checkpoint(model, path)
+    config = with_section(section, **{key: str(path)})
+    config["verify"]["checks"] = ["quad"]
+    assert run(tmp_path, command, config) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"checkpoint {path} has 3 states and 1 controls where vdp has 2 and 1" in err
+
+
+def verify_briefly(tmp_path, config):
+    """``verify`` with rollouts cut to T = 0.5: the decay check integrates to
+    T = 10, about 7 s per rollout here.  The check table reaches
+    sim.rollout_many through its module, as a wrapper does."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "rollout_many", functools.partial(sim.rollout_many, T=0.5))
+        return run(tmp_path, "verify", config)
+
+
+@pytest.fixture(scope="module")
+def every_check(tmp_path_factory):
+    """The config and verify.json of one run of every check, with a dataset."""
+    tmp_path = tmp_path_factory.mktemp("every_check")
+    assert run(tmp_path, "sample", TINY, out="sample") == cli.EXIT_OK
+    config = with_section("verify", checks=list(verify.CHECKS), n_samples=500, rollouts=1,
+                          dataset=str(tmp_path / "sample" / "dataset.csv"))
+    verify_briefly(tmp_path, config)
+    return config, json.loads((tmp_path / "out" / "verify.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(verify.CHECKS))
+def test_check_alone_matches_its_run_among_all(tmp_path, every_check, name):
+    # check i keeps seed i of the table whichever checks run
+    config, together = every_check
+    config = json.loads(json.dumps(config))
+    config["verify"]["checks"] = [name]
+    code = verify_briefly(tmp_path, config)
+    report = json.loads((tmp_path / "out" / "verify.json").read_text())
+    assert list(report["checks"]) == [name]
+    entry = report["checks"][name]
+    assert {"report", "passed", "seconds", "samples"} <= set(entry)
+    assert code == (cli.EXIT_OK if entry["passed"] else cli.EXIT_VERIFY)
+    assert entry["report"] == together["checks"][name]["report"]
 
 
 def test_verify_report_records_check_cost(tmp_path):

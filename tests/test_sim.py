@@ -3,7 +3,7 @@ import pytest
 
 from stabledyn import sim
 from stabledyn.models import Hyper
-from stabledyn.sim import DimensionError, FieldGrid, export_field, rk4_step, rollout_many
+from stabledyn.sim import FieldGrid, export_field, rk4_step, rollout_many
 from stabledyn.systems import SystemSpec, get_system
 
 from conftest import make_model
@@ -269,7 +269,7 @@ class TestExportField:
     def test_non_planar_rejected(self):
         hp = Hyper(u_lim=[1.0], x_lb=[-1.0, -1.0, -1.0], x_ub=[1.0, 1.0, 1.0])
         model = make_model(hp, seed=18)
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="planar state space, n=3"):
             export_field(model, 3)
 
 
