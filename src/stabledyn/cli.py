@@ -357,6 +357,9 @@ def cmd_simulate(cfg, system, out):
     sc = cfg["simulate"]
     if not sc["checkpoint"]:
         raise ConfigError("simulate requires simulate.checkpoint in the config")
+    if sc["T"] < sc["h"]:
+        raise ConfigError(f"simulate.T = {sc['T']} is shorter than one step "
+                          f"simulate.h = {sc['h']}")
     model, _ = _load_or_init_model(cfg, sc["checkpoint"])
 
     rng = np.random.default_rng(_sub_seed(cfg["seed"], "simulate"))

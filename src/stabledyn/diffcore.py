@@ -14,10 +14,11 @@ The operator set is deliberately small: ``dense(a, w, b)`` for a whole
 affine layer ``a @ w.T + b`` (one recorded node per layer), three C1
 activations, and the elementwise/reduction primitives needed to assemble a
 stability-projected dynamics model and its regression loss.  Input
-gradients of scalar-valued networks are built as explicit layerwise
-chain-rule expressions (activation-derivative diagonals times weight
-matrices), so losses that contain such input gradients can themselves be
-differentiated with ordinary first-order reverse mode.
+gradients are vector-Jacobian products at an output cotangent, built as
+explicit layerwise chain-rule expressions (the cotangent times
+activation-derivative diagonals and weight matrices), so losses that
+contain them can themselves be differentiated with ordinary first-order
+reverse mode.
 
 All values are float64; batches are row-major (batch, dim).
 """
@@ -472,27 +473,19 @@ def net_apply(ops, handles, activations, srelu_width, x):
     return a, cache
 
 
-def net_input_gradient(ops, handles, activations, srelu_width, cache):
-    """Input gradient of a scalar-output network as backend expressions.
+def net_input_gradient(ops, handles, activations, srelu_width, cache, cot):
+    """Vector-Jacobian product cot^T d(net)/dx of a network at the (B, out)
+    output cotangent ``cot``, as a (B, in) backend expression.
 
     Uses the cached forward pass; the result is itself differentiable when
     ``ops`` is a recording tape.
     """
-    G = None  # implicit (B,1) of ones until the first non-identity layer
+    G = cot
     for (w, _b), act, (z, a) in zip(reversed(handles), reversed(activations),
                                     reversed(cache)):
         if act == "tanh":
-            dphi = ops.add_scalar(ops.scale(ops.mul(a, a), -1.0), 1.0)
+            G = ops.mul(G, ops.add_scalar(ops.scale(ops.mul(a, a), -1.0), 1.0))
         elif act == "smoothed_relu":
-            dphi = ops.srelu_grad(z, srelu_width)
-        else:
-            dphi = None
-        if dphi is not None:
-            G = dphi if G is None else ops.mul(G, dphi)
-        if G is None:
-            # identity layer at the top of the chain: gradient is the weight
-            # row itself, broadcast across the batch
-            G = ops.matmul(ops.constant(np.ones((ops.value(z).shape[0], 1))), w)
-        else:
-            G = ops.matmul(G, w)
+            G = ops.mul(G, ops.srelu_grad(z, srelu_width))
+        G = ops.matmul(G, w)
     return G

@@ -24,7 +24,6 @@ needed.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -275,16 +274,16 @@ class StableDynamicsModel:
     def build_graph(self, ops, handles, X, U=None, ablate_projection=False):
         """Assemble the evaluation graph on either backend, in either mode.
 
-        Returns a dict of handles: u_star, u_star_0, fhat_star, v, w, gv_x,
+        Returns a dict of handles: u_star, fhat_star, v, w, gv_x,
         gv_0, grad_v, resid, shift, fstar_star, affine mode's f2 and coeff,
         and (when U is given) fhat_data / fstar_data.  X and U are backend
         handles of shape (B, n) and (B, m).
 
         The modes differ only in :meth:`_controller` and :meth:`_nominal`.
-        On a tape the origin nodes gv(0), u*(0) and the nominal offset are
-        recorded inline, so gradients flow through them; the numpy backend
-        reads them from :meth:`numpy_cache`, so numpy ``handles`` must be
-        this model's own parameters.
+        On a tape the origin nodes gv(0) and the nominal offset are recorded
+        inline, ahead of the batch, so gradients flow through them; the
+        numpy backend reads them from :meth:`numpy_cache`, so numpy
+        ``handles`` must be this model's own parameters.
         """
         hp = self.hyper
         u_lim_row = ops.constant(hp.u_lim[None, :])
@@ -293,7 +292,7 @@ class StableDynamicsModel:
         else:
             origin = self._origin_nodes(ops, handles, u_lim_row)
         pieces = self._lyapunov(ops, handles, X, origin["gv_0"])
-        pieces.update(self._controller(ops, handles, X, lambda: pieces["grad_v"], u_lim_row))
+        pieces.update(self._controller(ops, handles, X, pieces["grad_v"], u_lim_row))
         nominal = self._nominal(ops, handles, X, pieces, origin["offset"])
         fhat_star = nominal(pieces["u_star"])
         grad_v = pieces["grad_v"]
@@ -303,8 +302,8 @@ class StableDynamicsModel:
         if not ablate_projection:
             shift = projection_shift(ops, grad_v, resid, hp.eps_proj)
             fstar_star = ops.sub(fhat_star, shift)
-        pieces.update(u_star_0=origin["u_star_0"], fhat_star=fhat_star, resid=resid,
-                      shift=shift, fstar_star=fstar_star)
+        pieces.update(fhat_star=fhat_star, resid=resid, shift=shift,
+                      fstar_star=fstar_star)
         if U is not None:
             fhat_data = nominal(U)
             pieces["fhat_data"] = fhat_data
@@ -318,28 +317,26 @@ class StableDynamicsModel:
         out, cache = net_apply(ops, handles["gv"], gv.activations, gv.srelu_width, X)
         return ops.scale(out, self.hyper.v_cap), cache
 
-    def _grad_v(self, ops, handles, X, w, cache):
-        """gradV at X from w = gv(X) - gv(0) and the gv layer cache."""
-        hp = self.hyper
-        gv = self.nets["gv"]
-        grad_gv = ops.scale(
-            net_input_gradient(ops, handles["gv"], gv.activations, gv.srelu_width, cache),
-            hp.v_cap)
-        return ops.add(ops.mul(ops.srelu_grad(w, hp.d), grad_gv),
-                       ops.scale(X, 2.0 * hp.eps_pd))
-
     def _lyapunov(self, ops, handles, X, gv_0, grad=True):
         """V at X with w = gv(X) - gv(0) and the scaled gv values, plus gradV
-        when ``grad`` is set.  ``gv_0`` is the origin's gv(0) thunk."""
+        when ``grad`` is set.  ``gv_0`` is the origin's v_cap * gv(0).
+
+        gradV is one vector-Jacobian product through gv at the cotangent
+        v_cap * srelu'(w), plus the floor's 2 eps_pd x.
+        """
         hp = self.hyper
         gv_x, cache = self._gv(ops, handles, X)
-        gv_0 = gv_0()
         w = ops.sub(gv_x, gv_0)
         v = ops.add(ops.srelu(w, hp.d),
                     ops.scale(ops.row_sum(ops.mul(X, X)), hp.eps_pd))
         pieces = {"w": w, "v": v, "gv_x": gv_x, "gv_0": gv_0}
         if grad:
-            pieces["grad_v"] = self._grad_v(ops, handles, X, w, cache)
+            gv = self.nets["gv"]
+            cot = ops.scale(ops.srelu_grad(w, hp.d), hp.v_cap)
+            pieces["grad_v"] = ops.add(
+                net_input_gradient(ops, handles["gv"], gv.activations, gv.srelu_width,
+                                   cache, cot),
+                ops.scale(X, 2.0 * hp.eps_pd))
         return pieces
 
     def _controller(self, ops, handles, X, grad_v, u_lim_row):
@@ -349,8 +346,8 @@ class StableDynamicsModel:
         General mode: u* = diag(u_lim) tanh(gu(X)).  Affine mode: the
         bang-bang control u* = -diag(u_lim) sign(gradV^T gf2(X)) induced by
         the Lyapunov gradient; the sign carries no gradient (piecewise
-        constant in both x and parameters).  ``grad_v`` is a thunk returning
-        gradV at X; only affine mode calls it.
+        constant in both x and parameters).  ``grad_v`` is gradV at X; only
+        affine mode reads it.
         """
         name = "gu" if self.mode == "general" else "gf2"
         net = self.nets[name]
@@ -358,7 +355,7 @@ class StableDynamicsModel:
         if self.mode == "general":
             return {"u_star": ops.mul(u_lim_row, out)}
         f2 = ops.reshape(out, (ops.value(X).shape[0], self.n, self.m))
-        coeff = ops.vec_bmat(grad_v(), f2)
+        coeff = ops.vec_bmat(grad_v, f2)
         return {"u_star": ops.mul(ops.scale(ops.sign_detached(coeff), -1.0), u_lim_row),
                 "f2": f2, "coeff": coeff}
 
@@ -381,24 +378,18 @@ class StableDynamicsModel:
         return lambda u: ops.add(f1, ops.bmat_vec(ctrl["f2"], u))
 
     def _origin_nodes(self, ops, handles, u_lim_row):
-        """gv(0), u*(0) and the nominal offset ghat(0, u*(0)) that pins the
-        origin as a closed-loop equilibrium.
+        """The scaled gv(0), and the nominal offset ghat(0, u*(0)) that pins
+        the origin as a closed-loop equilibrium.
 
-        gv(0) is a thunk that records it at its first call: here in affine
-        mode, whose u* reads gradV(0), and after gv(X) in general mode.  The
-        reverse sweep sums parameter adjoints in tape order, so this order
-        keeps trained parameters bit-identical across refactors of the graph.
+        Affine mode's u*(0) reads gradV(0), which is the constant zero: at
+        x = 0, w = 0 where srelu' vanishes, and the floor's gradient
+        2 eps_pd x is zero.  So the zero state stands in for it, and no
+        gradient chain runs at the origin.
         """
         zero = ops.constant(np.zeros((1, self.n)))
-        gv_zero = functools.cache(lambda: self._gv(ops, handles, zero))
-
-        def grad_v_0():
-            gv_0, cache = gv_zero()
-            return self._grad_v(ops, handles, zero, ops.sub(gv_0, gv_0), cache)
-
-        ctrl = self._controller(ops, handles, zero, grad_v_0, u_lim_row)
+        ctrl = self._controller(ops, handles, zero, zero, u_lim_row)
         offset = self._nominal(ops, handles, zero, ctrl)(ctrl["u_star"])
-        return {"gv_0": lambda: gv_zero()[0], "u_star_0": ctrl["u_star"], "offset": offset}
+        return {"gv_0": self._gv(ops, handles, zero)[0], "offset": offset}
 
     def numpy_cache(self):
         """This model's raw-array handle dict and its :meth:`_origin_nodes` on
@@ -464,7 +455,7 @@ class StableDynamicsModel:
             pieces = self._lyapunov(NumpyOps, handles, X, origin["gv_0"],
                                     grad=lyapunov != {"v"})
         if "u_star" in parts:
-            pieces.update(self._controller(NumpyOps, handles, X, lambda: pieces["grad_v"],
+            pieces.update(self._controller(NumpyOps, handles, X, pieces.get("grad_v"),
                                            self.hyper.u_lim[None, :]))
         out = {}
         for name in sorted(parts):

@@ -89,17 +89,20 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     plant domain error or reaches a non-finite stage is frozen and its
     trajectory truncated at the last valid state, with its own cause in
     ``reason``.  Any other exception from the plant propagates.  A
-    non-finite start raises ValueError before any step is taken.
+    non-finite start, or a horizon that rounds to no step, raises ValueError
+    before any step is taken.
     """
     if T <= 0 or h <= 0:
         raise ValueError("need T > 0 and h > 0")
+    steps = int(round(T / h))
+    if steps < 1:
+        raise ValueError(f"horizon T = {T} rounds to no step of h = {h}")
     x0s = np.asarray(x0s, dtype=np.float64)
     if x0s.ndim != 2 or x0s.shape[1] != model.n:
         raise ValueError(f"start states must be a (B, {model.n}) batch, got shape {x0s.shape}")
     B, n = x0s.shape
     if not np.all(np.isfinite(x0s)):
         raise ValueError("non-finite start state")
-    steps = int(round(T / h))
     limit = ESCAPE_FACTOR * _domain_diameter(model.hyper)
 
     true_plant = isinstance(plant, SystemSpec)

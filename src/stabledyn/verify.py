@@ -72,7 +72,7 @@ def check_decrease(model, n_samples, seed, ablate_projection=False):
     Samples within ORIGIN_EXCLUSION of the origin are discarded; samples
     whose Lyapunov gradient falls under the eps_proj floor are counted but
     excluded from the max (the construction only guarantees decrease off
-    the floor).
+    the floor).  Raises ValueError when no sample is left for the max.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -93,6 +93,10 @@ def check_decrease(model, n_samples, seed, ablate_projection=False):
             resid = (np.sum(pieces["grad_v"] * pieces["fstar_star"], axis=1)
                      + hp.alpha * pieces["v"][:, 0])
             max_resid = max(max_resid, float(resid[ok].max()))
+    if n_used == 0:
+        raise ValueError(f"decrease check kept none of {n_samples} samples: "
+                         f"{n_samples - len(X)} near the origin, {n_floor} under "
+                         f"the eps_proj floor")
     return DecreaseReport(max_resid, n_floor, n_used, n_samples, int(seed),
                           bool(ablate_projection))
 
@@ -152,7 +156,8 @@ def estimate_quadratic_ratio(model, r1, r2, n_samples, seed):
 
     The annulus is sampled by rejection from its bounding cube; the global
     estimate uses the state box minus a small origin exclusion.  Both are
-    lower bounds on the true suprema.
+    lower bounds on the true suprema.  Raises ValueError when either set
+    keeps no sample.
     """
     if not 0 < r1 <= r2:
         raise ValueError("need r2 >= r1 > 0")
@@ -166,6 +171,9 @@ def estimate_quadratic_ratio(model, r1, r2, n_samples, seed):
 
     box = _uniform_box(rng_box, hp.x_lb, hp.x_ub, n_samples)
     box = box[np.linalg.norm(box, axis=1) >= ORIGIN_EXCLUSION]
+    if len(annulus) == 0 or len(box) == 0:
+        raise ValueError(f"quad check kept {len(annulus)} of {n_samples} annulus samples "
+                         f"and {len(box)} of {n_samples} box samples")
 
     def sup_ratio(X):
         best = -np.inf

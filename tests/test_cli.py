@@ -204,6 +204,14 @@ def test_non_positive_or_infinite_setting_exits_one(tmp_path, capsys, section, k
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+def test_horizon_shorter_than_step_exits_one(tmp_path, capsys):
+    config = with_section("simulate", T=4e-4, h=1e-3, checkpoint=write_checkpoint(tmp_path))
+    assert run(tmp_path, "simulate", config) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "simulate.T" in err and "simulate.h" in err
+    assert not list((tmp_path / "out").glob("traj_*.csv"))
+
+
 def test_null_radius_means_default(tmp_path):
     assert run(tmp_path, "sample", TINY, out="sample") == cli.EXIT_OK
     config = with_section("verify", r=None, checks=["certificate"], n_samples=500,

@@ -25,11 +25,14 @@ def _apply(net, X):
     return apply_net(net, X)[0]
 
 
-def _input_grad(net, X):
-    """Input gradient of a scalar-output network on a (B, in) batch."""
-    _, cache = apply_net(net, X)
+def _input_grad(net, X, cot=None):
+    """Vector-Jacobian product of a network on a (B, in) batch at the output
+    cotangent ``cot``, by default all ones (the input gradient of a
+    scalar-output network)."""
+    out, cache = apply_net(net, X)
+    cot = np.ones_like(out) if cot is None else cot
     return net_input_gradient(NumpyOps, list(zip(net.weights, net.biases)),
-                              net.activations, net.srelu_width, cache)
+                              net.activations, net.srelu_width, cache, cot)
 
 
 class TestInit:
@@ -166,11 +169,14 @@ class TestInputGradient:
                            match=r"gv must have \(input, output\) widths \(2, 1\), got \(2, 2\)"):
             StableDynamicsModel(nets, vdp_hyper)
 
-    @pytest.mark.parametrize("act,out_act", [("tanh", "identity"),
-                                             ("smoothed_relu", "tanh")])
-    def test_matches_finite_differences(self, act, out_act):
-        net = init_network([3, 20, 20, 20, 1], act, seed=9, out_activation=out_act)
+    @pytest.mark.parametrize("act,out_act,outs", [
+        pytest.param("tanh", "identity", 1, id="tanh-identity"),
+        pytest.param("smoothed_relu", "tanh", 1, id="smoothed_relu-tanh"),
+        pytest.param("tanh", "identity", 2, id="tanh-identity-2out")])
+    def test_matches_finite_differences(self, act, out_act, outs):
+        net = init_network([3, 20, 20, 20, outs], act, seed=9, out_activation=out_act)
         rng = np.random.default_rng(2)
+        cot = np.random.default_rng(3).standard_normal((1, outs))
         for b in net.biases:  # move preactivations off the seams
             b += rng.uniform(0.01, 0.05, b.shape)
         h = 1e-5
@@ -182,9 +188,9 @@ class TestInputGradient:
                     min(abs(z).min() for z in zs),
                     min(abs(z - D).min() for z in zs)) < 10 * h:
                 continue
-            g = _input_grad(net, x[None, :])[0]
+            g = _input_grad(net, x[None, :], cot)[0]
             fd = np.array([
-                (_apply(net, [x + h * e]) - _apply(net, [x - h * e]))[0, 0] / (2 * h)
+                np.sum((_apply(net, [x + h * e]) - _apply(net, [x - h * e])) * cot) / (2 * h)
                 for e in np.eye(3)])
             assert np.max(np.abs(g - fd)) <= 1e-6 * max(1.0, np.max(np.abs(fd)))
             checked += 1
@@ -336,7 +342,7 @@ class TestDense:
                 fd = (float(value(*plus)[1].value) - float(value(*minus)[1].value)) / (2 * h)
                 assert abs(fd - g[c]) / max(abs(fd), abs(g[c]), 1e-8) <= 1e-4
 
-    @pytest.mark.parametrize("mode, nodes", [("general", 138), ("affine", 158)])
+    @pytest.mark.parametrize("mode, nodes", [("general", 138), ("affine", 139)])
     def test_training_tape_node_count(self, vdp_hyper, vdp_system, mode, nodes):
         # one node per dense layer at the default widths and depth
         model = StableDynamicsModel.initialize(vdp_hyper, seed=0, mode=mode)
@@ -432,20 +438,23 @@ class TestBackendConsistency:
         X = np.random.default_rng(3).uniform(-1, 1, (7, 3))
         handles_np = [(w, b) for w, b in zip(net.weights, net.biases)]
         out_np, cache_np = net_apply(NumpyOps, handles_np, net.activations, D, X)
-        grad_np = net_input_gradient(NumpyOps, handles_np, net.activations, D, cache_np)
+        cot = np.random.default_rng(4).standard_normal((7, 1))
+        grad_np = net_input_gradient(NumpyOps, handles_np, net.activations, D, cache_np, cot)
 
         tape = Tape()
         handles_t = [(tape.leaf(w), tape.leaf(b))
                      for w, b in zip(net.weights, net.biases)]
         out_t, cache_t = net_apply(tape, handles_t, net.activations, D, tape.constant(X))
-        grad_t = net_input_gradient(tape, handles_t, net.activations, D, cache_t)
+        grad_t = net_input_gradient(tape, handles_t, net.activations, D, cache_t,
+                                    tape.constant(cot))
         assert np.array_equal(out_np, out_t.value)
         assert np.array_equal(grad_np, grad_t.value)
 
 
 class TestParamGradientFiniteDifferences:
     def test_scalar_pipeline_matches_fd(self):
-        # scalar made from a net value and its input gradient, per network shape
+        # scalar made from a net value and its input gradient at a fixed
+        # output cotangent, per network shape
         rng = np.random.default_rng(8)
         for dims, act, out_act in (
             ([3, 100, 100, 100, 2], "tanh", "identity"),
@@ -458,6 +467,7 @@ class TestParamGradientFiniteDifferences:
             nets = {"n": net}
             layout = ParamLayout(nets)
             X = rng.uniform(-1, 1, (4, dims[0]))
+            cot = np.random.default_rng(dims[-1]).standard_normal((4, dims[-1]))
 
             def value(vec):
                 layout.write(nets, vec)
@@ -466,11 +476,10 @@ class TestParamGradientFiniteDifferences:
                            for w, b in zip(net.weights, net.biases)]
                 out, cache = net_apply(tape, handles, net.activations,
                                        net.srelu_width, tape.constant(X))
-                scalar = tape.mean_all(tape.mul(out, out))
-                if dims[-1] == 1:
-                    g = net_input_gradient(tape, handles, net.activations,
-                                           net.srelu_width, cache)
-                    scalar = tape.add(scalar, tape.mean_all(tape.mul(g, g)))
+                g = net_input_gradient(tape, handles, net.activations,
+                                       net.srelu_width, cache, tape.constant(cot))
+                scalar = tape.add(tape.mean_all(tape.mul(out, out)),
+                                  tape.mean_all(tape.mul(g, g)))
                 leaves = [h for pair in handles for h in pair]
                 return tape, scalar, leaves
 

@@ -268,10 +268,23 @@ class TestProjection:
 
 
 class TestClosedLoop:
-    def test_origin_is_equilibrium(self, vdp_hyper):
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_origin_is_equilibrium(self, vdp_hyper, mode):
+        # non-zero biases move gv(0), gu(0) and the nominal offset off zero;
+        # the origin's gradV(0) is still exactly 0, so affine u*(0) = 0 and
+        # f*(0) = 0 on both backends
+        rng = np.random.default_rng(5)
         for seed in range(10):
-            model = make_model(vdp_hyper, seed=seed)
-            assert np.linalg.norm(model.eval_pieces(ORIGIN)["fstar_star"]) == 0.0
+            model = jitter_params(make_model(vdp_hyper, seed=seed, mode=mode), rng)
+            tape = Tape()
+            on_tape = model.build_graph(tape, model.param_handles(tape),
+                                        tape.constant(ORIGIN))
+            for pieces in (model.eval_pieces(ORIGIN),
+                           {name: node.value for name, node in on_tape.items()}):
+                assert np.array_equal(pieces["grad_v"], np.zeros((1, 2)))
+                assert np.array_equal(pieces["fstar_star"], np.zeros((1, 2)))
+                if mode == "affine":
+                    assert np.array_equal(pieces["u_star"], np.zeros((1, 1)))
 
     def test_matches_project_of_controller(self, small_model):
         X = np.random.default_rng(11).uniform(-1.3, 1.3, (40, 2))

@@ -224,6 +224,8 @@ class TestRollout:
         model = make_model(vdp_hyper, seed=1)
         with pytest.raises(ValueError):
             rollout_many(model, model, np.zeros((1, 2)), T=0.0, h=1e-3)
+        with pytest.raises(ValueError, match="rounds to no step"):
+            rollout_many(model, model, np.zeros((1, 2)), T=4e-4, h=1e-3)
 
 
 class TestExportField:

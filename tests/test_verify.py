@@ -37,9 +37,15 @@ class TestCheckDecrease:
         assert doc["estimate_kind"] == "sampled"
         assert doc["n_samples"] == 100
 
-    def test_positive_sample_count_required(self, small_model):
+    def test_positive_sample_count_required(self, small_model, vdp_system):
         with pytest.raises(ValueError):
             verify.check_decrease(small_model, 0, seed=0)
+        # a floor above every ||grad V||^2 leaves no sample for the max
+        hp = Hyper.for_system(vdp_system, eps_proj=1e6)
+        with pytest.raises(ValueError,
+                           match=r"decrease check kept none of 50 samples: "
+                                 r"0 near the origin, 50 under the eps_proj floor"):
+            verify.check_decrease(make_model(hp, seed=0), 50, seed=0)
 
 
 class TestChunkCoverage:
@@ -157,6 +163,10 @@ class TestQuadraticRatio:
     def test_annulus_ordering_enforced(self, small_model):
         with pytest.raises(ValueError):
             verify.estimate_quadratic_ratio(small_model, 1.0, 0.5, 100, seed=0)
+        # the sphere r1 = r2 has no volume, so the annulus keeps no sample
+        with pytest.raises(ValueError, match=r"quad check kept 0 of 100 annulus samples "
+                                             r"and \d+ of 100 box samples"):
+            verify.estimate_quadratic_ratio(small_model, 1.0, 1.0, 100, seed=0)
 
     def test_monotone_in_sample_count(self, small_model):
         small = verify.estimate_quadratic_ratio(small_model, 0.2, 1.3, 2000, seed=5)
