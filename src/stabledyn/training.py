@@ -13,6 +13,7 @@ and the projection's u*(x) term), and the Lyapunov function.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -117,30 +118,56 @@ def import_dataset_csv(path):
     """The rows :func:`export_dataset_csv` wrote, with empty provenance.
 
     Any other file raises :class:`DatasetError` naming ``path`` and the
-    fault: a header other than ``x1..xn,u1..um,xdot1..xdotn``, no rows, or
-    the first line that is not a row of that many finite numbers.
+    fault: text that does not decode, a header other than
+    ``x1..xn,u1..um,xdot1..xdotn``, no rows, or the first line that is not a
+    row of that many finite numbers.  Blank lines and lines starting with
+    ``#`` are skipped.  The rows stream from the open file into
+    ``np.loadtxt``, so the memory used beyond the returned arrays does not
+    grow with the file; only a file with a bad row is read a second time,
+    to find that row's line number.
     """
-    with open(path) as fh:
-        lines = [(i, ln) for i, ln in enumerate(fh, 1)
-                 if ln.strip() and not ln.startswith("#")]
-    names = lines[0][1].strip().split(",") if lines else []
-    n = sum(1 for c in names if c.startswith("x") and not c.startswith("xdot"))
-    m = sum(1 for c in names if c.startswith("u"))
-    if not names or names != _dataset_columns(n, m):
-        raise DatasetError(f"{path}: header {','.join(names)!r} is not "
-                           f"x1..xn,u1..um,xdot1..xdotn")
-    if len(lines) == 1:
-        raise DatasetError(f"{path}: no data rows")
     try:
-        body = np.loadtxt([ln for _, ln in lines[1:]], delimiter=",", ndmin=2)
-    except ValueError:
-        body = None
-    if body is None or body.shape[1] != len(names) or not np.all(np.isfinite(body)):
-        i, line = next(((i, ln) for i, ln in lines[1:] if not _is_row(ln, len(names))),
-                       lines[1])
-        raise DatasetError(f"{path} line {i}: expected {len(names)} finite numbers, "
-                           f"got {line.strip()!r}")
+        with open(path) as fh:
+            names = next(filter(_is_content, fh), "").strip().split(",")
+            n = sum(1 for c in names if c.startswith("x") and not c.startswith("xdot"))
+            m = sum(1 for c in names if c.startswith("u"))
+            if names != _dataset_columns(n, m):
+                raise DatasetError(f"{path}: header {','.join(names)!r} is not "
+                                   f"x1..xn,u1..um,xdot1..xdotn")
+            first = next(filter(_is_content, fh), "")
+            if not first:
+                raise DatasetError(f"{path}: no data rows")
+            try:
+                # loadtxt skips the "#" lines itself, but not whitespace-only ones
+                body = np.loadtxt(itertools.chain([first], filter(str.strip, fh)),
+                                  delimiter=",", ndmin=2)
+            except UnicodeDecodeError:  # a ValueError too, but no bad row
+                raise
+            except ValueError:
+                body = None
+        if body is None or body.shape[1] != len(names) or not np.all(np.isfinite(body)):
+            i, line = _first_bad_row(path, len(names))
+            raise DatasetError(f"{path} line {i}: expected {len(names)} finite numbers, "
+                               f"got {line.strip()!r}")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not readable as text: {exc}") from None
     return Dataset(body[:, :n], body[:, n:n + m], body[:, n + m:])
+
+
+def _is_content(line):
+    """Neither blank nor a ``#`` comment."""
+    return bool(line.strip()) and not line.startswith("#")
+
+
+def _first_bad_row(path, width):
+    """Line number and text of the first data row of ``path`` that is not
+    ``width`` finite numbers, or of its first data row if none is."""
+    with open(path) as fh:
+        rows = ((i, ln) for i, ln in enumerate(fh, 1) if _is_content(ln))
+        next(rows)  # the header
+        first = next(rows)
+        return next(((i, ln) for i, ln in itertools.chain([first], rows)
+                     if not _is_row(ln, width)), first)
 
 
 def _is_row(line, width):
@@ -465,7 +492,7 @@ def load_checkpoint(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CheckpointError(f"{path} is not a checkpoint document")
@@ -478,6 +505,9 @@ def load_checkpoint(path):
         raw_nets = doc["networks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} missing or malformed fields: {exc}") from exc
+    if not isinstance(raw_nets, dict):
+        raise CheckpointError(
+            f"checkpoint {path}: networks must be an object, got {raw_nets!r:.60}")
 
     nets = {}
     for name, spec in raw_nets.items():

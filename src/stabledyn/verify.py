@@ -33,10 +33,12 @@ LIPSCHITZ_SEPARATION = 1e-3
 # Rows per block in every audit loop (the Lipschitz loop evaluates a block's
 # pairs as one call of twice as many rows).  In fresh processes running a
 # 100k-sample audit, 384-512 rows were fastest in both model modes, with
-# about 12k minor page faults and a 93 MB peak RSS.  From 640 rows on, the
-# blocks' temporaries were page-faulted in again block after block (0.2-1.8M
-# faults, up to twice the wall time), and 20,000-row blocks also more than
-# tripled the peak RSS; 256 rows paid more per-call overhead.
+# about 12k minor page faults.  From 640 rows on, the blocks' temporaries
+# were page-faulted in again block after block (0.2-1.8M faults, up to twice
+# the wall time), and 20,000-row blocks also more than tripled the peak RSS;
+# 256 rows paid more per-call overhead.  The certificate also draws its
+# samples a block at a time, so the memory it uses beyond the model and the
+# dataset is set by this constant, not by n_samples.
 BLOCK_ROWS = 512
 
 
@@ -47,6 +49,27 @@ def _uniform_box(rng, lb, ub, count):
 def _chunks(total):
     for start in range(0, total, BLOCK_ROWS):
         yield slice(start, min(start + BLOCK_ROWS, total))
+
+
+def _box_blocks(rng, lb, ub, total):
+    """The rows of ``_uniform_box(rng, lb, ub, total)``, drawn BLOCK_ROWS at a
+    time: the generator's stream is sequential, so the rows are the same."""
+    for sl in _chunks(total):
+        yield _uniform_box(rng, lb, ub, sl.stop - sl.start)
+
+
+def _reblock(blocks):
+    """The rows of ``blocks`` cut into BLOCK_ROWS-row blocks, as ``_chunks``
+    cuts their concatenation: a model call's rounding depends on which rows
+    share it."""
+    carry = None
+    for block in blocks:
+        carry = block if carry is None else np.concatenate((carry, block))
+        while len(carry) >= BLOCK_ROWS:
+            yield carry[:BLOCK_ROWS]
+            carry = carry[BLOCK_ROWS:]
+    if carry is not None and len(carry):
+        yield carry
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +240,13 @@ class CertificateReport:
 
 
 def certificate(model, system, dataset, r, n_samples, seed):
-    """Audit the coverage condition for a trained model on its dataset."""
+    """Audit the coverage condition for a trained model on its dataset.
+
+    The sampled states, Lipschitz base points and directions are drawn
+    BLOCK_ROWS rows at a time, and the k-d tree over the data is dropped once
+    delta is known, so the memory used beyond the model and the dataset
+    does not grow with ``n_samples``.
+    """
     if len(dataset) == 0:
         raise ValueError("certificate needs a nonempty dataset")
     if not r > 0:
@@ -240,35 +269,35 @@ def certificate(model, system, dataset, r, n_samples, seed):
     rng_delta = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     tree = cKDTree(np.hstack((dataset.X, dataset.U)))
     delta = 0.0
-    Xq = _uniform_box(rng_delta, hp.x_lb, hp.x_ub, n_samples)
-    for sl in _chunks(len(Xq)):
-        u = model.controller_batch(Xq[sl])
-        dist, _ = tree.query(np.hstack((Xq[sl], u)), k=1)
+    for Xq in _box_blocks(rng_delta, hp.x_lb, hp.x_ub, n_samples):
+        u = model.controller_batch(Xq)
+        dist, _ = tree.query(np.hstack((Xq, u)), k=1)
         delta = max(delta, float(np.max(dist)))
+    del tree
 
     # M_r: sampled sup of ||grad V|| outside the target neighborhood
     rng_m = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
-    Xm = _uniform_box(rng_m, hp.x_lb, hp.x_ub, n_samples)
-    Xm = Xm[np.linalg.norm(Xm, axis=1) >= r]
-    if len(Xm) == 0:
-        raise ValueError(f"radius r={r} leaves no box samples outside the neighborhood")
+    kept = (X[np.linalg.norm(X, axis=1) >= r]
+            for X in _box_blocks(rng_m, hp.x_lb, hp.x_ub, n_samples))
     M_r = 0.0
-    for sl in _chunks(len(Xm)):
-        g = model.lyapunov_grad_batch(Xm[sl])
+    n_kept = 0
+    for Xm in _reblock(kept):
+        n_kept += len(Xm)
+        g = model.lyapunov_grad_batch(Xm)
         M_r = max(M_r, float(np.max(np.linalg.norm(g, axis=1))))
+    if n_kept == 0:
+        raise ValueError(f"radius r={r} leaves no box samples outside the neighborhood")
 
     # Lipschitz constants: max difference quotients over random close pairs
     rng_lz = np.random.default_rng(np.random.SeedSequence([int(seed), 3]))
     rng_ld = np.random.default_rng(np.random.SeedSequence([int(seed), 4]))
     L_f = L_fstar = 0.0
-    Z = _uniform_box(rng_lz, np.concatenate((hp.x_lb, -hp.u_lim)),
-                     np.concatenate((hp.x_ub, hp.u_lim)), n_samples)
-    dirs = rng_ld.standard_normal(Z.shape)
-    dirs *= LIPSCHITZ_SEPARATION / np.linalg.norm(dirs, axis=1, keepdims=True)
-    Z2 = Z + dirs
     nmax = hp.n
-    for sl in _chunks(len(Z)):
-        a, b = Z[sl], Z2[sl]
+    for a in _box_blocks(rng_lz, np.concatenate((hp.x_lb, -hp.u_lim)),
+                         np.concatenate((hp.x_ub, hp.u_lim)), n_samples):
+        dirs = rng_ld.standard_normal(a.shape)
+        dirs *= LIPSCHITZ_SEPARATION / np.linalg.norm(dirs, axis=1, keepdims=True)
+        b = a + dirs
         sep = np.linalg.norm(b - a, axis=1)
         # both ends of every pair in one call: rows [0, k) are a, [k, 2k) are b
         k = len(a)

@@ -61,8 +61,15 @@ def test_box_of_wrong_length_exits_one(tmp_path, capsys, command, key, box):
     ("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n0.1,abc,0.3,0.4,0.5\n",
      "line 3: expected 5 finite numbers"),
     ("x1,x2,x3,u1,xdot1,xdot2,xdot3\n0.1,0.2,0.3,0.4,0.5,0.6,0.7\n",
-     "3 state and 1 control columns where vdp has 2 and 1")],
-    ids=["header-only", "non-numeric", "three-states"])
+     "3 state and 1 control columns where vdp has 2 and 1"),
+    ("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n0.1,inf,0.3,0.4,0.5\n",
+     "line 3: expected 5 finite numbers, got '0.1,inf,0.3,0.4,0.5'"),
+    ("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n0.1,0.2,0.3,0.4\n",
+     "line 3: expected 5 finite numbers, got '0.1,0.2,0.3,0.4'"),
+    ("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n# note\n\n0.1,abc,0.3,0.4,0.5\n",
+     "line 5: expected 5 finite numbers")],
+    ids=["header-only", "non-numeric", "three-states", "infinite", "ragged",
+         "comment-and-blank"])
 def test_bad_dataset_csv_exits_one(tmp_path, capsys, command, text, fault):
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -71,6 +78,20 @@ def test_bad_dataset_csv_exits_one(tmp_path, capsys, command, text, fault):
     assert run(tmp_path, command, config) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(path) in err and fault in err
+
+
+@pytest.mark.parametrize("kind", ["config", "checkpoint", "dataset"])
+def test_non_utf8_input_exits_one(tmp_path, capsys, kind):
+    path = tmp_path / f"{kind}.bin"
+    path.write_bytes(b'{"name": "\xff"}\n')
+    if kind == "config":
+        code = cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    else:
+        config = with_section("verify", **{kind: str(path)})
+        config["verify"]["checks"] = ["certificate"]
+        code = run(tmp_path, "verify", config)
+    assert code == cli.EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
 
 
 def test_ablated_decrease_exits_three(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,20 @@ class TestDatasetCsv:
         assert np.array_equal(back.U, ds.U)
         assert np.array_equal(back.Xdot, ds.Xdot)
         assert json.loads(meta.read_text()) == ds.meta
+
+    def test_read_memory_is_bounded(self, tmp_path, vdp_system, vdp_hyper):
+        # rows stream from the file: no list of its lines is held
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 50000, seed=5)
+        path = tmp_path / "data.csv"
+        training.export_dataset_csv(ds, path)
+        tracemalloc.start()
+        try:
+            back = training.import_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.Xdot, ds.Xdot)
+        assert peak < 3 * (back.X.nbytes + back.U.nbytes + back.Xdot.nbytes)
 
     def test_header_layout(self, tmp_path, vdp_system, vdp_hyper):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 3, seed=5)
@@ -398,6 +413,16 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         path.write_text('{"something": "else"}')
         with pytest.raises(CheckpointError, match="is not a checkpoint document"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [[], None], ids=["list", "null"])
+    def test_networks_not_an_object(self, tmp_path, small_model, value):
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        doc = json.loads(path.read_text())
+        doc["networks"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"{path}: networks must be an object"):
             training.load_checkpoint(path)
 
     def test_optimizer_state_and_system_roundtrip(self, tmp_path, small_model,

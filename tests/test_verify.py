@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -235,6 +236,18 @@ class TestCertificate:
         assert rep_big.M_r >= rep_few.M_r
         assert rep_big.L_f >= rep_few.L_f
         assert rep_big.L_fstar >= rep_few.L_fstar
+
+    def test_memory_does_not_grow_with_samples(self, vdp_system, vdp_hyper, small_model):
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 2000, seed=3)
+        peaks = []
+        for n_samples in (5000, 50000):
+            tracemalloc.start()
+            try:
+                verify.certificate(small_model, vdp_system, ds, 0.1, n_samples, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6
 
     def test_empty_dataset_rejected(self, vdp_system, vdp_hyper, small_model):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 5, seed=0).subset([])
