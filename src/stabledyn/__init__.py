@@ -1,7 +1,7 @@
 """stabledyn: jointly learned dynamics, controllers, and Lyapunov functions
 with closed-loop exponential stability by construction."""
 
-from .diffcore import Network, ParamLayout, Tape, init_network
+from .diffcore import Network, Tape, init_network
 from .models import Hyper, StableDynamicsModel
 from .systems import get_system, system_names
 from .training import Dataset, TrainConfig, load_checkpoint, sample_dataset, save_checkpoint, train
@@ -10,7 +10,7 @@ from .sim import FieldGrid, Trajectory, export_field, rk4_step, rollout_many
 __version__ = "0.1.0"
 
 __all__ = [
-    "Network", "ParamLayout", "Tape", "init_network",
+    "Network", "Tape", "init_network",
     "Hyper", "StableDynamicsModel",
     "get_system", "system_names",
     "Dataset", "TrainConfig", "load_checkpoint", "sample_dataset",

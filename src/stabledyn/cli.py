@@ -318,7 +318,11 @@ def cmd_train(cfg, system, out):
     losses_path = out / "losses.csv"
     existing, offset = "", 0
     if tc["resume_from"] and losses_path.exists():
-        existing = losses_path.read_text()
+        try:
+            existing = losses_path.read_text()
+        except UnicodeDecodeError as exc:  # a ValueError, read as numerical
+            raise ConfigError(f"cannot read {losses_path}: {exc}; resume into "
+                              f"another output directory") from None
         lines = [ln for ln in existing.splitlines() if ln and not ln.startswith("#")]
         header = lines[0] if lines else None
         if header != LOSS_COLUMNS:  # never append rows under other columns

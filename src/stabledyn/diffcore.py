@@ -25,7 +25,6 @@ All values are float64; batches are row-major (batch, dim).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -135,66 +134,6 @@ def init_network(dims, activation="tanh", seed=0, out_activation="identity",
         biases.append(np.zeros(fan_out))
     acts = [activation] * (len(dims) - 2) + [out_activation]
     return Network(weights, biases, acts, srelu_width=srelu_width)
-
-
-# ---------------------------------------------------------------------------
-# Flat parameter vector layout
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParamBlock:
-    net: str
-    layer: int
-    kind: str  # "W" or "b"
-    shape: tuple
-    offset: int
-
-    @property
-    def size(self):
-        return math.prod(self.shape)
-
-
-class ParamLayout:
-    """Bijection between named network parameters and one flat float64 vector.
-
-    Block order follows the insertion order of the network dict, then layer
-    index, with each layer's weight before its bias.
-    """
-
-    def __init__(self, nets):
-        blocks = []
-        offset = 0
-        for name, net in nets.items():
-            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-                blocks.append(ParamBlock(name, i, "W", w.shape, offset))
-                offset += w.size
-                blocks.append(ParamBlock(name, i, "b", b.shape, offset))
-                offset += b.size
-        self.blocks = tuple(blocks)
-        self.size = offset
-
-    def flatten(self, nets):
-        vec = np.empty(self.size)
-        for blk in self.blocks:
-            arr = self._slot(nets, blk)
-            vec[blk.offset:blk.offset + blk.size] = arr.ravel()
-        return vec
-
-    def write(self, nets, vec):
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.size,):
-            raise ValueError(f"expected flat vector of length {self.size}, got {vec.shape}")
-        for blk in self.blocks:
-            chunk = vec[blk.offset:blk.offset + blk.size].reshape(blk.shape)
-            if blk.kind == "W":
-                nets[blk.net].weights[blk.layer] = chunk.copy()
-            else:
-                nets[blk.net].biases[blk.layer] = chunk.copy()
-
-    @staticmethod
-    def _slot(nets, blk):
-        net = nets[blk.net]
-        return net.weights[blk.layer] if blk.kind == "W" else net.biases[blk.layer]
 
 
 # ---------------------------------------------------------------------------
@@ -433,19 +372,10 @@ for _name, _prim in PRIMITIVES.items():
     setattr(Tape, _name, _bind(_name, _prim))
 
 
-def param_gradient(tape, output, leaf_blocks, layout):
-    """Flatten per-leaf adjoints into one vector following ``layout``.
-
-    ``leaf_blocks`` must contain one leaf node per layout block, in layout
-    order.
-    """
-    if len(leaf_blocks) != len(layout.blocks):
-        raise ValueError("leaf_blocks out of step with layout")
-    grads = tape.gradient(output, leaf_blocks)
-    vec = np.empty(layout.size)
-    for blk, g in zip(layout.blocks, grads):
-        vec[blk.offset:blk.offset + blk.size] = g.ravel()
-    return vec
+def param_gradient(tape, output, leaves):
+    """The adjoints of ``output`` w.r.t. ``leaves``, raveled and concatenated
+    in leaf order into one vector."""
+    return np.concatenate([g.ravel() for g in tape.gradient(output, leaves)])
 
 
 # ---------------------------------------------------------------------------

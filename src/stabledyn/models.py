@@ -25,12 +25,12 @@ needed.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diffcore import NumpyOps, ParamLayout, init_network, net_apply, net_input_gradient
+from .diffcore import NumpyOps, init_network, net_apply, net_input_gradient
 
 
 def _box(name, value):
@@ -144,8 +144,8 @@ class NetRole(NamedTuple):
 
 
 _GV = NetRole("gv", lambda n, m: (n, 1), "smoothed_relu", "tanh", 50)
-# Each mode's networks in layout order, gv last so that layouts stay
-# mode-consistent; initialize draws network i from seed stream i.
+# Each mode's networks in parameter-vector order, gv last in both modes;
+# initialize draws network i from seed stream i.
 NETWORKS = {
     "general": (NetRole("gf", lambda n, m: (n + m, n), "tanh", "identity", 100),
                 NetRole("gu", lambda n, m: (n, m), "tanh", "tanh", 50), _GV),
@@ -185,9 +185,18 @@ class StableDynamicsModel:
     evaluation methods take (B, n) state batches, and (B, m) control
     batches where they take controls, and return row-batched arrays.
 
+    The constructor copies every parameter into one float64 vector, in
+    :data:`NETWORKS` order (network, then layer, each weight before its
+    bias).  Its ``nets`` are new networks whose weights and biases are views
+    of that vector; the networks passed in are not touched, so two models
+    built from one dict share no arrays.
+    :meth:`get_params` returns a copy of the vector; :meth:`set_params`
+    writes it in place and invalidates the cached numpy handles and origin
+    nodes.  An in-place edit of a network array changes the vector too, and
+    must be followed by :meth:`invalidate_cache`.
+
     Evaluation is read-only and safe to share across threads; parameter
-    updates must go through :meth:`set_params`, which also invalidates the
-    cached numpy handles and origin nodes.
+    updates are not.
     """
 
     def __init__(self, nets, hyper, mode="general"):
@@ -208,12 +217,19 @@ class StableDynamicsModel:
             if "smoothed_relu" in acts and net.srelu_width != hyper.d:
                 raise ValueError(f"{role.name} srelu_width {net.srelu_width} differs "
                                  f"from hyper.d = {hyper.d}")
-        self.nets = nets
         self.hyper = hyper
         self.mode = mode
         self.n = hyper.n
         self.m = hyper.m
-        self.layout = ParamLayout(nets)
+        arrays = {name: [a for wb in zip(net.weights, net.biases) for a in wb]
+                  for name, net in nets.items()}
+        flat = [a for group in arrays.values() for a in group]
+        self._theta = np.concatenate([a.ravel() for a in flat], dtype=np.float64)
+        chunks = iter(np.split(self._theta, np.cumsum([a.size for a in flat])[:-1]))
+        self.nets = {}
+        for name, net in nets.items():
+            views = [next(chunks).reshape(a.shape) for a in arrays[name]]
+            self.nets[name] = replace(net, weights=views[0::2], biases=views[1::2])
         self._np_cache = None
 
     # -- construction ----------------------------------------------------
@@ -237,10 +253,17 @@ class StableDynamicsModel:
     # -- parameter plumbing ------------------------------------------------
 
     def get_params(self):
-        return self.layout.flatten(self.nets)
+        """A copy of the parameter vector."""
+        return self._theta.copy()
 
     def set_params(self, vec):
-        self.layout.write(self.nets, vec)
+        """Write ``vec`` into the parameter vector, which every network
+        array views, and invalidate the cache."""
+        vec = np.asarray(vec, dtype=np.float64)
+        if vec.shape != self._theta.shape:
+            raise ValueError(f"expected flat vector of length {self._theta.size}, "
+                             f"got {vec.shape}")
+        self._theta[:] = vec
         self.invalidate_cache()
 
     def invalidate_cache(self):
@@ -250,7 +273,7 @@ class StableDynamicsModel:
     # -- handle plumbing shared by numpy and tape evaluation ----------------
 
     def param_handles(self, ops):
-        """Per-network (W, b) handle lists, in layout order.
+        """Per-network (W, b) handle lists, in parameter-vector order.
 
         With a recording tape this registers every parameter as a leaf;
         with the numpy backend the arrays pass through unchanged.
@@ -260,14 +283,6 @@ class StableDynamicsModel:
             handles[name] = [(ops.leaf(w), ops.leaf(b))
                              for w, b in zip(net.weights, net.biases)]
         return handles
-
-    def leaf_blocks(self, handles):
-        """Leaf nodes flattened in the same order as the parameter layout."""
-        leaves = []
-        for blk in self.layout.blocks:
-            w, b = handles[blk.net][blk.layer]
-            leaves.append(w if blk.kind == "W" else b)
-        return leaves
 
     # -- the model pipeline -------------------------------------------------
 

@@ -204,16 +204,20 @@ def _loss_node(ops, model, handles, X, U, Xdot):
 
 @dataclass
 class LossGraph:
-    """A recorded loss evaluation: scalar value plus its parameter gradient."""
+    """A recorded loss evaluation: scalar value plus its parameter gradient.
+
+    The parameter leaves hold views of the model's parameter vector, so the
+    gradient must be taken before the model's next
+    :meth:`StableDynamicsModel.set_params`.
+    """
 
     tape: Tape
     output: object
-    leaves: list
-    layout: object
+    leaves: list  # the parameter leaves, in parameter-vector order
     value: float
 
     def param_gradient(self):
-        return param_gradient(self.tape, self.output, self.leaves, self.layout)
+        return param_gradient(self.tape, self.output, self.leaves)
 
 
 def loss(model, batch):
@@ -229,7 +233,8 @@ def loss(model, batch):
     value = float(out.value)
     if not np.isfinite(value):
         raise FloatingPointError("non-finite training loss")
-    return LossGraph(tape, out, model.leaf_blocks(handles), model.layout, value)
+    leaves = [h for pairs in handles.values() for pair in pairs for h in pair]
+    return LossGraph(tape, out, leaves, value)
 
 
 def loss_value(model, batch):
@@ -369,15 +374,15 @@ def train(model, dataset, config, state=None):
     work = dataset.subset(perm[n_hold:])
     if len(work) == 0:
         raise ValueError("holdout fraction leaves no training samples")
+    theta = model.get_params()
     if state is None:
-        state = AdamState.zeros(model.layout.size)
-    elif state.m.shape != (model.layout.size,):
+        state = AdamState.zeros(theta.size)
+    elif state.m.shape != theta.shape:
         raise ValueError(f"optimizer state has {state.m.size} entries, "
-                         f"the model {model.layout.size} parameters")
+                         f"the model {theta.size} parameters")
     for _done in range(state.epochs):
         rng.permutation(len(work))
 
-    theta = model.get_params()
     train_losses, holdout_losses, grad_norm_max, clip_frac = [], [], [], []
     initial = None
     for _epoch in range(config.epochs):
@@ -537,5 +542,5 @@ def load_checkpoint(path):
         raise CheckpointError(f"checkpoint {path}: system must be a name, got {system!r}")
     optimizer = doc.get("optimizer")
     if optimizer is not None:
-        optimizer = _optimizer_state(optimizer, model.layout.size)
+        optimizer = _optimizer_state(optimizer, model.get_params().size)
     return model, system, optimizer

@@ -36,14 +36,10 @@ LIPSCHITZ_SEPARATION = 1e-3
 # about 12k minor page faults.  From 640 rows on, the blocks' temporaries
 # were page-faulted in again block after block (0.2-1.8M faults, up to twice
 # the wall time), and 20,000-row blocks also more than tripled the peak RSS;
-# 256 rows paid more per-call overhead.  The certificate also draws its
+# 256 rows paid more per-call overhead.  Every sampled audit also draws its
 # samples a block at a time, so the memory it uses beyond the model and the
 # dataset is set by this constant, not by n_samples.
 BLOCK_ROWS = 512
-
-
-def _uniform_box(rng, lb, ub, count):
-    return rng.uniform(lb, ub, size=(count, len(lb)))
 
 
 def _chunks(total):
@@ -52,23 +48,26 @@ def _chunks(total):
 
 
 def _box_blocks(rng, lb, ub, total):
-    """The rows of ``_uniform_box(rng, lb, ub, total)``, drawn BLOCK_ROWS at a
-    time: the generator's stream is sequential, so the rows are the same."""
+    """The rows of ``rng.uniform(lb, ub, size=(total, len(lb)))``, drawn
+    BLOCK_ROWS at a time: the generator's stream is sequential, so the rows
+    are the same."""
     for sl in _chunks(total):
-        yield _uniform_box(rng, lb, ub, sl.stop - sl.start)
+        yield rng.uniform(lb, ub, size=(sl.stop - sl.start, len(lb)))
 
 
-def _reblock(blocks):
-    """The rows of ``blocks`` cut into BLOCK_ROWS-row blocks, as ``_chunks``
-    cuts their concatenation: a model call's rounding depends on which rows
-    share it."""
-    carry = None
-    for block in blocks:
-        carry = block if carry is None else np.concatenate((carry, block))
+def _shell_blocks(rng, lb, ub, total, r_min, r_max=np.inf):
+    """The rows of ``rng.uniform(lb, ub, size=(total, len(lb)))`` whose norm
+    lies in [r_min, r_max], drawn BLOCK_ROWS at a time and cut into blocks as
+    ``_chunks`` cuts the kept rows' concatenation: a model call's rounding
+    depends on which rows share it."""
+    carry = np.empty((0, len(lb)))
+    for X in _box_blocks(rng, lb, ub, total):
+        norms = np.linalg.norm(X, axis=1)
+        carry = np.concatenate((carry, X[(norms >= r_min) & (norms <= r_max)]))
         while len(carry) >= BLOCK_ROWS:
             yield carry[:BLOCK_ROWS]
             carry = carry[BLOCK_ROWS:]
-    if carry is not None and len(carry):
+    if len(carry):
         yield carry
 
 
@@ -101,13 +100,11 @@ def check_decrease(model, n_samples, seed, ablate_projection=False):
         raise ValueError("need at least one sample")
     hp = model.hyper
     rng = np.random.default_rng(seed)
-    X = _uniform_box(rng, hp.x_lb, hp.x_ub, n_samples)
-    X = X[np.linalg.norm(X, axis=1) >= ORIGIN_EXCLUSION]
     max_resid = -np.inf
     n_floor = 0
     n_used = 0
-    for sl in _chunks(len(X)):
-        pieces = model.eval_pieces(X[sl], ablate_projection=ablate_projection)
+    for X in _shell_blocks(rng, hp.x_lb, hp.x_ub, n_samples, ORIGIN_EXCLUSION):
+        pieces = model.eval_pieces(X, ablate_projection=ablate_projection)
         gn2 = np.sum(pieces["grad_v"] ** 2, axis=1)
         ok = gn2 >= hp.eps_proj
         n_floor += int(np.sum(~ok))
@@ -118,7 +115,7 @@ def check_decrease(model, n_samples, seed, ablate_projection=False):
             max_resid = max(max_resid, float(resid[ok].max()))
     if n_used == 0:
         raise ValueError(f"decrease check kept none of {n_samples} samples: "
-                         f"{n_samples - len(X)} near the origin, {n_floor} under "
+                         f"{n_samples - n_floor} near the origin, {n_floor} under "
                          f"the eps_proj floor")
     return DecreaseReport(max_resid, n_floor, n_used, n_samples, int(seed),
                           bool(ablate_projection))
@@ -188,25 +185,23 @@ def estimate_quadratic_ratio(model, r1, r2, n_samples, seed):
     rng_ann = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
     rng_box = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
 
-    cube = _uniform_box(rng_ann, -r2 * np.ones(hp.n), r2 * np.ones(hp.n), n_samples)
-    norms = np.linalg.norm(cube, axis=1)
-    annulus = cube[(norms >= r1) & (norms <= r2)]
+    def sup_ratio(blocks):
+        best, kept = -np.inf, 0
+        for X in blocks:
+            kept += len(X)
+            v = model.lyapunov_batch(X)
+            best = max(best, float(np.max(v / np.sum(X ** 2, axis=1))))
+        return best, kept
 
-    box = _uniform_box(rng_box, hp.x_lb, hp.x_ub, n_samples)
-    box = box[np.linalg.norm(box, axis=1) >= ORIGIN_EXCLUSION]
-    if len(annulus) == 0 or len(box) == 0:
-        raise ValueError(f"quad check kept {len(annulus)} of {n_samples} annulus samples "
-                         f"and {len(box)} of {n_samples} box samples")
-
-    def sup_ratio(X):
-        best = -np.inf
-        for sl in _chunks(len(X)):
-            v = model.lyapunov_batch(X[sl])
-            best = max(best, float(np.max(v / np.sum(X[sl] ** 2, axis=1))))
-        return best
-
-    return QuadBoundReport(float(r1), float(r2), sup_ratio(annulus),
-                           sup_ratio(box), hp.eps_pd, int(n_samples), int(seed))
+    M, n_ann = sup_ratio(_shell_blocks(rng_ann, -r2 * np.ones(hp.n), r2 * np.ones(hp.n),
+                                       n_samples, r1, r2))
+    c2, n_box = sup_ratio(_shell_blocks(rng_box, hp.x_lb, hp.x_ub, n_samples,
+                                        ORIGIN_EXCLUSION))
+    if n_ann == 0 or n_box == 0:
+        raise ValueError(f"quad check kept {n_ann} of {n_samples} annulus samples "
+                         f"and {n_box} of {n_samples} box samples")
+    return QuadBoundReport(float(r1), float(r2), M, c2, hp.eps_pd, int(n_samples),
+                           int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +272,9 @@ def certificate(model, system, dataset, r, n_samples, seed):
 
     # M_r: sampled sup of ||grad V|| outside the target neighborhood
     rng_m = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
-    kept = (X[np.linalg.norm(X, axis=1) >= r]
-            for X in _box_blocks(rng_m, hp.x_lb, hp.x_ub, n_samples))
     M_r = 0.0
     n_kept = 0
-    for Xm in _reblock(kept):
+    for Xm in _shell_blocks(rng_m, hp.x_lb, hp.x_ub, n_samples, r):
         n_kept += len(Xm)
         g = model.lyapunov_grad_batch(Xm)
         M_r = max(M_r, float(np.max(np.linalg.norm(g, axis=1))))
@@ -342,7 +335,7 @@ def _decrease(model, system, vc, seed, dataset):
 def _decay(model, system, vc, seed, dataset):
     # passes when every learned-plant rollout from a seeded box start does
     hp, count = model.hyper, vc["rollouts"]
-    starts = _uniform_box(np.random.default_rng(seed), hp.x_lb, hp.x_ub, count)
+    starts = np.random.default_rng(seed).uniform(hp.x_lb, hp.x_ub, size=(count, hp.n))
     reports = [decay_bound_check(traj, hp) for traj in sim.rollout_many(model, model, starts)]
     worst = max(reports, key=lambda rep: rep.worst_v_ratio)
     return ({"report": asdict(worst), "passed": all(rep.passed for rep in reports),

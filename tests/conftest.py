@@ -44,8 +44,19 @@ def jitter_params(model, rng, scale=0.05):
     seam; finite differences are one-sided there while the analytic
     derivative is the true two-sided one.
     """
-    model.set_params(model.get_params() + rng.uniform(-scale, scale, model.layout.size))
+    theta = model.get_params()
+    model.set_params(theta + rng.uniform(-scale, scale, theta.size))
     return model
+
+
+def net_slices(model):
+    """Each network's slice of the model's parameter vector."""
+    slices, start = {}, 0
+    for name, net in model.nets.items():
+        size = sum(a.size for a in net.weights + net.biases)
+        slices[name] = slice(start, start + size)
+        start += size
+    return slices
 
 
 def seam_margins(model, X, U=None):

@@ -52,6 +52,27 @@ def test_install_patches_every_target_and_uninstall_restores_it(vdp_system, vdp_
         assert getattr(owner, attr) is fn
 
 
+def test_traced_train_step_records_sweep_and_update(vdp_system, vdp_hyper):
+    # reverse_sweep_ms and update_ms read these spans: one each per step,
+    # inside the train span
+    batch = training.sample_dataset(vdp_system, vdp_hyper, 16, 0)
+    config = training.TrainConfig(epochs=1, batch_size=16, holdout=0.0)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        training.train(make_model(vdp_hyper), batch, config)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    names = [span[tracer_mod.NAME] for span in tracer.spans]
+    (train,) = [i for i, name in enumerate(names) if name == "training.train"]
+    for name in ("diffcore.param_gradient", "models.set_params"):
+        (span,) = [s for s in tracer.spans if s[tracer_mod.NAME] == name]
+        assert span[tracer_mod.PARENT] == train
+        assert span[tracer_mod.END] >= span[tracer_mod.START]
+
+
 def test_traced_verify_records_every_check(tmp_path, monkeypatch):
     # the check table must reach each wrapped function at call time; one that
     # held the functions themselves would leave these spans unrecorded.  The

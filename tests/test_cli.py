@@ -80,12 +80,20 @@ def test_bad_dataset_csv_exits_one(tmp_path, capsys, command, text, fault):
     assert str(path) in err and fault in err
 
 
-@pytest.mark.parametrize("kind", ["config", "checkpoint", "dataset"])
+@pytest.mark.parametrize("kind", ["config", "checkpoint", "dataset", "losses"])
 def test_non_utf8_input_exits_one(tmp_path, capsys, kind):
     path = tmp_path / f"{kind}.bin"
     path.write_bytes(b'{"name": "\xff"}\n')
     if kind == "config":
         code = cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
+    elif kind == "losses":  # a resume into a directory whose losses.csv does not decode
+        assert run(tmp_path, "train", TINY) == cli.EXIT_OK
+        path = tmp_path / "out" / "losses.csv"
+        text = path.read_bytes() + b"\xff\xfe\n"
+        path.write_bytes(text)
+        code = run(tmp_path, "train", with_section(
+            "train", resume_from=str(tmp_path / "out" / "checkpoint.json")))
+        assert path.read_bytes() == text
     else:
         config = with_section("verify", **{kind: str(path)})
         config["verify"]["checks"] = ["certificate"]

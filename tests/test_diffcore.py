@@ -7,7 +7,6 @@ from stabledyn.diffcore import (
     GradientError,
     Network,
     NumpyOps,
-    ParamLayout,
     Tape,
     init_network,
     net_apply,
@@ -198,25 +197,6 @@ class TestInputGradient:
 
 def _preacts(net, x):
     return [z for z, _a in apply_net(net, np.atleast_2d(x))[1]]
-
-
-class TestParamLayout:
-    def test_flatten_write_roundtrip(self):
-        nets = {"a": init_network([2, 5, 1], "tanh", seed=1),
-                "b": init_network([3, 4, 2], "smoothed_relu", seed=2)}
-        layout = ParamLayout(nets)
-        vec = layout.flatten(nets)
-        assert vec.shape == (layout.size,)
-        assert layout.size == sum(w.size + b.size for n in nets.values()
-                                  for w, b in zip(n.weights, n.biases))
-        layout.write(nets, vec * 2.0)
-        assert np.array_equal(layout.flatten(nets), vec * 2.0)
-
-    def test_wrong_length_rejected(self):
-        nets = {"a": init_network([2, 3, 1], "tanh", seed=1)}
-        layout = ParamLayout(nets)
-        with pytest.raises(ValueError):
-            layout.write(nets, np.zeros(layout.size + 1))
 
 
 class TestTape:
@@ -464,30 +444,31 @@ class TestParamGradientFiniteDifferences:
             net = init_network(dims, act, seed=13, out_activation=out_act)
             for b in net.biases:
                 b += rng.uniform(0.01, 0.03, b.shape)
-            nets = {"n": net}
-            layout = ParamLayout(nets)
+            # the parameters as one vector, each layer's weight before its bias
+            arrays = [a for wb in zip(net.weights, net.biases) for a in wb]
+            ends = np.cumsum([a.size for a in arrays])
             X = rng.uniform(-1, 1, (4, dims[0]))
             cot = np.random.default_rng(dims[-1]).standard_normal((4, dims[-1]))
 
             def value(vec):
-                layout.write(nets, vec)
                 tape = Tape()
-                handles = [(tape.leaf(w), tape.leaf(b))
-                           for w, b in zip(net.weights, net.biases)]
+                leaves = [tape.leaf(chunk.reshape(a.shape))
+                          for chunk, a in zip(np.split(vec, ends[:-1]), arrays)]
+                handles = list(zip(leaves[0::2], leaves[1::2]))
                 out, cache = net_apply(tape, handles, net.activations,
                                        net.srelu_width, tape.constant(X))
                 g = net_input_gradient(tape, handles, net.activations,
                                        net.srelu_width, cache, tape.constant(cot))
                 scalar = tape.add(tape.mean_all(tape.mul(out, out)),
                                   tape.mean_all(tape.mul(g, g)))
-                leaves = [h for pair in handles for h in pair]
                 return tape, scalar, leaves
 
-            theta = layout.flatten(nets)
+            theta = np.concatenate([a.ravel() for a in arrays])
             tape, scalar, leaves = value(theta)
-            grad = param_gradient(tape, scalar, leaves, layout)
+            grad = param_gradient(tape, scalar, leaves)
+            assert grad.shape == theta.shape
             h = 1e-5
-            for c in rng.choice(layout.size, 12, replace=False):
+            for c in rng.choice(theta.size, 12, replace=False):
                 tp = theta.copy(); tp[c] += h
                 lp = float(value(tp)[1].value)
                 tm = theta.copy(); tm[c] -= h
@@ -495,7 +476,6 @@ class TestParamGradientFiniteDifferences:
                 fd = (lp - lm) / (2 * h)
                 denom = max(abs(fd), abs(grad[c]), 1e-8)
                 assert abs(fd - grad[c]) / denom <= 1e-4
-            layout.write(nets, theta)
 
 
 class TestDeterminism:

@@ -6,7 +6,7 @@ import stabledyn
 from stabledyn.diffcore import Network, NumpyOps, Tape, init_network
 from stabledyn.models import Hyper, StableDynamicsModel, projection_shift
 
-from conftest import SMALL_WIDTHS, apply_net, jitter_params, make_model
+from conftest import SMALL_WIDTHS, apply_net, jitter_params, make_model, net_slices
 
 ORIGIN = np.zeros((1, 2))
 
@@ -83,7 +83,6 @@ class TestNominal:
     def test_constant_network_gives_zero_everywhere(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=3)
         model.nets["gf"] = constant_network(3, 2, 1.7)
-        model.layout = None  # rebuilt below
         model = StableDynamicsModel(model.nets, vdp_hyper)
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, (50, 2))
@@ -412,6 +411,55 @@ class TestParams:
         assert not np.array_equal(before, changed)
         small_model.set_params(theta)
         assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_get_set_roundtrip(self, vdp_hyper, mode):
+        model = make_model(vdp_hyper, seed=5, mode=mode)
+        vec = model.get_params()
+        assert vec.shape == (sum(w.size + b.size for n in model.nets.values()
+                                 for w, b in zip(n.weights, n.biases)),)
+        model.set_params(vec * 2.0)
+        assert np.array_equal(model.get_params(), vec * 2.0)
+        returned = model.get_params()
+        returned[:] = 0.0  # a copy: the model keeps its parameters
+        assert np.array_equal(model.get_params(), vec * 2.0)
+
+    def test_wrong_length_rejected(self, small_model):
+        theta = small_model.get_params()
+        for bad in (np.zeros(theta.size + 1), np.zeros(theta.size - 1),
+                    np.zeros((1, theta.size))):
+            with pytest.raises(ValueError, match=f"length {theta.size}"):
+                small_model.set_params(bad)
+        assert np.array_equal(small_model.get_params(), theta)
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_networks_view_the_vector_in_declared_order(self, vdp_hyper, mode):
+        # network by network, layer by layer, each weight before its bias
+        model = make_model(vdp_hyper, seed=6, mode=mode)
+        arrays = [a for n in model.nets.values() for wb in zip(n.weights, n.biases)
+                  for a in wb]
+        assert np.array_equal(model.get_params(),
+                              np.concatenate([a.ravel() for a in arrays]))
+        before = [a.copy() for a in arrays]
+        model.set_params(model.get_params() + 1.0)  # written through the views
+        assert all(np.array_equal(a, b + 1.0) for a, b in zip(arrays, before))
+        model.nets["gv"].biases[-1][:] = 7.0  # an in-place edit writes the vector
+        assert np.all(model.get_params()[net_slices(model)["gv"]][-1] == 7.0)
+
+    def test_model_from_another_models_networks_is_independent(self, small_model,
+                                                              vdp_hyper):
+        x = np.array([[0.4, -0.2], [-0.9, 0.3]])
+        theta = small_model.get_params()
+        before = small_model.eval_pieces(x)["fstar_star"].copy()
+        other = StableDynamicsModel(small_model.nets, vdp_hyper)
+        other.set_params(2.0 * theta)
+        assert np.array_equal(small_model.get_params(), theta)
+        assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
+        small_model.invalidate_cache()  # a fresh cache reads the same arrays
+        assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
+        assert not np.array_equal(other.eval_pieces(x)["fstar_star"], before)
+        small_model.set_params(3.0 * theta)
+        assert np.array_equal(other.get_params(), 2.0 * theta)
 
     def test_mode_net_names_enforced(self, vdp_hyper):
         nets = {"gf": init_network([3, 4, 2], "tanh", 0),

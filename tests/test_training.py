@@ -14,7 +14,7 @@ from stabledyn.training import (
     TrainingDivergedError,
 )
 
-from conftest import SMALL_WIDTHS, jitter_params, make_model, seam_margins
+from conftest import SMALL_WIDTHS, jitter_params, make_model, net_slices, seam_margins
 
 
 class TestSampleDataset:
@@ -162,7 +162,7 @@ class TestLoss:
             graph = training.loss(model, ds)
             grad = graph.param_gradient()
             theta = model.get_params()
-            for c in rng.choice(model.layout.size, 12, replace=False):
+            for c in rng.choice(theta.size, 12, replace=False):
                 tp = theta.copy(); tp[c] += h
                 model.set_params(tp)
                 lp = training.loss_value(model, ds)
@@ -182,8 +182,7 @@ class TestLoss:
         model = jitter_params(make_model(vdp_hyper, seed=13), rng)
         ds = training.sample_dataset(vdp_system, vdp_hyper, 64, seed=5)
         grad = training.loss(model, ds).param_gradient()
-        gu_blocks = [b for b in model.layout.blocks if b.net == "gu"]
-        gu_norm = sum(np.sum(grad[b.offset:b.offset + b.size] ** 2) for b in gu_blocks)
+        gu_norm = np.sum(grad[net_slices(model)["gu"]] ** 2)
         assert gu_norm > 0.0
 
 
@@ -459,7 +458,7 @@ class TestCheckpoint:
         ids=["step", "epochs", "m", "v-size", "v-type"])
     def test_malformed_optimizer_state(self, tmp_path, small_model, entry, message):
         path = tmp_path / "ck.json"
-        size = small_model.layout.size
+        size = small_model.get_params().size
         state = training.AdamState(np.zeros(size), np.ones(size), 5, 1)
         training.save_checkpoint(small_model, path, optimizer=state)
         doc = json.loads(path.read_text())

@@ -262,6 +262,26 @@ class TestCertificate:
         assert doc["seed"] == 2 and doc["n_data"] == 100
 
 
+class TestStreamedSamples:
+    """The decrease and quad checks draw their samples a block at a time, as
+    the certificate does."""
+
+    @pytest.mark.parametrize("check", ["decrease", "quad"])
+    def test_sampled_check_memory_does_not_grow(self, small_model, check):
+        run = {"decrease": lambda n: verify.check_decrease(small_model, n, seed=4),
+               "quad": lambda n: verify.estimate_quadratic_ratio(small_model, 0.1, 1.3,
+                                                                 n, seed=4)}[check]
+        peaks = []
+        for n_samples in (5000, 50000):
+            tracemalloc.start()
+            try:
+                run(n_samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6
+
+
 class TestDefaultRadius:
     def test_five_percent_of_corner(self, vdp_hyper):
         expect = 0.05 * np.linalg.norm([1.3, 1.3])
