@@ -22,13 +22,12 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import NumpyOps, Tape, param_gradient
-from .models import Hyper, StableDynamicsModel
+from .models import Hyper, StableDynamicsModel, row_blocks
 from .sim import _write_csv
 
 CHECKPOINT_VERSION = 2
 # format 1 lacks the optional ``system`` and ``optimizer`` entries
 READABLE_VERSIONS = (1, 2)
-LOSS_CHUNK = 20000  # rows per loss_value evaluation
 
 
 class TrainingDivergedError(RuntimeError):
@@ -238,13 +237,13 @@ def loss(model, batch):
 
 
 def loss_value(model, batch):
-    """Loss of a dataset slice without recording a tape."""
+    """Loss of a dataset slice without recording a tape, evaluated
+    BLOCK_ROWS rows at a time, so its memory does not grow with the slice."""
     if len(batch) == 0:
         raise ValueError("loss of an empty batch")
     handles = model.numpy_cache()[0]
     total = 0.0
-    for start in range(0, len(batch), LOSS_CHUNK):
-        sl = slice(start, min(start + LOSS_CHUNK, len(batch)))
+    for sl in row_blocks(len(batch)):
         part = _loss_node(NumpyOps, model, handles,
                           batch.X[sl], batch.U[sl], batch.Xdot[sl])
         total += float(part) * (sl.stop - sl.start)

@@ -12,9 +12,10 @@ proof — and the reports say so.
 ``certificate``, in that order, each beside its gate.  A new check or gate is
 one entry there.
 
-``cKDTree`` is imported inside :func:`certificate`, its only user: loading
-``scipy.spatial`` is most of what importing the CLI would otherwise cost,
-and every command but a ``verify`` with a dataset never needs it.
+The certificate's coverage radius delta needs each sampled point's nearest
+neighbour in the dataset.  :class:`CellGrid` finds it exactly, in numpy, and
+its distances equal ``scipy.spatial.cKDTree``'s bit for bit, so the package
+needs no scipy at run time (the tests still compare against it).
 """
 
 from __future__ import annotations
@@ -25,40 +26,28 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import sim
+from .models import BLOCK_ROWS, row_blocks
 
 ORIGIN_EXCLUSION = 1e-3  # sampling stays clear of the 0/0 at the equilibrium
 DECREASE_TOL = 1e-9  # largest sampled decrease residual that passes
 DECAY_TOL = 0.02
 LIPSCHITZ_SEPARATION = 1e-3
-# Rows per block in every audit loop (the Lipschitz loop evaluates a block's
-# pairs as one call of twice as many rows).  In fresh processes running a
-# 100k-sample audit, 384-512 rows were fastest in both model modes, with
-# about 12k minor page faults.  From 640 rows on, the blocks' temporaries
-# were page-faulted in again block after block (0.2-1.8M faults, up to twice
-# the wall time), and 20,000-row blocks also more than tripled the peak RSS;
-# 256 rows paid more per-call overhead.  Every sampled audit also draws its
-# samples a block at a time, so the memory it uses beyond the model and the
-# dataset is set by this constant, not by n_samples.
-BLOCK_ROWS = 512
-
-
-def _chunks(total):
-    for start in range(0, total, BLOCK_ROWS):
-        yield slice(start, min(start + BLOCK_ROWS, total))
 
 
 def _box_blocks(rng, lb, ub, total):
     """The rows of ``rng.uniform(lb, ub, size=(total, len(lb)))``, drawn
     BLOCK_ROWS at a time: the generator's stream is sequential, so the rows
-    are the same."""
-    for sl in _chunks(total):
+    are the same.  Every sampled audit draws and evaluates its samples in
+    such blocks, so the memory it uses beyond the model and the dataset is
+    set by BLOCK_ROWS, not by n_samples."""
+    for sl in row_blocks(total):
         yield rng.uniform(lb, ub, size=(sl.stop - sl.start, len(lb)))
 
 
 def _shell_blocks(rng, lb, ub, total, r_min, r_max=np.inf):
     """The rows of ``rng.uniform(lb, ub, size=(total, len(lb)))`` whose norm
     lies in [r_min, r_max], drawn BLOCK_ROWS at a time and cut into blocks as
-    ``_chunks`` cuts the kept rows' concatenation: a model call's rounding
+    ``row_blocks`` cuts the kept rows' concatenation: a model call's rounding
     depends on which rows share it."""
     carry = np.empty((0, len(lb)))
     for X in _box_blocks(rng, lb, ub, total):
@@ -234,27 +223,161 @@ class CertificateReport:
     estimate_kind: str = "sampled (delta, M_r, Lipschitz constants); exact (e)"
 
 
+# Candidate (query, data row) pairs that one distance evaluation of CellGrid
+# takes at most: a query block, or one query's candidates, is split to stay
+# under it however the data cluster.
+GRID_CANDIDATES = 8 * BLOCK_ROWS
+# Cell widths held back from a ring's reach, for a floored cell index that
+# rounding put one cell off
+_RING_MARGIN = 1e-6
+
+
+def _cell_width(extent, n):
+    """Width of cubic cells that hold about two of ``n`` points each over a
+    bounding box with side lengths ``extent``.  A side shorter than a cell
+    is left out of the count and gets a single cell, so a constant or nearly
+    constant column keeps the grid at O(n) cells."""
+    wide = extent > 0
+    while wide.any():
+        width = np.exp((np.sum(np.log(extent[wide])) - np.log(max(n / 2, 1))) / wide.sum())
+        if np.all(extent[wide] >= width):
+            return width
+        wide &= extent >= width
+    return 1.0
+
+
+def _squared_distance(diffs):
+    """Sum of the squares of the column differences ``diffs``, added in the
+    order cKDTree adds them: four running lanes over the leading multiple of
+    four columns, then the lanes, then the remaining columns one by one."""
+    head = len(diffs) - len(diffs) % 4
+    lanes = [0.0] * 4
+    for j in range(head):
+        lanes[j % 4] = lanes[j % 4] + diffs[j] * diffs[j]
+    total = lanes[0] + lanes[1] + lanes[2] + lanes[3]
+    for d in diffs[head:]:
+        total = total + d * d
+    return total
+
+
+class CellGrid:
+    """Exact Euclidean nearest-neighbour distances to a fixed set of points.
+
+    The points are binned into a uniform grid of cubic cells, about two to a
+    cell over their bounding box.  A query is answered from the cells within
+    r of the cell that holds it (clipped to the box), for r = 1, 2, ...:
+    every point outside those lies farther than r cell widths plus the
+    query's distance to the box, so a query is done once its nearest
+    candidate lies within that reach.  The grid has O(n) cells however the
+    points are spread (see _cell_width), and no call gathers more than
+    GRID_CANDIDATES candidate pairs.
+    """
+
+    def __init__(self, points):
+        P = np.asarray(points, dtype=np.float64)
+        self.lo, self.hi = P.min(axis=0), P.max(axis=0)
+        self.width = _cell_width(self.hi - self.lo, len(P))
+        cells = self._cells(P)
+        self.shape = cells.max(axis=0) + 1
+        self.strides = np.cumprod(np.r_[self.shape[1:], 1][::-1])[::-1]
+        keys = cells @ self.strides
+        self.columns = list(P[np.argsort(keys, kind="stable")].T.copy())
+        # cell c holds the sorted rows bounds[c]:bounds[c + 1]; the extra
+        # last cell, which holds none, stands for every cell off the grid
+        self.off_grid = int(np.prod(self.shape))
+        self.bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(keys, minlength=self.off_grid)), [len(P)]))
+
+    def _cells(self, P):
+        return np.floor((P - self.lo) / self.width).astype(np.int64)
+
+    def nearest(self, Q):
+        """Distance from each row of ``Q`` to its nearest point, equal bit for
+        bit to ``cKDTree(points).query(Q)[0]``."""
+        inside = np.clip(Q, self.lo, self.hi)
+        home = self._cells(inside)
+        beyond = np.sum((Q - inside) ** 2, axis=1)
+        Qt = list(Q.T.copy())
+        n = len(self.columns[0])
+        best = np.full(len(Q), np.inf)
+        todo = np.arange(len(Q))
+        r = 0
+        while len(todo):
+            r += 1
+            span = np.minimum(r, self.shape - 1)
+            if np.prod(2 * span + 1) > n:
+                # more cells in reach than points: every point is a candidate
+                self._gather(Qt, todo, np.zeros_like(todo), np.full_like(todo, n), best)
+                break
+            self._scan(Qt, home, todo, span, r, best)
+            if r >= self.shape.max() - 1:
+                break  # the cells within r of any cell are the whole grid
+            reach = ((r - _RING_MARGIN) * self.width) ** 2 + (1 - _RING_MARGIN) * beyond[todo]
+            todo = todo[best[todo] > reach]
+        return np.sqrt(best)
+
+    def _scan(self, Qt, home, todo, span, r, best):
+        """Fold into ``best`` the points in the cells r cells away (within 1
+        when r is 1) from the home cells of the queries ``todo``."""
+        axes = np.ix_(*(np.arange(-s, s + 1) for s in span))
+        rings = np.zeros(tuple(2 * span + 1), dtype=np.int64)
+        for ax in axes:
+            rings = np.maximum(rings, np.abs(ax))
+        ring = np.flatnonzero(rings >= (r if r > 1 else 0))
+        step = max(1, GRID_CANDIDATES // len(ring))
+        for b in range(0, len(todo), step):
+            queries = todo[b:b + step]
+            keys = 0
+            for j, ax in enumerate(axes):
+                c = home[queries, j].reshape((-1,) + (1,) * len(axes)) + ax
+                keys = keys + np.where((c >= 0) & (c < self.shape[j]),
+                                       c * self.strides[j], -self.off_grid)
+            keys = keys.reshape(len(queries), -1)[:, ring]
+            keys[keys < 0] = self.off_grid
+            start = self.bounds[keys]
+            count = self.bounds[keys + 1] - start
+            hit = count > 0
+            self._gather(Qt, np.broadcast_to(queries[:, None], keys.shape)[hit],
+                         start[hit], count[hit], best)
+
+    def _gather(self, Qt, queries, start, count, best):
+        """Fold into ``best`` the distances from each of ``queries`` to the
+        sorted points start:start+count, GRID_CANDIDATES pairs at a time."""
+        ends = np.cumsum(count)
+        firsts = ends - count
+        shift = start - firsts  # sorted row of each pair's flat position
+        total = int(ends[-1]) if len(ends) else 0
+        for a in range(0, total, GRID_CANDIDATES):
+            b = min(a + GRID_CANDIDATES, total)
+            # pairs i:j overlap the flat positions a:b
+            i, j = np.searchsorted(ends, a, side="right"), np.searchsorted(firsts, b)
+            n = np.minimum(ends[i:j], b) - np.maximum(firsts[i:j], a)
+            rows = np.repeat(shift[i:j], n)
+            rows += np.arange(a, b)
+            q = np.repeat(queries[i:j], n)
+            np.minimum.at(best, q, _squared_distance(
+                [qt[q] - col[rows] for qt, col in zip(Qt, self.columns)]))
+
+
 def certificate(model, system, dataset, r, n_samples, seed):
     """Audit the coverage condition for a trained model on its dataset.
 
     The sampled states, Lipschitz base points and directions are drawn
-    BLOCK_ROWS rows at a time, and the k-d tree over the data is dropped once
-    delta is known, so the memory used beyond the model and the dataset
-    does not grow with ``n_samples``.
+    BLOCK_ROWS rows at a time.  delta's nearest neighbours come from a
+    :class:`CellGrid` over the dataset's (x, u) rows, which is dropped once
+    delta is known and gathers a bounded number of candidates per call, so
+    the memory used beyond the model and the dataset does not grow with
+    ``n_samples``.
     """
     if len(dataset) == 0:
         raise ValueError("certificate needs a nonempty dataset")
     if not r > 0:
         raise ValueError(f"neighborhood radius must be positive, got {r}")
-    # about 0.45 s on a cold start (numpy 2.4, scipy 1.17, 2 cores), so
-    # only the one command that reaches this line pays it
-    from scipy.spatial import cKDTree
-
     hp = model.hyper
 
     # e: exact max model error over the dataset
     e = 0.0
-    for sl in _chunks(len(dataset)):
+    for sl in row_blocks(len(dataset)):
         f_true = system.dynamics(dataset.X[sl], dataset.U[sl])
         f_star = model.eval_pieces(dataset.X[sl], dataset.U[sl])["fstar_data"]
         err = np.sqrt(np.sum((f_true - f_star) ** 2, axis=1))
@@ -262,13 +385,12 @@ def certificate(model, system, dataset, r, n_samples, seed):
 
     # delta: sampled sup over x of the distance from (x, u*(x)) to the data
     rng_delta = np.random.default_rng(np.random.SeedSequence([int(seed), 1]))
-    tree = cKDTree(np.hstack((dataset.X, dataset.U)))
+    grid = CellGrid(np.hstack((dataset.X, dataset.U)))
     delta = 0.0
     for Xq in _box_blocks(rng_delta, hp.x_lb, hp.x_ub, n_samples):
         u = model.controller_batch(Xq)
-        dist, _ = tree.query(np.hstack((Xq, u)), k=1)
-        delta = max(delta, float(np.max(dist)))
-    del tree
+        delta = max(delta, float(np.max(grid.nearest(np.hstack((Xq, u))))))
+    del grid
 
     # M_r: sampled sup of ||grad V|| outside the target neighborhood
     rng_m = np.random.default_rng(np.random.SeedSequence([int(seed), 2]))
@@ -353,10 +475,8 @@ def _certificate(model, system, vc, seed, dataset):
         return {"report": None, "passed": True, "skipped": "no dataset configured"}, 0
     r = vc["r"] if vc["r"] is not None else default_radius(model.hyper)
     rep = certificate(model, system, dataset, r, vc["n_samples"], seed)
-    import scipy  # loaded by the certificate, which builds a cKDTree
-
     # completion is the gate; whether the bound holds is reported only
-    return {"report": asdict(rep), "passed": True, "scipy": scipy.__version__}, vc["n_samples"]
+    return {"report": asdict(rep), "passed": True}, vc["n_samples"]
 
 
 # check i draws seed i of the run's verify seeds, so a new entry goes last

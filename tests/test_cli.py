@@ -367,27 +367,32 @@ def test_verify_report_records_check_cost(tmp_path):
     for name, entry in report["checks"].items():
         assert entry["samples"] == 500, name
         assert entry["seconds"] > 0.0, name
-    assert report["checks"]["certificate"]["scipy"]
     assert report["checks"]["certificate"]["report"]["n_samples"] == 500
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
     # a fresh interpreter: this test session has imported scipy already
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(TINY))
-    argv = ["sample", "--config", str(config), "--out", str(tmp_path / "out")]
+    sample, audit = tmp_path / "sample.json", tmp_path / "audit.json"
+    sample.write_text(json.dumps(TINY))
+    audit.write_text(json.dumps(with_section(
+        "verify", checks=["certificate"], n_samples=500,
+        dataset=str(tmp_path / "out" / "dataset.csv"))))
+    argvs = {"sample": ["sample", "--config", str(sample), "--out", str(tmp_path / "out")],
+             "verify": ["verify", "--config", str(audit), "--out", str(tmp_path / "audit")]}
     code = f"""
 import sys
 import stabledyn, stabledyn.cli
 assert "scipy" not in sys.modules, "import"
-assert stabledyn.cli.main({argv!r}) == 0
-assert "scipy" not in sys.modules, "sample"
+for command, argv in {argvs!r}.items():
+    assert stabledyn.cli.main(argv) == 0, command
+    assert "scipy" not in sys.modules, command
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0, done.stderr
-    assert (tmp_path / "out" / "dataset.csv").exists()
+    report = json.loads((tmp_path / "audit" / "verify.json").read_text())
+    assert report["checks"]["certificate"]["report"]["n_data"] == TINY["sample"]["n"]
 
 
 def data_rows(path):

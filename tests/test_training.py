@@ -135,6 +135,20 @@ class TestLoss:
         with pytest.raises(ValueError):
             training.loss(small_model, ds)
 
+    def test_loss_value_memory_does_not_grow_with_rows(self, vdp_system, vdp_hyper):
+        # rows share model calls of models.BLOCK_ROWS rows, however many
+        model = make_model(vdp_hyper, seed=2, small=False)
+        peaks = []
+        for n in (4000, 40000):
+            ds = training.sample_dataset(vdp_system, vdp_hyper, n, seed=6)
+            tracemalloc.start()
+            try:
+                training.loss_value(model, ds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1e6
+
     @pytest.mark.parametrize("mode", ["general", "affine"])
     def test_loss_value_matches_tape(self, vdp_system, vdp_hyper, mode):
         # the tape records the origin nodes inline, loss_value reads the numpy

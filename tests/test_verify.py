@@ -4,9 +4,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from stabledyn import sim, training, verify
-from stabledyn.models import Hyper, StableDynamicsModel
+from stabledyn.models import Hyper, StableDynamicsModel, row_blocks
 from stabledyn.systems import SystemSpec, get_system
 
 from conftest import make_model
@@ -260,6 +261,84 @@ class TestCertificate:
         doc = json.loads(json.dumps(asdict(rep)))
         assert "sampled" in doc["estimate_kind"]
         assert doc["seed"] == 2 and doc["n_data"] == 100
+
+
+def kdtree_delta(model, dataset, n_samples, seed):
+    """The certificate's delta, with cKDTree as the nearest-neighbour search."""
+    hp = model.hyper
+    X = np.random.default_rng(np.random.SeedSequence([seed, 1])).uniform(
+        hp.x_lb, hp.x_ub, (n_samples, hp.n))
+    U = np.vstack([model.controller_batch(X[sl]) for sl in row_blocks(n_samples)])
+    tree = cKDTree(np.hstack((dataset.X, dataset.U)))
+    return float(np.max(tree.query(np.hstack((X, U)))[0]))
+
+
+class TestCellGrid:
+    """The certificate's nearest-neighbour search returns cKDTree's distances
+    bit for bit."""
+
+    @staticmethod
+    def assert_matches_kdtree(points, queries):
+        got = verify.CellGrid(points).nearest(queries)
+        assert np.array_equal(got, cKDTree(points).query(queries)[0])
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])  # 9: cKDTree sums in four lanes
+    def test_uniform(self, k):
+        rng = np.random.default_rng(k)
+        self.assert_matches_kdtree(rng.uniform(-1, 1, (2000, k)) * rng.uniform(0.1, 10, k),
+                                   rng.uniform(-10, 10, (1000, k)))
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(1)
+        points = np.repeat(rng.uniform(-1, 1, (50, 3)), 40, axis=0)
+        self.assert_matches_kdtree(points, np.vstack((points[::7], rng.uniform(-1, 1, (500, 3)))))
+
+    def test_single_row(self):
+        rng = np.random.default_rng(2)
+        self.assert_matches_kdtree(np.array([[0.3, -0.2, 1.0]]), rng.normal(size=(500, 3)))
+
+    def test_queries_outside_the_data_box(self):
+        rng = np.random.default_rng(3)
+        self.assert_matches_kdtree(rng.uniform(-1, 1, (3000, 3)),
+                                   rng.uniform(-4, 4, (2000, 3)))
+
+    def test_affine_queries_pinned_at_the_control_limit(self, vdp_system, vdp_hyper):
+        model = make_model(vdp_hyper, seed=16, mode="affine")
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 3000, seed=16)
+        X = np.random.default_rng(17).uniform(vdp_hyper.x_lb, vdp_hyper.x_ub, (2000, 2))
+        U = model.controller_batch(X)
+        assert np.all(np.abs(U) == vdp_hyper.u_lim)  # just outside the data's u range
+        self.assert_matches_kdtree(np.hstack((ds.X, ds.U)), np.hstack((X, U)))
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_certificate_delta(self, vdp_system, vdp_hyper, mode):
+        model = make_model(vdp_hyper, seed=18, mode=mode)
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 2000, seed=18)
+        rep = verify.certificate(model, vdp_system, ds, r=0.1, n_samples=1500, seed=19)
+        assert rep.delta == kdtree_delta(model, ds, 1500, 19)
+
+    @pytest.mark.parametrize("layout", ["clustered", "constant_u"])
+    def test_skewed_data_in_uniform_memory(self, vdp_system, vdp_hyper, small_model, layout):
+        # a cell holding most rows, or a column of one value, must not widen
+        # what a call gathers or the cell table
+        uniform = training.sample_dataset(vdp_system, vdp_hyper, 4000, seed=20)
+        X, U = uniform.X.copy(), uniform.U.copy()
+        if layout == "clustered":
+            X[40:] = [0.3, -0.4] + 1e-6 * X[40:]
+            U[40:] = 1.0 + 1e-6 * U[40:]
+        else:
+            U[:] = 2.0
+        skewed = training.Dataset(X, U, vdp_system.dynamics(X, U))
+        peaks = []
+        for ds in (uniform, skewed):
+            tracemalloc.start()
+            try:
+                rep = verify.certificate(small_model, vdp_system, ds, 0.1, 3000, seed=21)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.delta == kdtree_delta(small_model, ds, 3000, 21)
+        assert abs(peaks[1] - peaks[0]) < 1e6
 
 
 class TestStreamedSamples:
