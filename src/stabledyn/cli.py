@@ -316,7 +316,7 @@ def cmd_train(cfg, system, out):
     tc = cfg["train"]
     model, optimizer = _load_or_init_model(cfg, tc["resume_from"])
     losses_path = out / "losses.csv"
-    existing, offset = "", 0
+    mode, offset = "w", 0  # a resume appends to a losses.csv it finds
     if tc["resume_from"] and losses_path.exists():
         try:
             existing = losses_path.read_text()
@@ -328,7 +328,7 @@ def cmd_train(cfg, system, out):
         if header != LOSS_COLUMNS:  # never append rows under other columns
             raise ConfigError(f"{losses_path} has columns {header!r}, not "
                               f"{LOSS_COLUMNS!r}; resume into another output directory")
-        offset = len(lines) - 1
+        mode, offset = "a", len(lines) - 1
     if tc["resume_from"] and optimizer is None:
         print(f"{tc['resume_from']} holds no optimizer state; Adam starts at step 0")
 
@@ -337,15 +337,17 @@ def cmd_train(cfg, system, out):
     else:
         seed = int(_sub_seed(cfg["seed"], "dataset").generate_state(1)[0])
         dataset = training.sample_dataset(system, model.hyper, cfg["sample"]["n"], seed)
+    if cfg.trainer.holdout_rows(len(dataset)) == len(dataset):
+        source = tc["dataset"] or f"sample.n = {cfg['sample']['n']}"
+        raise ConfigError(f"train.holdout = {cfg.trainer.holdout} holds out all "
+                          f"{len(dataset)} rows of {source}, leaving none to train on")
 
     result = training.train(model, dataset, cfg.trainer, optimizer)
 
     training.save_checkpoint(model, out / "checkpoint.json", system=cfg["system"],
                              optimizer=result.optimizer)
-    with open(losses_path, "w") as fh:
-        if existing:
-            fh.write(existing)
-        else:
+    with open(losses_path, mode) as fh:
+        if mode == "w":
             fh.write("# config: " + _embed(cfg) + "\n")
             fh.write(LOSS_COLUMNS + "\n")
         for i, row in enumerate(zip(result.train_losses, result.holdout_losses,
@@ -397,6 +399,11 @@ def cmd_verify(cfg, system, out):
     # read before any check runs, so a bad file fails at once
     dataset = (_read_dataset(vc["dataset"], model, system) if vc["dataset"]
                and any(check.reads_dataset for _, check, _ in checks) else None)
+    # the certificate, which runs with a dataset, samples M_r outside the r-ball
+    reach = np.linalg.norm(np.maximum(np.abs(model.hyper.x_lb), np.abs(model.hyper.x_ub)))
+    if dataset is not None and vc["r"] is not None and vc["r"] >= reach:
+        raise ConfigError(f"verify.r = {vc['r']} leaves no state outside the certificate's "
+                          f"neighborhood: the state box reaches norm {reach:.6g}")
     report = {"config": cfg, "checks": {}, "passed": True}
     for name, check, seed in checks:
         t0 = time.perf_counter()
@@ -437,7 +444,7 @@ def build_parser():
                        choices=systems.system_names(), help="benchmark system")
         if name == "verify":
             p.add_argument("--ablate-projection", action="store_true",
-                           help="negative control: audit the raw nominal model")
+                           help="negative control: only the decrease check drops the projection")
         p.set_defaults(fn=fn, ablate_projection=False)
     return parser
 

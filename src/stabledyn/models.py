@@ -204,13 +204,14 @@ class StableDynamicsModel:
 
     The constructor copies every parameter into one float64 vector, in
     :data:`NETWORKS` order (network, then layer, each weight before its
-    bias).  Its ``nets`` are new networks whose weights and biases are views
-    of that vector; the networks passed in are not touched, so two models
-    built from one dict share no arrays.
-    :meth:`get_params` returns a copy of the vector; :meth:`set_params`
-    writes it in place and invalidates the cached numpy handles and origin
-    nodes.  An in-place edit of a network array changes the vector too, and
-    must be followed by :meth:`invalidate_cache`.
+    bias).  Its ``nets`` are new networks whose weights and biases are
+    read-only views of that vector; the networks passed in are not touched,
+    so two models built from one dict share no arrays.  :meth:`get_params`
+    returns a copy of the vector, and :meth:`set_params` is its only writer:
+    it writes the vector in place, which every view shows, and drops the
+    cached origin nodes.  An in-place write to a network array raises.
+    ``layers`` holds each network's (W, b) view pairs in vector order: the
+    numpy backend's handles, and the arrays a tape registers as leaves.
 
     Evaluation is read-only and safe to share across threads; parameter
     updates are not.
@@ -243,11 +244,14 @@ class StableDynamicsModel:
         flat = [a for group in arrays.values() for a in group]
         self._theta = np.concatenate([a.ravel() for a in flat], dtype=np.float64)
         chunks = iter(np.split(self._theta, np.cumsum([a.size for a in flat])[:-1]))
-        self.nets = {}
+        self.nets, self.layers = {}, {}
         for name, net in nets.items():
             views = [next(chunks).reshape(a.shape) for a in arrays[name]]
+            for view in views:
+                view.flags.writeable = False
             self.nets[name] = replace(net, weights=views[0::2], biases=views[1::2])
-        self._np_cache = None
+            self.layers[name] = list(zip(views[0::2], views[1::2]))
+        self._np_origin = None
 
     # -- construction ----------------------------------------------------
 
@@ -275,52 +279,34 @@ class StableDynamicsModel:
 
     def set_params(self, vec):
         """Write ``vec`` into the parameter vector, which every network
-        array views, and invalidate the cache."""
+        array views, and drop the cached origin nodes."""
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != self._theta.shape:
             raise ValueError(f"expected flat vector of length {self._theta.size}, "
                              f"got {vec.shape}")
         self._theta[:] = vec
-        self.invalidate_cache()
-
-    def invalidate_cache(self):
-        """Must be called after mutating network arrays in place."""
-        self._np_cache = None
-
-    # -- handle plumbing shared by numpy and tape evaluation ----------------
-
-    def param_handles(self, ops):
-        """Per-network (W, b) handle lists, in parameter-vector order.
-
-        With a recording tape this registers every parameter as a leaf;
-        with the numpy backend the arrays pass through unchanged.
-        """
-        handles = {}
-        for name, net in self.nets.items():
-            handles[name] = [(ops.leaf(w), ops.leaf(b))
-                             for w, b in zip(net.weights, net.biases)]
-        return handles
+        self._np_origin = None
 
     # -- the model pipeline -------------------------------------------------
 
-    def build_graph(self, ops, handles, X, U=None, ablate_projection=False):
-        """Assemble the evaluation graph on either backend, in either mode.
+    def build_graph(self, ops, handles, X, U=None):
+        """Assemble the projected graph on either backend, in either mode.
 
-        Returns a dict of handles: u_star, fhat_star, v, w, gv_x,
-        gv_0, grad_v, resid, shift, fstar_star, affine mode's f2 and coeff,
-        and (when U is given) fhat_data / fstar_data.  X and U are backend
-        handles of shape (B, n) and (B, m).
+        Returns a dict of handles: u_star, v, w, grad_v, fhat_star, resid,
+        shift, fstar_star, affine mode's f2 and coeff, and (when U is given)
+        fhat_data / fstar_data; the fhat pieces are the unprojected model.
+        X and U are backend handles of shape (B, n) and (B, m).
 
         The modes differ only in :meth:`_controller` and :meth:`_nominal`.
         On a tape the origin nodes gv(0) and the nominal offset are recorded
         inline, ahead of the batch, so gradients flow through them; the
-        numpy backend reads them from :meth:`numpy_cache`, so numpy
-        ``handles`` must be this model's own parameters.
+        numpy backend reads them from :meth:`_numpy_origin`, so numpy
+        ``handles`` must be :attr:`layers`.
         """
         hp = self.hyper
         u_lim_row = ops.constant(hp.u_lim[None, :])
         if ops is NumpyOps:
-            origin = self.numpy_cache()[1]
+            origin = self._numpy_origin()
         else:
             origin = self._origin_nodes(ops, handles, u_lim_row)
         pieces = self._lyapunov(ops, handles, X, origin["gv_0"])
@@ -330,17 +316,12 @@ class StableDynamicsModel:
         grad_v = pieces["grad_v"]
         resid = ops.add(ops.row_sum(ops.mul(grad_v, fhat_star)),
                         ops.scale(pieces["v"], hp.alpha))
-        shift, fstar_star = None, fhat_star
-        if not ablate_projection:
-            shift = projection_shift(ops, grad_v, resid, hp.eps_proj)
-            fstar_star = ops.sub(fhat_star, shift)
+        shift = projection_shift(ops, grad_v, resid, hp.eps_proj)
         pieces.update(fhat_star=fhat_star, resid=resid, shift=shift,
-                      fstar_star=fstar_star)
+                      fstar_star=ops.sub(fhat_star, shift))
         if U is not None:
             fhat_data = nominal(U)
-            pieces["fhat_data"] = fhat_data
-            pieces["fstar_data"] = (fhat_data if shift is None
-                                    else ops.sub(fhat_data, shift))
+            pieces.update(fhat_data=fhat_data, fstar_data=ops.sub(fhat_data, shift))
         return pieces
 
     def _gv(self, ops, handles, X):
@@ -350,8 +331,8 @@ class StableDynamicsModel:
         return ops.scale(out, self.hyper.v_cap), cache
 
     def _lyapunov(self, ops, handles, X, gv_0, grad=True):
-        """V at X with w = gv(X) - gv(0) and the scaled gv values, plus gradV
-        when ``grad`` is set.  ``gv_0`` is the origin's v_cap * gv(0).
+        """V at X with w = v_cap (gv(X) - gv(0)), plus gradV when ``grad``
+        is set.  ``gv_0`` is the origin's v_cap * gv(0).
 
         gradV is one vector-Jacobian product through gv at the cotangent
         v_cap * srelu'(w), plus the floor's 2 eps_pd x.
@@ -361,7 +342,7 @@ class StableDynamicsModel:
         w = ops.sub(gv_x, gv_0)
         v = ops.add(ops.srelu(w, hp.d),
                     ops.scale(ops.row_sum(ops.mul(X, X)), hp.eps_pd))
-        pieces = {"w": w, "v": v, "gv_x": gv_x, "gv_0": gv_0}
+        pieces = {"w": w, "v": v}
         if grad:
             gv = self.nets["gv"]
             cot = ops.scale(ops.srelu_grad(w, hp.d), hp.v_cap)
@@ -423,14 +404,13 @@ class StableDynamicsModel:
         offset = self._nominal(ops, handles, zero, ctrl)(ctrl["u_star"])
         return {"gv_0": self._gv(ops, handles, zero)[0], "offset": offset}
 
-    def numpy_cache(self):
-        """This model's raw-array handle dict and its :meth:`_origin_nodes` on
-        the numpy backend, kept until :meth:`invalidate_cache`."""
-        if self._np_cache is None:
-            handles = self.param_handles(NumpyOps)
-            self._np_cache = (handles, self._origin_nodes(
-                NumpyOps, handles, self.hyper.u_lim[None, :]))
-        return self._np_cache
+    def _numpy_origin(self):
+        """:meth:`_origin_nodes` on the numpy backend, kept until the next
+        :meth:`set_params`."""
+        if self._np_origin is None:
+            self._np_origin = self._origin_nodes(
+                NumpyOps, self.layers, self.hyper.u_lim[None, :])
+        return self._np_origin
 
     # -- numpy evaluation ---------------------------------------------------
 
@@ -442,16 +422,17 @@ class StableDynamicsModel:
             raise ValueError(f"non-finite {what}")
         return X
 
-    def eval_pieces(self, X, U=None, ablate_projection=False):
-        """Numpy-backend evaluation of a (B, n) state batch and, optionally, a
-        (B, m) control batch; returns the graph dict of raw arrays."""
+    def eval_pieces(self, X, U=None):
+        """:meth:`build_graph` on the numpy backend for a (B, n) state batch
+        and, optionally, a (B, m) control batch; returns its dict of raw
+        arrays.  A non-finite output raises FloatingPointError naming the
+        first non-finite piece among v, grad_v, fhat_star and resid."""
         X = self._as_batch(X, self.n, "state")
         if U is not None:
             U = self._as_batch(U, self.m, "control")
             if U.shape[0] != X.shape[0]:
                 raise ValueError(f"{U.shape[0]} control rows for {X.shape[0]} states")
-        pieces = self.build_graph(NumpyOps, self.numpy_cache()[0], X, U,
-                                  ablate_projection=ablate_projection)
+        pieces = self.build_graph(NumpyOps, self.layers, X, U)
         out = pieces["fstar_star"] if U is None else pieces["fstar_data"]
         if not np.all(np.isfinite(out)):
             for key in ("v", "grad_v", "fhat_star", "resid"):
@@ -479,12 +460,12 @@ class StableDynamicsModel:
         if unknown:
             raise ValueError(f"eval_parts evaluates only u_star, v and grad_v, "
                              f"not {sorted(unknown)}")
-        handles, origin = self.numpy_cache()
+        handles = self.layers
         # the pieces that need gv: all of them in affine mode, where u* reads gradV
         lyapunov = parts if self.mode == "affine" else parts - {"u_star"}
         pieces = {}
         if lyapunov:
-            pieces = self._lyapunov(NumpyOps, handles, X, origin["gv_0"],
+            pieces = self._lyapunov(NumpyOps, handles, X, self._numpy_origin()["gv_0"],
                                     grad=lyapunov != {"v"})
         if "u_star" in parts:
             pieces.update(self._controller(NumpyOps, handles, X, pieces.get("grad_v"),

@@ -241,7 +241,7 @@ def export_field(model, resolution):
     XX, YY = np.meshgrid(xs, ys, indexing="ij")
     pieces = model.eval_pieces(np.column_stack((XX.ravel(), YY.ravel())))
     values = {"fhat": pieces["fhat_star"], "fstar": pieces["fstar_star"],
-              "gv": (pieces["gv_x"] - pieces["gv_0"])[:, 0], "v": pieces["v"][:, 0]}
+              "gv": pieces["w"][:, 0], "v": pieces["v"][:, 0]}
     return {kind: FieldGrid(xs, ys, vals.reshape((resolution, resolution) + vals.shape[1:]),
                             kind)
             for kind, vals in values.items()}

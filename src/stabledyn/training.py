@@ -205,9 +205,9 @@ def _loss_node(ops, model, handles, X, U, Xdot):
 class LossGraph:
     """A recorded loss evaluation: scalar value plus its parameter gradient.
 
-    The parameter leaves hold views of the model's parameter vector, so the
-    gradient must be taken before the model's next
-    :meth:`StableDynamicsModel.set_params`.
+    The parameter leaves are the model's read-only views of its parameter
+    vector, which :meth:`StableDynamicsModel.set_params` alone overwrites in
+    place, so take the gradient before the model's next ``set_params``.
     """
 
     tape: Tape
@@ -224,7 +224,8 @@ def loss(model, batch):
     if len(batch) == 0:
         raise ValueError("loss of an empty batch")
     tape = Tape()
-    handles = model.param_handles(tape)
+    handles = {name: [(tape.leaf(w), tape.leaf(b)) for w, b in pairs]
+               for name, pairs in model.layers.items()}
     X = tape.constant(batch.X)
     U = tape.constant(batch.U)
     Xdot = tape.constant(batch.Xdot)
@@ -241,10 +242,9 @@ def loss_value(model, batch):
     BLOCK_ROWS rows at a time, so its memory does not grow with the slice."""
     if len(batch) == 0:
         raise ValueError("loss of an empty batch")
-    handles = model.numpy_cache()[0]
     total = 0.0
     for sl in row_blocks(len(batch)):
-        part = _loss_node(NumpyOps, model, handles,
+        part = _loss_node(NumpyOps, model, model.layers,
                           batch.X[sl], batch.U[sl], batch.Xdot[sl])
         total += float(part) * (sl.stop - sl.start)
     value = total / len(batch)
@@ -278,6 +278,10 @@ class TrainConfig:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
         if not 0.0 <= self.holdout < 1.0:
             raise ValueError(f"holdout must be in [0, 1), got {self.holdout}")
+
+    def holdout_rows(self, n):
+        """How many of a dataset's n rows :func:`train` holds out."""
+        return int(round(self.holdout * n))
 
 
 ADAM_BETA1 = 0.9
@@ -368,7 +372,7 @@ def train(model, dataset, config, state=None):
     """
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(len(dataset))
-    n_hold = int(round(config.holdout * len(dataset)))
+    n_hold = config.holdout_rows(len(dataset))
     hold = dataset.subset(perm[:n_hold]) if n_hold else None
     work = dataset.subset(perm[n_hold:])
     if len(work) == 0:

@@ -84,6 +84,8 @@ def check_decrease(model, n_samples, seed, ablate_projection=False):
     whose Lyapunov gradient falls under the eps_proj floor are counted but
     excluded from the max (the construction only guarantees decrease off
     the floor).  Raises ValueError when no sample is left for the max.
+    ``ablate_projection``, a negative control, takes the unprojected
+    residual grad V . fhat(x, u*(x)) + alpha V from the graph's ``resid``.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -93,13 +95,14 @@ def check_decrease(model, n_samples, seed, ablate_projection=False):
     n_floor = 0
     n_used = 0
     for X in _shell_blocks(rng, hp.x_lb, hp.x_ub, n_samples, ORIGIN_EXCLUSION):
-        pieces = model.eval_pieces(X, ablate_projection=ablate_projection)
+        pieces = model.eval_pieces(X)
         gn2 = np.sum(pieces["grad_v"] ** 2, axis=1)
         ok = gn2 >= hp.eps_proj
         n_floor += int(np.sum(~ok))
         n_used += int(np.sum(ok))
         if np.any(ok):
-            resid = (np.sum(pieces["grad_v"] * pieces["fstar_star"], axis=1)
+            resid = (pieces["resid"][:, 0] if ablate_projection else
+                     np.sum(pieces["grad_v"] * pieces["fstar_star"], axis=1)
                      + hp.alpha * pieces["v"][:, 0])
             max_resid = max(max_resid, float(resid[ok].max()))
     if n_used == 0:

@@ -59,6 +59,20 @@ def net_slices(model):
     return slices
 
 
+def fill_output_layer(model, name, weight=None, bias=None):
+    """Set every output-layer weight of network ``name`` to ``weight`` and
+    every output bias to ``bias`` (None keeps them), through set_params."""
+    theta, net = model.get_params(), model.nets[name]
+    stop = net_slices(model)[name].stop  # the output layer's W, then b, end it
+    mid = stop - net.biases[-1].size
+    if weight is not None:
+        theta[mid - net.weights[-1].size:mid] = weight
+    if bias is not None:
+        theta[mid:stop] = bias
+    model.set_params(theta)
+    return model
+
+
 def seam_margins(model, X, U=None):
     """Smallest distance of any seam-sensitive quantity from its seam."""
     pieces = model.eval_pieces(X, U)

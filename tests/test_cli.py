@@ -419,15 +419,19 @@ def test_resume_repeats_uninterrupted_run(tmp_path, mode):
     assert np.array_equal(rows, data_rows(tmp_path / "whole" / "losses.csv"))
 
 
+def initial_model():
+    """The model a TINY run starts from."""
+    cfg = cli.load_config(overrides=TINY)
+    return StableDynamicsModel.initialize(
+        cli.resolve_hyper(cfg), seed=cli._sub_seed(0, "model"), widths=TINY["model"]["widths"])
+
+
 def test_resume_from_stateless_checkpoint_starts_adam_afresh(tmp_path, capsys):
     # a format-1 file of the model a fresh run starts from: Adam restarts at
     # step 0 and the epoch orders at epoch 0, so the fresh run is repeated
     assert run(tmp_path, "train", TINY, out="fresh") == cli.EXIT_OK
-    cfg = cli.load_config(overrides=TINY)
-    model = StableDynamicsModel.initialize(
-        cli.resolve_hyper(cfg), seed=cli._sub_seed(0, "model"), widths=TINY["model"]["widths"])
     path = tmp_path / "v1.json"
-    training.save_checkpoint(model, path)
+    training.save_checkpoint(initial_model(), path)
     doc = json.loads(path.read_text())
     doc["format_version"] = 1
     path.write_text(json.dumps(doc))
@@ -560,3 +564,56 @@ def test_negative_seed_exits_one(tmp_path, capsys):
     # SeedSequence refuses it; the config check names it before any work
     assert cli.main(["sample", "--seed", "-1", "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     assert "seed must be at least 0" in capsys.readouterr().err
+
+
+def test_holdout_of_every_row_exits_one(tmp_path, capsys):
+    # round(0.9 * 2) = 2 rows held out leave none to train on
+    config = with_section("train", holdout=0.9)
+    config["sample"]["n"] = 2
+    assert run(tmp_path, "train", config) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "train.holdout = 0.9" in err and "sample.n = 2" in err
+
+
+def test_radius_past_the_box_exits_one(tmp_path, capsys):
+    assert run(tmp_path, "sample", TINY, out="sample") == cli.EXIT_OK
+    config = with_section("verify", r=100, checks=["certificate"], n_samples=500,
+                          dataset=str(tmp_path / "sample" / "dataset.csv"))
+    assert run(tmp_path, "verify", config) == cli.EXIT_CONFIG
+    assert "verify.r = 100" in capsys.readouterr().err
+
+
+def test_diverging_training_exits_two(tmp_path, capsys):
+    # the divergence check stops the run before any overflow warns, which
+    # the suite's error::RuntimeWarning filter would turn into a failure
+    config = with_section("train", lr=1e5)
+    config["sample"]["n"] = 600
+    assert run(tmp_path, "train", config) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure: batch loss" in err and "exceeds 1e+06 x initial loss" in err
+
+
+def test_zero_epoch_train_keeps_the_initial_model(tmp_path):
+    assert run(tmp_path, "train", with_section("train", epochs=0)) == cli.EXIT_OK
+    lines = (tmp_path / "out" / "losses.csv").read_text().splitlines()
+    assert [ln for ln in lines if not ln.startswith("#")] == [cli.LOSS_COLUMNS]
+    saved = training.load_checkpoint(tmp_path / "out" / "checkpoint.json")[0]
+    assert np.array_equal(saved.get_params(), initial_model().get_params())
+
+
+def test_simulate_without_checkpoint_exits_one(tmp_path, capsys):
+    assert run(tmp_path, "simulate", TINY) == cli.EXIT_CONFIG
+    assert "simulate.checkpoint" in capsys.readouterr().err
+
+
+def test_section_that_is_not_an_object_exits_one(tmp_path, capsys):
+    assert run(tmp_path, "train", dict(TINY, train=3)) == cli.EXIT_CONFIG
+    assert "train must be an object, got 3" in capsys.readouterr().err
+
+
+def test_certificate_without_dataset_is_skipped(tmp_path):
+    config = with_section("verify", checks=["certificate"])
+    assert run(tmp_path, "verify", config) == cli.EXIT_OK
+    entry = json.loads((tmp_path / "out" / "verify.json").read_text())["checks"]["certificate"]
+    assert entry["passed"] and entry["report"] is None
+    assert entry["skipped"] == "no dataset configured"

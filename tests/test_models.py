@@ -6,7 +6,7 @@ import stabledyn
 from stabledyn.diffcore import Network, NumpyOps, Tape, init_network
 from stabledyn.models import Hyper, StableDynamicsModel, projection_shift
 
-from conftest import SMALL_WIDTHS, apply_net, jitter_params, make_model, net_slices
+from conftest import SMALL_WIDTHS, apply_net, fill_output_layer, jitter_params, make_model
 
 ORIGIN = np.zeros((1, 2))
 
@@ -53,10 +53,7 @@ class TestHyper:
 
 class TestController:
     def test_zero_network_zero_control(self, vdp_hyper):
-        model = make_model(vdp_hyper, seed=1)
-        gu = model.nets["gu"]
-        gu.weights[-1][:] = 0.0
-        model.invalidate_cache()
+        model = fill_output_layer(make_model(vdp_hyper, seed=1), "gu", weight=0.0)
         X = np.random.default_rng(0).uniform(-1, 1, (20, 2))
         assert np.array_equal(model.controller_batch(X), np.zeros((20, 1)))
 
@@ -276,8 +273,9 @@ class TestClosedLoop:
         for seed in range(10):
             model = jitter_params(make_model(vdp_hyper, seed=seed, mode=mode), rng)
             tape = Tape()
-            on_tape = model.build_graph(tape, model.param_handles(tape),
-                                        tape.constant(ORIGIN))
+            handles = {name: [(tape.leaf(w), tape.leaf(b)) for w, b in pairs]
+                       for name, pairs in model.layers.items()}
+            on_tape = model.build_graph(tape, handles, tape.constant(ORIGIN))
             for pieces in (model.eval_pieces(ORIGIN),
                            {name: node.value for name, node in on_tape.items()}):
                 assert np.array_equal(pieces["grad_v"], np.zeros((1, 2)))
@@ -290,13 +288,6 @@ class TestClosedLoop:
         u = small_model.controller_batch(X)
         assert np.array_equal(small_model.eval_pieces(X)["fstar_star"],
                               small_model.eval_pieces(X, u)["fstar_data"])
-
-    def test_ablation_returns_nominal(self, small_model):
-        X = np.random.default_rng(12).uniform(-1.3, 1.3, (40, 2))
-        u = small_model.controller_batch(X)
-        assert np.array_equal(
-            small_model.eval_pieces(X, ablate_projection=True)["fstar_star"],
-            small_model.eval_pieces(X, u)["fhat_data"])
 
 
 class TestAffineMode:
@@ -393,10 +384,8 @@ class TestPartialEvaluation:
     @pytest.mark.parametrize("part", ["u_star", "v", "grad_v"])
     def test_nonfinite_piece_named(self, vdp_hyper, mode, part):
         model = make_model(vdp_hyper, seed=31, mode=mode)
-        for net in {"v": ["gv"], "grad_v": ["gv"],
-                    "u_star": ["gu"] if mode == "general" else ["gf2"]}[part]:
-            model.nets[net].biases[-1][:] = np.nan
-        model.invalidate_cache()
+        net = {"v": "gv", "grad_v": "gv", "u_star": "gu" if mode == "general" else "gf2"}[part]
+        fill_output_layer(model, net, bias=np.nan)
         with pytest.raises(FloatingPointError, match=f"non-finite '{part}'"):
             model.eval_parts(np.full((4, 2), 0.3), (part,))
 
@@ -443,8 +432,11 @@ class TestParams:
         before = [a.copy() for a in arrays]
         model.set_params(model.get_params() + 1.0)  # written through the views
         assert all(np.array_equal(a, b + 1.0) for a, b in zip(arrays, before))
-        model.nets["gv"].biases[-1][:] = 7.0  # an in-place edit writes the vector
-        assert np.all(model.get_params()[net_slices(model)["gv"]][-1] == 7.0)
+        for a in arrays:  # set_params is the only writer
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 7.0
+        assert np.array_equal(model.get_params(),
+                              np.concatenate([b.ravel() + 1.0 for b in before]))
 
     def test_model_from_another_models_networks_is_independent(self, small_model,
                                                               vdp_hyper):
@@ -455,7 +447,7 @@ class TestParams:
         other.set_params(2.0 * theta)
         assert np.array_equal(small_model.get_params(), theta)
         assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
-        small_model.invalidate_cache()  # a fresh cache reads the same arrays
+        small_model.set_params(theta)  # fresh origin nodes read the same vector
         assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
         assert not np.array_equal(other.eval_pieces(x)["fstar_star"], before)
         small_model.set_params(3.0 * theta)

@@ -6,7 +6,7 @@ from stabledyn.models import Hyper
 from stabledyn.sim import FieldGrid, export_field, rk4_step, rollout_many
 from stabledyn.systems import SystemSpec, get_system
 
-from conftest import make_model
+from conftest import fill_output_layer, make_model
 
 
 class TestRk4Step:
@@ -168,9 +168,7 @@ class TestRollout:
     @pytest.mark.parametrize("plant", ["true", "learned"])
     def test_nonfinite_model_raises(self, vdp_system, vdp_hyper, mode, plant):
         # a model fault is not a plant-state fault: no row is truncated for it
-        model = make_model(vdp_hyper, seed=14, mode=mode)
-        model.nets["gv"].biases[-1][:] = np.nan
-        model.invalidate_cache()
+        model = fill_output_layer(make_model(vdp_hyper, seed=14, mode=mode), "gv", bias=np.nan)
         with pytest.raises(FloatingPointError, match="non-finite"):
             rollout_many(vdp_system if plant == "true" else model, model,
                          np.array([[0.5, 0.5], [-0.5, 0.2]]), T=0.01, h=1e-3)
@@ -187,9 +185,7 @@ class TestRollout:
     def test_step_halving_is_fourth_order(self, vdp_system, vdp_hyper):
         # pure Van der Pol (controller forced to zero) is smooth enough for
         # the classical convergence order to show up under Richardson ratios
-        model = make_model(vdp_hyper, seed=9)
-        model.nets["gu"].weights[-1][:] = 0.0
-        model.invalidate_cache()
+        model = fill_output_layer(make_model(vdp_hyper, seed=9), "gu", weight=0.0)
         x0 = np.array([[1.0, 0.5]])
         ends = {}
         for h in (0.02, 0.01, 0.005):
@@ -258,7 +254,7 @@ class TestExportField:
         assert list(grids) == ["fhat", "fstar", "gv", "v"]
         pieces = real(*calls[0])
         want = {"fhat": pieces["fhat_star"], "fstar": pieces["fstar_star"],
-                "gv": pieces["gv_x"] - pieces["gv_0"], "v": pieces["v"]}
+                "gv": pieces["w"], "v": pieces["v"]}
         for kind, grid in grids.items():
             assert grid.kind == kind
             assert np.array_equal(grid.values.reshape(16, -1), want[kind])

@@ -10,7 +10,7 @@ from stabledyn import sim, training, verify
 from stabledyn.models import Hyper, StableDynamicsModel, row_blocks
 from stabledyn.systems import SystemSpec, get_system
 
-from conftest import make_model
+from conftest import fill_output_layer, make_model
 from test_models import constant_network
 
 
@@ -27,6 +27,24 @@ class TestCheckDecrease:
         rep = verify.check_decrease(model, 3000, seed=1, ablate_projection=True)
         assert rep.ablated
         assert rep.max_residual > 0.0
+
+    def test_ablated_residual_is_the_graphs(self, vdp_hyper):
+        # the negative control reads the nominal loop's resid off the projected
+        # graph, on the same samples and blocks as the projected check
+        hp = vdp_hyper
+        for mode in ("general", "affine"):
+            model = make_model(hp, seed=3, mode=mode)
+            rep = verify.check_decrease(model, 3000, seed=1, ablate_projection=True)
+            X = np.random.default_rng(1).uniform(hp.x_lb, hp.x_ub, size=(3000, hp.n))
+            X = X[np.linalg.norm(X, axis=1) >= verify.ORIGIN_EXCLUSION]
+            resid, n_floor = [], 0
+            for sl in row_blocks(len(X)):
+                pieces = model.eval_pieces(X[sl])
+                ok = np.sum(pieces["grad_v"] ** 2, axis=1) >= hp.eps_proj
+                n_floor += int(np.sum(~ok))
+                resid.append(pieces["resid"][ok, 0])
+            assert rep.max_residual == np.max(np.concatenate(resid)) > 0.0, mode
+            assert (rep.n_floor, rep.n_used) == (n_floor, len(X) - n_floor), mode
 
     def test_deterministic_per_seed(self, small_model):
         a = verify.check_decrease(small_model, 2000, seed=9)
@@ -178,8 +196,7 @@ class TestQuadraticRatio:
 
     def test_nonfinite_value_named(self, small_model):
         # max() over a NaN ratio would silently skip it; the audit stops instead
-        small_model.nets["gv"].biases[-1][:] = np.nan
-        small_model.invalidate_cache()
+        fill_output_layer(small_model, "gv", bias=np.nan)
         with pytest.raises(FloatingPointError, match="non-finite 'v'"):
             verify.estimate_quadratic_ratio(small_model, 0.2, 1.0, 500, seed=0)
 
