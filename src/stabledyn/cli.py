@@ -8,8 +8,10 @@ resolved config is embedded in every artifact the command writes, and goes
 to the output directory's ``config.json`` once the command has finished, so
 a command that fails leaves that file as it was.
 
-Exit codes: 0 success, 1 validation/config error (bad arguments included),
-2 numerical failure, 3 verification failure.
+Exit codes: 0 success, 3 verification failure; otherwise the exception's
+class decides.  2, "numerical failure", is a ``FloatingPointError``: a
+non-finite value or gradient, or a diverging loss.  1 is any rejected input:
+bad arguments, a ``ConfigError``, any other ``ValueError`` or an ``OSError``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import sim, systems, training, verify
-from .diffcore import GradientError
 from .models import DEFAULT_DEPTH, NETWORKS, Hyper, StableDynamicsModel
 
 
@@ -320,7 +321,7 @@ def cmd_train(cfg, system, out):
     if tc["resume_from"] and losses_path.exists():
         try:
             existing = losses_path.read_text()
-        except UnicodeDecodeError as exc:  # a ValueError, read as numerical
+        except UnicodeDecodeError as exc:
             raise ConfigError(f"cannot read {losses_path}: {exc}; resume into "
                               f"another output directory") from None
         lines = [ln for ln in existing.splitlines() if ln and not ln.startswith("#")]
@@ -473,13 +474,12 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (training.CheckpointError, training.DatasetError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (training.TrainingDivergedError, GradientError, FloatingPointError,
-            ValueError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ import numpy as np
 ACTIVATIONS = ("smoothed_relu", "tanh", "identity")
 
 
-class GradientError(RuntimeError):
+class GradientError(FloatingPointError):
     """Raised when a reverse sweep produces a non-finite adjoint."""
 
 
@@ -60,19 +60,21 @@ def _srelu_curv_raw(z, d):
 # Network container
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
     """Dense feedforward network with explicit parameter storage.
 
     weights[i] has shape (out_i, in_i), biases[i] shape (out_i,), and
     activations[i] names the nonlinearity applied after layer i.  Layer
     dims must chain.  ``srelu_width`` is the smoothing width used by any
-    ``smoothed_relu`` activation in this network.
+    ``smoothed_relu`` activation in this network.  The three sequences are
+    kept as tuples of float64 arrays and tags, and the network is frozen:
+    :func:`dataclasses.replace` makes a network with other arrays.
     """
 
-    weights: list
-    biases: list
-    activations: list
+    weights: tuple
+    biases: tuple
+    activations: tuple
     srelu_width: float = 0.005
 
     def __post_init__(self):
@@ -80,24 +82,25 @@ class Network:
             raise ValueError("weights, biases, activations must have equal length")
         if not self.weights:
             raise ValueError("network needs at least one layer")
-        for i, (w, b, act) in enumerate(zip(self.weights, self.biases, self.activations)):
-            w = np.asarray(w, dtype=np.float64)
-            b = np.asarray(b, dtype=np.float64)
+        weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
+        biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
+        for i, (w, b, act) in enumerate(zip(weights, biases, self.activations)):
             if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
                 raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != self.weights[i - 1].shape[0]:
+            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
                 raise ValueError(
                     f"layer {i}: input dim {w.shape[1]} does not chain with "
-                    f"previous output {self.weights[i - 1].shape[0]}"
+                    f"previous output {weights[i - 1].shape[0]}"
                 )
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation tag {act!r}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i}: non-finite parameters")
-            self.weights[i] = w
-            self.biases[i] = b
         if not self.srelu_width > 0:
             raise ValueError("srelu_width must be positive")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "activations", tuple(self.activations))
 
     @property
     def in_dim(self):

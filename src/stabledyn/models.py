@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -204,12 +205,14 @@ class StableDynamicsModel:
 
     The constructor copies every parameter into one float64 vector, in
     :data:`NETWORKS` order (network, then layer, each weight before its
-    bias).  Its ``nets`` are new networks whose weights and biases are
-    read-only views of that vector; the networks passed in are not touched,
-    so two models built from one dict share no arrays.  :meth:`get_params`
-    returns a copy of the vector, and :meth:`set_params` is its only writer:
-    it writes the vector in place, which every view shows, and drops the
-    cached origin nodes.  An in-place write to a network array raises.
+    bias).  Its ``nets`` are a read-only mapping of new frozen networks
+    whose weights and biases are read-only views of that vector; the
+    networks passed in are not touched, so two models built from one dict
+    share no arrays.  :meth:`get_params` returns a copy of the vector, and
+    :meth:`set_params` is its only writer: it writes the vector in place,
+    which every view shows, and drops the cached origin nodes.  An in-place
+    write to a network array, or replacing a network or one of its arrays,
+    raises.
     ``layers`` holds each network's (W, b) view pairs in vector order: the
     numpy backend's handles, and the arrays a tape registers as leaves.
 
@@ -244,13 +247,14 @@ class StableDynamicsModel:
         flat = [a for group in arrays.values() for a in group]
         self._theta = np.concatenate([a.ravel() for a in flat], dtype=np.float64)
         chunks = iter(np.split(self._theta, np.cumsum([a.size for a in flat])[:-1]))
-        self.nets, self.layers = {}, {}
+        own, self.layers = {}, {}
         for name, net in nets.items():
             views = [next(chunks).reshape(a.shape) for a in arrays[name]]
             for view in views:
                 view.flags.writeable = False
-            self.nets[name] = replace(net, weights=views[0::2], biases=views[1::2])
+            own[name] = replace(net, weights=views[0::2], biases=views[1::2])
             self.layers[name] = list(zip(views[0::2], views[1::2]))
+        self.nets = MappingProxyType(own)
         self._np_origin = None
 
     # -- construction ----------------------------------------------------

@@ -89,11 +89,13 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     plant domain error or reaches a non-finite stage is frozen and its
     trajectory truncated at the last valid state, with its own cause in
     ``reason``.  Any other exception from the plant propagates.  A
-    non-finite start, or a horizon that rounds to no step, raises ValueError
-    before any step is taken.
+    non-finite start, or a horizon that rounds to no step or to more than a
+    float can count, raises ValueError before any step is taken.
     """
     if T <= 0 or h <= 0:
         raise ValueError("need T > 0 and h > 0")
+    if not np.isfinite(T / h):
+        raise ValueError(f"horizon T = {T} over step h = {h} is not a finite step count")
     steps = int(round(T / h))
     if steps < 1:
         raise ValueError(f"horizon T = {T} rounds to no step of h = {h}")

@@ -30,7 +30,7 @@ CHECKPOINT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
 
 
-class TrainingDivergedError(RuntimeError):
+class TrainingDivergedError(FloatingPointError):
     """Loss blew past the divergence guard during training."""
 
 

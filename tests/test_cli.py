@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stabledyn import cli, sim, systems, training, verify
+from stabledyn.diffcore import GradientError
 from stabledyn.models import Hyper, StableDynamicsModel
 
 TINY = {"name": "tiny", "seed": 0,
@@ -67,9 +68,10 @@ def test_box_of_wrong_length_exits_one(tmp_path, capsys, command, key, box):
     ("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n0.1,0.2,0.3,0.4\n",
      "line 3: expected 5 finite numbers, got '0.1,0.2,0.3,0.4'"),
     ("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n# note\n\n0.1,abc,0.3,0.4,0.5\n",
-     "line 5: expected 5 finite numbers")],
+     "line 5: expected 5 finite numbers"),
+    ("x,y,u\n0.1,0.2,0.3\n", "header 'x,y,u' is not x1..xn,u1..um,xdot1..xdotn")],
     ids=["header-only", "non-numeric", "three-states", "infinite", "ragged",
-         "comment-and-blank"])
+         "comment-and-blank", "other-header"])
 def test_bad_dataset_csv_exits_one(tmp_path, capsys, command, text, fault):
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -80,10 +82,14 @@ def test_bad_dataset_csv_exits_one(tmp_path, capsys, command, text, fault):
     assert str(path) in err and fault in err
 
 
-@pytest.mark.parametrize("kind", ["config", "checkpoint", "dataset", "losses"])
+@pytest.mark.parametrize("kind", ["config", "checkpoint", "dataset", "dataset_row", "losses"])
 def test_non_utf8_input_exits_one(tmp_path, capsys, kind):
     path = tmp_path / f"{kind}.bin"
     path.write_bytes(b'{"name": "\xff"}\n')
+    if kind == "dataset_row":  # past the first block of text that a read decodes
+        path.write_bytes(b"x1,x2,u1,xdot1,xdot2\n" + b"0.1,0.2,0.3,0.4,0.5\n" * 1000
+                         + b"0.1,\xff,0.3,0.4,0.5\n")
+        kind = "dataset"
     if kind == "config":
         code = cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")])
     elif kind == "losses":  # a resume into a directory whose losses.csv does not decode
@@ -591,6 +597,65 @@ def test_diverging_training_exits_two(tmp_path, capsys):
     assert run(tmp_path, "train", config) == cli.EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure: batch loss" in err and "exceeds 1e+06 x initial loss" in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (cli.ConfigError("c"), cli.EXIT_CONFIG, "config error"),
+    (training.CheckpointError("c"), cli.EXIT_CONFIG, "input error"),
+    (training.DatasetError("c"), cli.EXIT_CONFIG, "input error"),
+    (systems.DomainError("c"), cli.EXIT_CONFIG, "input error"),
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "c"), cli.EXIT_CONFIG, "input error"),
+    (ValueError("c"), cli.EXIT_CONFIG, "input error"),
+    (OSError("c"), cli.EXIT_CONFIG, "input error"),
+    (FloatingPointError("c"), cli.EXIT_NUMERICAL, "numerical failure"),
+    (GradientError("c"), cli.EXIT_NUMERICAL, "numerical failure"),
+    (training.TrainingDivergedError("c"), cli.EXIT_NUMERICAL, "numerical failure")],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_exception_class_decides_exit_code(tmp_path, capsys, monkeypatch, error, code,
+                                           prefix):
+    def fail(cfg, system, out):
+        raise error
+    monkeypatch.setattr(cli, "cmd_sample", fail)
+    assert run(tmp_path, "sample", TINY) == code
+    assert capsys.readouterr().err.startswith(f"{prefix}: ")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("radius", "radius r=1.8 leaves no box samples outside the neighborhood"),
+    ("eps_proj", "decrease check kept none of 500 samples: 0 near the origin, "
+                 "500 under the eps_proj floor"),
+    ("bicycle", "bicycle sample 1 has d_e=1.00000000, within 1e-6 of the unit-circle "
+                "singularity")], ids=["radius", "eps_proj", "bicycle"])
+def test_audit_refusing_its_inputs_exits_one(tmp_path, capsys, case, message):
+    # settings or data that leave an audit nothing to check are input, not a model fault
+    if case == "radius":  # vdp's box corner lies at norm 1.838; 20 samples keep none past 1.8
+        assert run(tmp_path, "sample", TINY, out="sample") == cli.EXIT_OK
+        config = with_section("verify", checks=["certificate"], r=1.8, n_samples=20,
+                              dataset=str(tmp_path / "sample" / "dataset.csv"))
+    elif case == "eps_proj":
+        config = dict(with_section("verify", n_samples=500), hyper={"eps_proj": 1e6})
+    else:  # a dataset row on the bicycle's singular circle d_e = 1
+        path = tmp_path / "bike.csv"
+        path.write_text("x1,x2,u1,xdot1,xdot2\n0.1,0.2,0.3,0.4,0.5\n1,0.2,0.3,0.4,0.5\n")
+        config = dict(with_section("verify", checks=["certificate"], n_samples=500,
+                                   dataset=str(path)), system="bicycle")
+    assert run(tmp_path, "verify", config) == cli.EXIT_CONFIG
+    assert f"input error: {message}" in capsys.readouterr().err
+
+
+def test_horizon_of_more_steps_than_a_float_counts_exits_one(tmp_path, capsys):
+    config = with_section("simulate", T=1e300, h=1e-10, k=1,
+                          checkpoint=write_checkpoint(tmp_path))
+    assert run(tmp_path, "simulate", config) == cli.EXIT_CONFIG
+    assert ("input error: horizon T = 1e+300 over step h = 1e-10 is not a finite step count"
+            in capsys.readouterr().err)
+
+
+def test_config_root_that_is_not_an_object_exits_one(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[]")
+    assert cli.main(["sample", "--config", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error: config root must be a JSON object" in capsys.readouterr().err
 
 
 def test_zero_epoch_train_keeps_the_initial_model(tmp_path):

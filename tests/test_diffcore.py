@@ -59,6 +59,21 @@ class TestInit:
         with pytest.raises(ValueError):
             init_network(dims, "tanh", seed=0)
 
+    @pytest.mark.parametrize("weights, biases, acts, message", [
+        ([np.zeros((2, 3))], [], ["identity"], "must have equal length"),
+        ([], [], [], "at least one layer"),
+        ([np.zeros((2, 3))], [np.zeros(3)], ["identity"],
+         r"layer 0: weight \(2, 3\) / bias \(3,\) mismatch"),
+        ([np.zeros((4, 3)), np.zeros((2, 5))], [np.zeros(4), np.zeros(2)],
+         ["tanh", "identity"], "layer 1: input dim 5 does not chain with previous output 4"),
+        ([np.zeros((2, 3))], [np.zeros(2)], ["relu"], "unknown activation tag 'relu'"),
+        ([np.full((2, 3), np.nan)], [np.zeros(2)], ["identity"],
+         "layer 0: non-finite parameters")],
+        ids=["lengths", "no-layer", "bias-width", "chain", "activation", "nan"])
+    def test_malformed_network_rejected(self, weights, biases, acts, message):
+        with pytest.raises(ValueError, match=message):
+            Network(weights, biases, acts)
+
     def test_bad_activation_rejected(self):
         with pytest.raises(ValueError):
             init_network([2, 2], "softplus", seed=0)
@@ -161,9 +176,9 @@ class TestInputGradient:
 
     def test_non_scalar_output_rejected(self, vdp_hyper):
         # the Lyapunov network is the one whose input gradient is taken
-        nets = make_model(vdp_hyper, seed=0).nets
-        nets["gv"] = init_network([2, 4, 2], "smoothed_relu", seed=0,
-                                  out_activation="tanh")
+        nets = dict(make_model(vdp_hyper, seed=0).nets,
+                    gv=init_network([2, 4, 2], "smoothed_relu", seed=0,
+                                    out_activation="tanh"))
         with pytest.raises(ValueError,
                            match=r"gv must have \(input, output\) widths \(2, 1\), got \(2, 2\)"):
             StableDynamicsModel(nets, vdp_hyper)
@@ -279,6 +294,16 @@ class TestTape:
         out = tape.sum_all(tape.add(tape.mul(c, a), tape.mul(c, a)))
         (g,) = tape.gradient(out, [a])
         assert np.array_equal(g, [[2.0]])
+
+    def test_lower_rank_operand_gets_summed_adjoint(self):
+        # a (2,) operand broadcast over (3, 2) rows takes the sum over rows
+        tape = Tape()
+        a = tape.leaf(np.ones((3, 2)))
+        b = tape.leaf(np.array([1.0, 2.0]))
+        out = tape.sum_all(tape.mul(a, b))
+        ga, gb = tape.gradient(out, [a, b])
+        assert np.array_equal(ga, np.tile([1.0, 2.0], (3, 1)))
+        assert np.array_equal(gb, [3.0, 3.0])
 
     def test_maximum_scalar_tie_takes_constant_branch(self):
         tape = Tape()

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -78,9 +80,8 @@ class TestNominal:
             assert np.array_equal(model.eval_pieces(ORIGIN, u0)["fhat_data"], ORIGIN)
 
     def test_constant_network_gives_zero_everywhere(self, vdp_hyper):
-        model = make_model(vdp_hyper, seed=3)
-        model.nets["gf"] = constant_network(3, 2, 1.7)
-        model = StableDynamicsModel(model.nets, vdp_hyper)
+        nets = make_model(vdp_hyper, seed=3).nets
+        model = StableDynamicsModel(dict(nets, gf=constant_network(3, 2, 1.7)), vdp_hyper)
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, (50, 2))
         U = rng.uniform(-5, 5, (50, 1))
@@ -107,9 +108,9 @@ class TestLyapunov:
             assert np.array_equal(model.lyapunov_grad_batch(ORIGIN), ORIGIN)
 
     def test_constant_gv_reduces_to_quadratic(self, vdp_hyper):
-        model = make_model(vdp_hyper, seed=4)
-        model.nets["gv"] = constant_network(2, 1, 0.33, out_activation="tanh")
-        model = StableDynamicsModel(model.nets, vdp_hyper)
+        nets = make_model(vdp_hyper, seed=4).nets
+        gv = constant_network(2, 1, 0.33, out_activation="tanh")
+        model = StableDynamicsModel(dict(nets, gv=gv), vdp_hyper)
         X = np.random.default_rng(4).uniform(-1.3, 1.3, (100, 2))
         v = model.lyapunov_batch(X)
         q = vdp_hyper.eps_pd * np.sum(X * X, axis=1)
@@ -154,12 +155,11 @@ class TestProjection:
     def test_inactive_when_decrease_already_holds(self, vdp_hyper):
         # quadratic V with a linear nominal fhat = (-3 x1, +x2): the residual
         # -2.5 x1^2 + 1.5 x2^2 changes sign across the box
-        model = make_model(vdp_hyper, seed=7)
-        model.nets["gv"] = constant_network(2, 1, 0.0, out_activation="tanh")
-        model.nets["gf"] = Network(
-            [np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
-            [np.zeros(2)], ["identity"])
-        model = StableDynamicsModel(model.nets, vdp_hyper)
+        nets = dict(make_model(vdp_hyper, seed=7).nets,
+                    gv=constant_network(2, 1, 0.0, out_activation="tanh"),
+                    gf=Network([np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
+                               [np.zeros(2)], ["identity"]))
+        model = StableDynamicsModel(nets, vdp_hyper)
         rng = np.random.default_rng(7)
         X = rng.uniform(-1.3, 1.3, (4000, 2))
         pieces = model.eval_pieces(X)
@@ -240,6 +240,22 @@ class TestProjection:
     def test_nonfinite_input_rejected(self, small_model):
         with pytest.raises(ValueError):
             small_model.eval_pieces(np.array([[np.nan, 0.0]]), np.array([[0.0]]))
+
+    def test_control_rows_must_match_states(self, small_model):
+        with pytest.raises(ValueError, match="2 control rows for 3 states"):
+            small_model.eval_pieces(np.zeros((3, 2)), np.zeros((2, 1)))
+
+    @np.errstate(over="ignore")  # gf's output overflows on purpose
+    def test_nonfinite_data_output_raises(self, vdp_hyper):
+        # u* = 0 keeps every closed-loop piece finite; only fhat at the data
+        # control, 1e308 * u, overflows
+        gf = Network([np.array([[0.0, 0.0, 1e308], [0.0, 0.0, 0.0]])], [np.zeros(2)],
+                     ["identity"])
+        nets = dict(make_model(vdp_hyper).nets, gf=gf,
+                    gu=constant_network(2, 1, 0.0, out_activation="tanh"))
+        model = StableDynamicsModel(nets, vdp_hyper)
+        with pytest.raises(FloatingPointError, match="non-finite model output"):
+            model.eval_pieces(np.full((1, 2), 0.5), np.array([[4.0]]))
 
     @pytest.mark.parametrize("rows", [1, 7, 300])
     def test_shift_same_on_tape_and_numpy(self, rows):
@@ -437,6 +453,19 @@ class TestParams:
                 a[...] = 7.0
         assert np.array_equal(model.get_params(),
                               np.concatenate([b.ravel() + 1.0 for b in before]))
+
+    def test_networks_cannot_be_replaced(self, small_model):
+        # save_checkpoint writes from nets, so nets must stay the vector's views
+        theta = small_model.get_params()
+        net = small_model.nets["gv"]
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros_like(net.weights[0])
+        with pytest.raises(FrozenInstanceError):
+            net.biases = ()
+        with pytest.raises(TypeError):
+            small_model.nets["gv"] = small_model.nets["gf"]
+        assert small_model.nets["gv"] is net
+        assert np.array_equal(small_model.get_params(), theta)
 
     def test_model_from_another_models_networks_is_independent(self, small_model,
                                                               vdp_hyper):

@@ -222,6 +222,8 @@ class TestRollout:
             rollout_many(model, model, np.zeros((1, 2)), T=0.0, h=1e-3)
         with pytest.raises(ValueError, match="rounds to no step"):
             rollout_many(model, model, np.zeros((1, 2)), T=4e-4, h=1e-3)
+        with pytest.raises(ValueError, match="T = 1e[+]300 over step h = 1e-10 is not a finite"):
+            rollout_many(model, model, np.zeros((1, 2)), T=1e300, h=1e-10)
 
 
 class TestExportField:

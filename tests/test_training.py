@@ -16,6 +16,8 @@ from stabledyn.training import (
 
 from conftest import SMALL_WIDTHS, jitter_params, make_model, net_slices, seam_margins
 
+MISSING = object()  # an optimizer entry left out of the checkpoint
+
 
 class TestSampleDataset:
     def test_containment(self, vdp_system, vdp_hyper):
@@ -47,6 +49,19 @@ class TestSampleDataset:
     def test_needs_positive_count(self, vdp_system, vdp_hyper):
         with pytest.raises(ValueError):
             training.sample_dataset(vdp_system, vdp_hyper, 0, seed=0)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ((np.zeros(3), np.zeros((3, 1)), np.zeros((3, 2))), "must be 2-D"),
+    ((np.zeros((3, 2)), np.zeros((2, 1)), np.zeros((3, 2))), "must have equal length"),
+    ((np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((3, 3))),
+     "state and state-derivative dims differ"),
+    ((np.zeros((3, 2)), np.full((3, 1), np.inf), np.zeros((3, 2))),
+     "non-finite entries in dataset U")],
+    ids=["flat", "ragged", "derivative-width", "infinite"])
+def test_dataset_rejects_inconsistent_arrays(arrays, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(*arrays)
 
 
 class TestDatasetCsv:
@@ -132,8 +147,19 @@ class TestLoss:
 
     def test_empty_batch_rejected(self, small_model):
         ds = Dataset(np.zeros((0, 2)), np.zeros((0, 1)), np.zeros((0, 2)))
-        with pytest.raises(ValueError):
-            training.loss(small_model, ds)
+        for fn in (training.loss, training.loss_value):
+            with pytest.raises(ValueError, match="loss of an empty batch"):
+                fn(small_model, ds)
+
+    @pytest.mark.parametrize("fn, message", [
+        (training.loss, "non-finite training loss"),
+        (training.loss_value, "non-finite loss value")])
+    @np.errstate(over="ignore")  # the squared residual overflows on purpose
+    def test_overflowing_loss_raises(self, small_model, fn, message):
+        X = np.full((4, 2), 0.3)
+        ds = Dataset(X, np.zeros((4, 1)), np.full((4, 2), 1e200))
+        with pytest.raises(FloatingPointError, match=message):
+            fn(small_model, ds)
 
     def test_loss_value_memory_does_not_grow_with_rows(self, vdp_system, vdp_hyper):
         # rows share model calls of models.BLOCK_ROWS rows, however many
@@ -314,6 +340,19 @@ class TestTrain:
         assert len(res.train_losses) == len(res.holdout_losses) == 2
         assert all(np.isfinite(res.holdout_losses))
 
+    def test_holdout_of_every_row_rejected(self, small_model, vdp_system, vdp_hyper):
+        # round(0.9 * 2) = 2: the CLI checks this before it calls train
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 2, seed=0)
+        with pytest.raises(ValueError, match="leaves no training samples"):
+            training.train(small_model, ds, TrainConfig(holdout=0.9))
+
+    def test_optimizer_state_of_another_size_rejected(self, small_model, vdp_system,
+                                                      vdp_hyper):
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 20, seed=0)
+        size = small_model.get_params().size
+        with pytest.raises(ValueError, match=f"has 5 entries, the model {size} parameters"):
+            training.train(small_model, ds, TrainConfig(), training.AdamState.zeros(5))
+
     @pytest.mark.parametrize("kw", [
         {"lr": -1.0}, {"batch_size": 0}, {"clip_norm": 0.0}, {"holdout": 1.0},
     ])
@@ -334,6 +373,14 @@ class TestCheckpoint:
                               small_model.eval_pieces(X, U)["fstar_data"])
         assert np.array_equal(back.lyapunov_batch(X), small_model.lyapunov_batch(X))
         assert np.array_equal(back.get_params(), small_model.get_params())
+
+    def test_saved_model_is_the_set_parameters(self, tmp_path, small_model):
+        # the networks a checkpoint is written from view the parameter vector
+        theta = small_model.get_params() * 1.5
+        small_model.set_params(theta)
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        assert np.array_equal(training.load_checkpoint(path)[0].get_params(), theta)
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
     def test_indented_layout_loads_bit_identically(self, tmp_path, vdp_hyper, mode):
@@ -373,8 +420,12 @@ class TestCheckpoint:
         ("gu", "activations", ["tanh", "tanh", "tanh", "identity"], "gu must have"),
         ("gv", "activations", ["tanh", "smoothed_relu", "smoothed_relu", "tanh"],
          "gv must have"),
-        ("gv", "srelu_width", 0.01, "gv srelu_width 0.01 differs")],
-        ids=["gu-output", "gv-hidden", "gv-srelu-width"])
+        ("gv", "srelu_width", 0.01, "gv srelu_width 0.01 differs"),
+        ("gv", "weights", 5, "network 'gv' malformed"),
+        ("gv", "biases", [[0.0] * 8] * 3 + [[float("nan")]],
+         "network 'gv': layer 3: non-finite parameters")],
+        ids=["gu-output", "gv-hidden", "gv-srelu-width", "gv-weights-not-a-list",
+             "gv-nan-bias"])
     def test_network_contradicting_its_role_is_format_error(self, tmp_path, small_model,
                                                             net, field, value, message):
         path = tmp_path / "ck.json"
@@ -395,6 +446,19 @@ class TestCheckpoint:
         doc["hyper"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=f"must be a number, got {value!r}"):
+            training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("mode", "bogus", "unknown mode 'bogus'"),
+        ("system", 3, "system must be a name, got 3")], ids=["mode", "system"])
+    def test_mode_or_system_that_names_nothing(self, tmp_path, small_model, key, value,
+                                               message):
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"checkpoint {path}: {message}"):
             training.load_checkpoint(path)
 
     def test_truncated_file_is_format_error(self, tmp_path, small_model):
@@ -468,15 +532,25 @@ class TestCheckpoint:
         ({"step": -1}, "optimizer step must be"), ({"epochs": 1.5}, "optimizer epochs must be"),
         ({"m": "not base64!"}, "optimizer m:"),
         ({"v": "AAAAAAAA8P8="}, "optimizer v holds 1 values"),
-        ({"v": None}, "optimizer v:")],
-        ids=["step", "epochs", "m", "v-size", "v-type"])
+        ({"v": None}, "optimizer v:"),
+        ({"m": np.nan}, "optimizer m has non-finite entries"),
+        ({"v": -1.0}, "optimizer v has negative entries"),
+        ({"step": MISSING}, "optimizer state malformed: 'step'")],
+        ids=["step", "epochs", "m", "v-size", "v-type", "m-nan", "v-negative",
+             "step-missing"])
     def test_malformed_optimizer_state(self, tmp_path, small_model, entry, message):
         path = tmp_path / "ck.json"
         size = small_model.get_params().size
         state = training.AdamState(np.zeros(size), np.ones(size), 5, 1)
         training.save_checkpoint(small_model, path, optimizer=state)
         doc = json.loads(path.read_text())
-        doc["optimizer"].update(entry)
+        for key, value in entry.items():
+            if value is MISSING:
+                del doc["optimizer"][key]
+            elif isinstance(value, float):  # every entry of the moment set to it
+                doc["optimizer"][key] = training._encode_floats(np.full(size, value))
+            else:
+                doc["optimizer"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
             training.load_checkpoint(path)

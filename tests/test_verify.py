@@ -155,9 +155,9 @@ class TestDecayBound:
 
 class TestQuadraticRatio:
     def test_constant_gv_gives_exact_floor(self, vdp_hyper):
-        model = make_model(vdp_hyper, seed=7)
-        model.nets["gv"] = constant_network(2, 1, 0.25, out_activation="tanh")
-        model = StableDynamicsModel(model.nets, vdp_hyper)
+        nets = make_model(vdp_hyper, seed=7).nets
+        gv = constant_network(2, 1, 0.25, out_activation="tanh")
+        model = StableDynamicsModel(dict(nets, gv=gv), vdp_hyper)
         rep = verify.estimate_quadratic_ratio(model, 0.2, 1.0, 20000, seed=2)
         assert rep.M == vdp_hyper.eps_pd
         assert rep.c2_global == vdp_hyper.eps_pd
@@ -271,6 +271,12 @@ class TestCertificate:
         ds = training.sample_dataset(vdp_system, vdp_hyper, 5, seed=0).subset([])
         with pytest.raises(ValueError):
             verify.certificate(small_model, vdp_system, ds, 0.1, 100, seed=0)
+
+    @pytest.mark.parametrize("r", [0.0, -0.1, float("nan")])
+    def test_nonpositive_radius_rejected(self, vdp_system, vdp_hyper, small_model, r):
+        ds = training.sample_dataset(vdp_system, vdp_hyper, 5, seed=0)
+        with pytest.raises(ValueError, match=f"radius must be positive, got {r}"):
+            verify.certificate(small_model, vdp_system, ds, r, 100, seed=0)
 
     def test_report_serializes_with_provenance(self, vdp_system, vdp_hyper, small_model):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 100, seed=1)
