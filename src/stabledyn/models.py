@@ -213,8 +213,10 @@ class StableDynamicsModel:
     which every view shows, and drops the cached origin nodes.  An in-place
     write to a network array, or replacing a network or one of its arrays,
     raises.
-    ``layers`` holds each network's (W, b) view pairs in vector order: the
-    numpy backend's handles, and the arrays a tape registers as leaves.
+    ``layers`` is a read-only mapping of each network's (W, b) view pairs,
+    in vector order, built from ``nets``: the numpy backend's handles, and
+    the arrays a tape registers as leaves.  Neither ``nets`` nor ``layers``
+    can be rebound.
 
     Evaluation is read-only and safe to share across threads; parameter
     updates are not.
@@ -247,15 +249,26 @@ class StableDynamicsModel:
         flat = [a for group in arrays.values() for a in group]
         self._theta = np.concatenate([a.ravel() for a in flat], dtype=np.float64)
         chunks = iter(np.split(self._theta, np.cumsum([a.size for a in flat])[:-1]))
-        own, self.layers = {}, {}
+        own = {}
         for name, net in nets.items():
             views = [next(chunks).reshape(a.shape) for a in arrays[name]]
             for view in views:
                 view.flags.writeable = False
             own[name] = replace(net, weights=views[0::2], biases=views[1::2])
-            self.layers[name] = list(zip(views[0::2], views[1::2]))
-        self.nets = MappingProxyType(own)
+        self._nets = MappingProxyType(own)
+        self._layers = MappingProxyType(
+            {name: tuple(zip(net.weights, net.biases)) for name, net in own.items()})
         self._np_origin = None
+
+    @property
+    def nets(self):
+        """The read-only mapping of frozen networks viewing the vector."""
+        return self._nets
+
+    @property
+    def layers(self):
+        """The read-only mapping of each network's (W, b) view pairs."""
+        return self._layers
 
     # -- construction ----------------------------------------------------
 

@@ -464,7 +464,17 @@ class TestParams:
             net.biases = ()
         with pytest.raises(TypeError):
             small_model.nets["gv"] = small_model.nets["gf"]
-        assert small_model.nets["gv"] is net
+        with pytest.raises(TypeError):
+            small_model.layers["gv"] = small_model.layers["gf"]
+        pairs = small_model.layers["gv"]
+        with pytest.raises(TypeError):
+            pairs[0] = (np.zeros_like(pairs[0][0]), pairs[0][1])
+        with pytest.raises(AttributeError):
+            small_model.nets = {}
+        with pytest.raises(AttributeError):
+            small_model.layers = {}
+        assert small_model.nets["gv"] is net and small_model.layers["gv"] is pairs
+        assert all(W is w and B is b for (W, B), w, b in zip(pairs, net.weights, net.biases))
         assert np.array_equal(small_model.get_params(), theta)
 
     def test_model_from_another_models_networks_is_independent(self, small_model,

@@ -16,7 +16,6 @@ from stabledyn.training import (
 
 from conftest import SMALL_WIDTHS, jitter_params, make_model, net_slices, seam_margins
 
-MISSING = object()  # an optimizer entry left out of the checkpoint
 
 
 class TestSampleDataset:
@@ -528,29 +527,28 @@ class TestCheckpoint:
         assert system is None and state is None
         assert np.array_equal(model.get_params(), small_model.get_params())
 
-    @pytest.mark.parametrize("entry, message", [
-        ({"step": -1}, "optimizer step must be"), ({"epochs": 1.5}, "optimizer epochs must be"),
-        ({"m": "not base64!"}, "optimizer m:"),
-        ({"v": "AAAAAAAA8P8="}, "optimizer v holds 1 values"),
-        ({"v": None}, "optimizer v:"),
-        ({"m": np.nan}, "optimizer m has non-finite entries"),
-        ({"v": -1.0}, "optimizer v has negative entries"),
-        ({"step": MISSING}, "optimizer state malformed: 'step'")],
+    @pytest.mark.parametrize("edit, message", [
+        (lambda opt, size: opt.update(step=-1),
+         "optimizer step must be a nonnegative integer, got -1"),
+        (lambda opt, size: opt.update(epochs=1.5),
+         "optimizer epochs must be a nonnegative integer, got 1.5"),
+        (lambda opt, size: opt.update(m="not base64!"), "optimizer m:"),
+        (lambda opt, size: opt.update(v="AAAAAAAA8P8="), "optimizer v holds 1 values"),
+        (lambda opt, size: opt.update(v=None), "optimizer v:"),
+        (lambda opt, size: opt.update(m=training._encode_floats(np.full(size, np.nan))),
+         "optimizer m has non-finite entries"),
+        (lambda opt, size: opt.update(v=training._encode_floats(np.full(size, -1.0))),
+         "optimizer v has negative entries"),
+        (lambda opt, size: opt.pop("step"), "optimizer state malformed: 'step'")],
         ids=["step", "epochs", "m", "v-size", "v-type", "m-nan", "v-negative",
              "step-missing"])
-    def test_malformed_optimizer_state(self, tmp_path, small_model, entry, message):
+    def test_malformed_optimizer_state(self, tmp_path, small_model, edit, message):
         path = tmp_path / "ck.json"
         size = small_model.get_params().size
         state = training.AdamState(np.zeros(size), np.ones(size), 5, 1)
         training.save_checkpoint(small_model, path, optimizer=state)
         doc = json.loads(path.read_text())
-        for key, value in entry.items():
-            if value is MISSING:
-                del doc["optimizer"][key]
-            elif isinstance(value, float):  # every entry of the moment set to it
-                doc["optimizer"][key] = training._encode_floats(np.full(size, value))
-            else:
-                doc["optimizer"][key] = value
+        edit(doc["optimizer"], size)
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
             training.load_checkpoint(path)
