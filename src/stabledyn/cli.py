@@ -95,9 +95,11 @@ def _choice(options):
 
 
 def _checks(value, name):
-    if not isinstance(value, list) or any(check not in verify.CHECKS for check in value):
-        raise ConfigError(f"{name} must be a list of checks from {list(verify.CHECKS)}, "
-                          f"got {value!r}")
+    # an empty list would audit nothing and still report a pass
+    if (not isinstance(value, list) or not value
+            or any(check not in verify.CHECKS for check in value)):
+        raise ConfigError(f"{name} must be a non-empty list of checks from "
+                          f"{list(verify.CHECKS)}, got {value!r}")
     return list(value)
 
 
@@ -298,7 +300,7 @@ def cmd_sample(cfg, system, out):
     return EXIT_OK
 
 
-LOSS_COLUMNS = "epoch,train_loss,holdout_loss,grad_norm_max,clip_frac"
+LOSS_COLUMNS = ",".join(training.Epoch._fields)
 
 
 def _read_dataset(path, model, system):
@@ -317,19 +319,19 @@ def cmd_train(cfg, system, out):
     tc = cfg["train"]
     model, optimizer = _load_or_init_model(cfg, tc["resume_from"])
     losses_path = out / "losses.csv"
-    mode, offset = "w", 0  # a resume appends to a losses.csv it finds
+    mode = "w"  # a resume appends to a losses.csv it finds
     if tc["resume_from"] and losses_path.exists():
         try:
             existing = losses_path.read_text()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"cannot read {losses_path}: {exc}; resume into "
                               f"another output directory") from None
-        lines = [ln for ln in existing.splitlines() if ln and not ln.startswith("#")]
-        header = lines[0] if lines else None
+        header = next((ln for ln in existing.splitlines()
+                       if ln and not ln.startswith("#")), None)
         if header != LOSS_COLUMNS:  # never append rows under other columns
             raise ConfigError(f"{losses_path} has columns {header!r}, not "
                               f"{LOSS_COLUMNS!r}; resume into another output directory")
-        mode, offset = "a", len(lines) - 1
+        mode = "a"
     if tc["resume_from"] and optimizer is None:
         print(f"{tc['resume_from']} holds no optimizer state; Adam starts at step 0")
 
@@ -351,10 +353,9 @@ def cmd_train(cfg, system, out):
         if mode == "w":
             fh.write("# config: " + _embed(cfg) + "\n")
             fh.write(LOSS_COLUMNS + "\n")
-        for i, row in enumerate(zip(result.train_losses, result.holdout_losses,
-                                    result.grad_norm_max, result.clip_frac)):
-            fh.write(f"{offset + i}," + ",".join(f"{v:.17g}" for v in row) + "\n")
-    final = result.train_losses[-1] if result.train_losses else result.initial_loss
+        for row in result.history:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    final = result.history[-1].train_loss if result.history else result.initial_loss
     print(f"trained {cfg.trainer.epochs} epochs; loss {result.initial_loss:.4g} -> {final:.4g}")
     print(f"checkpoint: {out / 'checkpoint.json'}")
     return EXIT_OK

@@ -16,7 +16,9 @@ import base64
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -267,7 +269,15 @@ class TrainConfig:
     holdout: float = 0.1
 
     def __post_init__(self):
-        # each message starts with the field's name; NaN fails every range
+        # each message starts with the field's name; bool is not a number
+        # here, and NaN fails every range
+        for name, kind in (("lr", numbers.Real), ("batch_size", numbers.Integral),
+                           ("epochs", numbers.Integral), ("clip_norm", numbers.Real),
+                           ("holdout", numbers.Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not self.lr >= 0:
             raise ValueError(f"lr must be nonnegative, got {self.lr}")
         if self.batch_size < 1:
@@ -330,16 +340,23 @@ def adam_step(theta, grad, state, lr):
     theta -= buf
 
 
+class Epoch(NamedTuple):
+    """What one epoch of :func:`train` records; the fields are the columns
+    of ``losses.csv``, in order."""
+
+    epoch: int            # the optimizer's epoch count before this epoch
+    train_loss: float     # mean of the epoch's batch losses
+    holdout_loss: float   # at epoch end; NaN without a holdout split
+    grad_norm_max: float  # largest pre-clip gradient norm
+    clip_frac: float      # fraction of the epoch's steps that were clipped
+
+
 @dataclass
 class TrainResult:
-    """Per-epoch losses and gradient telemetry, and the optimizer state."""
+    """One :class:`Epoch` per epoch trained, and the optimizer state."""
 
-    model: StableDynamicsModel
-    train_losses: list
-    holdout_losses: list
+    history: list
     initial_loss: float
-    grad_norm_max: list  # largest pre-clip gradient norm of each epoch
-    clip_frac: list      # fraction of each epoch's steps that were clipped
     optimizer: AdamState
 
 
@@ -358,13 +375,16 @@ def train(model, dataset, config, state=None):
     clipping is kept as the guard it was under SGD: it
     bounds what one batch feeds into Adam's moments, and first-epoch
     gradient norms reach 17-60.  At ``clip_norm`` 1.0 it clips most
-    general-mode steps; the result's per-epoch ``grad_norm_max`` and
-    ``clip_frac`` show how often.
+    general-mode steps; each epoch's ``grad_norm_max`` and ``clip_frac``
+    show how often.
 
     ``state`` continues an earlier run: Adam resumes from its moments and
     step count, and the batch orders of the ``state.epochs`` epochs already
     trained are drawn and skipped, so a run resumed on the same data and
-    config repeats the uninterrupted one bit for bit.  Per-epoch train
+    config repeats the uninterrupted one bit for bit.  Each epoch is
+    numbered by the optimizer's count of the epochs before it: from 0 in a
+    fresh run or one resumed without a ``state``, and from ``state.epochs``
+    in a resumed run, whatever file its row is written to.  Per-epoch train
     losses are means of the batch losses seen during the epoch; holdout
     losses are evaluated at epoch end on a fixed split.  Deterministic per
     config seed at a fixed BLAS thread count; the thread count changes the
@@ -386,7 +406,7 @@ def train(model, dataset, config, state=None):
     for _done in range(state.epochs):
         rng.permutation(len(work))
 
-    train_losses, holdout_losses, grad_norm_max, clip_frac = [], [], [], []
+    history = []
     initial = None
     for _epoch in range(config.epochs):
         order = rng.permutation(len(work))
@@ -408,15 +428,16 @@ def train(model, dataset, config, state=None):
             model.set_params(theta)
             batch_losses.append(graph.value)
             norms.append(norm)
+        history.append(Epoch(
+            epoch=state.epochs,
+            train_loss=float(np.mean(batch_losses)),
+            holdout_loss=loss_value(model, hold) if hold is not None else float("nan"),
+            grad_norm_max=max(norms),
+            clip_frac=sum(nm > config.clip_norm for nm in norms) / len(norms)))
         state.epochs += 1
-        train_losses.append(float(np.mean(batch_losses)))
-        grad_norm_max.append(max(norms))
-        clip_frac.append(sum(nm > config.clip_norm for nm in norms) / len(norms))
-        holdout_losses.append(loss_value(model, hold) if hold is not None else float("nan"))
     if initial is None:  # zero epochs: still report the starting loss
         initial = loss_value(model, work)
-    return TrainResult(model, train_losses, holdout_losses, initial,
-                       grad_norm_max, clip_frac, state)
+    return TrainResult(history, initial, state)
 
 
 # ---------------------------------------------------------------------------

@@ -115,9 +115,10 @@ def test_ablated_decrease_exits_three(tmp_path):
 
 @pytest.mark.parametrize("command, section, key", [
     ("verify", "verify", "n_samples"), ("portrait", "portrait", "resolution"),
-    ("train", "model", "mode")])
+    ("train", "model", "mode"), ("verify", "verify", "checks")])
 def test_out_of_range_setting_exits_one(tmp_path, capsys, command, section, key):
-    value = {"n_samples": 0, "resolution": 1, "mode": "bogus"}[key]
+    # an empty checks list would audit nothing and report a pass
+    value = {"n_samples": 0, "resolution": 1, "mode": "bogus", "checks": []}[key]
     assert run(tmp_path, command, with_section(section, **{key: value})) == cli.EXIT_CONFIG
     assert f"{section}.{key}" in capsys.readouterr().err
 
@@ -179,21 +180,24 @@ def test_simulate_writes_finite_trajectories(tmp_path):
         assert np.all(np.isfinite(data)), path.name
 
 
-def test_resume_appends_losses_with_continued_epochs(tmp_path):
+@pytest.mark.parametrize("into", ["same", "fresh"])
+def test_resume_appends_losses_with_continued_epochs(tmp_path, into):
+    # the epochs continue the checkpoint's count, whichever directory they go to
     config = with_section("train", epochs=2)
     assert run(tmp_path, "train", config) == cli.EXIT_OK
-    losses = tmp_path / "out" / "losses.csv"
-    first = losses.read_text()
+    first = (tmp_path / "out" / "losses.csv").read_text()
     config["train"]["resume_from"] = str(tmp_path / "out" / "checkpoint.json")
-    assert run(tmp_path, "train", config) == cli.EXIT_OK
-    text = losses.read_text()
-    assert text.startswith(first)
+    out = "out" if into == "same" else "resumed"
+    assert run(tmp_path, "train", config, out=out) == cli.EXIT_OK
+    text = (tmp_path / out / "losses.csv").read_text()
+    if into == "same":
+        assert text.startswith(first)
     lines = text.splitlines()
     assert sum(ln.startswith("#") for ln in lines) == 1
     assert sum(ln.startswith("epoch") for ln in lines) == 1
     epochs = [int(ln.split(",")[0]) for ln in lines
               if ln and not ln.startswith(("#", "epoch"))]
-    assert epochs == [0, 1, 2, 3]
+    assert epochs == ([0, 1, 2, 3] if into == "same" else [2, 3])
 
 
 @pytest.mark.parametrize("key, value", [

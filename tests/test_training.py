@@ -243,7 +243,7 @@ class TestTrain:
         ds = training.sample_dataset(lin, hp, 200, seed=7)
         cfg = TrainConfig(lr=1e-4, epochs=50, batch_size=32, clip_norm=5.0, seed=2)
         result = training.train(model, ds, cfg)
-        assert result.train_losses[-1] < result.train_losses[0]
+        assert result.history[-1].train_loss < result.history[0].train_loss
 
     def test_deterministic_per_seed(self, vdp_system, vdp_hyper):
         ds = training.sample_dataset(vdp_system, vdp_hyper, 256, seed=8)
@@ -252,9 +252,10 @@ class TestTrain:
         for _ in range(2):
             model = make_model(vdp_hyper, seed=15)
             res = training.train(model, ds, cfg)
-            runs.append((model.get_params(), res.train_losses, res.holdout_losses))
+            runs.append((model.get_params(), [(e.train_loss, e.holdout_loss)
+                                              for e in res.history]))
         assert np.array_equal(runs[0][0], runs[1][0])
-        assert runs[0][1] == runs[1][1] and runs[0][2] == runs[1][2]
+        assert runs[0][1] == runs[1][1]
 
     @pytest.mark.parametrize("clip", [1e-3, 1e6], ids=["every-step", "no-step"])
     def test_adam_receives_clipped_gradient(self, monkeypatch, small_model, vdp_system,
@@ -278,19 +279,20 @@ class TestTrain:
         ds = training.sample_dataset(vdp_system, vdp_hyper, 256, seed=9)
         cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=64, clip_norm=clip,
                           holdout=0.0, seed=4)
-        result = training.train(small_model, ds, cfg)
+        history = training.train(small_model, ds, cfg).history
+        clip_frac = [e.clip_frac for e in history]
         assert len(raw) == len(fed) == 8
         norms = [np.linalg.norm(g) for g in raw]
         if clip < 1:
-            assert min(norms) > clip and result.clip_frac == [1.0, 1.0]
+            assert min(norms) > clip and clip_frac == [1.0, 1.0]
             for g, f, nm in zip(raw, fed, norms):
                 assert np.linalg.norm(f) <= clip * (1 + 1e-12)
                 assert np.allclose(f, g * (clip / nm), rtol=1e-15, atol=0.0)
         else:
-            assert max(norms) < clip and result.clip_frac == [0.0, 0.0]
+            assert max(norms) < clip and clip_frac == [0.0, 0.0]
             for g, f in zip(raw, fed):
                 assert np.array_equal(f, g)
-        assert result.grad_norm_max == [max(norms[:4]), max(norms[4:])]
+        assert [e.grad_norm_max for e in history] == [max(norms[:4]), max(norms[4:])]
 
     def test_adam_step_matches_textbook_update(self):
         rng = np.random.default_rng(19)
@@ -321,8 +323,9 @@ class TestTrain:
         second = training.train(part, ds, TrainConfig(epochs=2, batch_size=64, seed=7),
                                 first.optimizer)
         assert np.array_equal(part.get_params(), whole.get_params())
-        assert first.train_losses + second.train_losses == full.train_losses
-        assert first.holdout_losses + second.holdout_losses == full.holdout_losses
+        # whole rows: the epoch numbers 0-3 along with the losses
+        assert first.history + second.history == full.history
+        assert [e.epoch for e in full.history] == [0, 1, 2, 3]
         assert np.array_equal(second.optimizer.m, full.optimizer.m)
         assert second.optimizer.step == full.optimizer.step == 12
 
@@ -336,8 +339,8 @@ class TestTrain:
         ds = training.sample_dataset(vdp_system, vdp_hyper, 100, seed=11)
         res = training.train(small_model, ds,
                              TrainConfig(epochs=2, batch_size=32, holdout=0.2, seed=6))
-        assert len(res.train_losses) == len(res.holdout_losses) == 2
-        assert all(np.isfinite(res.holdout_losses))
+        assert len(res.history) == 2
+        assert all(np.isfinite([e.holdout_loss for e in res.history]))
 
     def test_holdout_of_every_row_rejected(self, small_model, vdp_system, vdp_hyper):
         # round(0.9 * 2) = 2: the CLI checks this before it calls train
@@ -354,10 +357,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("kw", [
         {"lr": -1.0}, {"batch_size": 0}, {"clip_norm": 0.0}, {"holdout": 1.0},
+        {"epochs": 1.5}, {"epochs": True}, {"batch_size": 2.5}, {"batch_size": False},
+        {"lr": "x"}, {"lr": True}, {"clip_norm": None}, {"holdout": "0.1"},
     ])
     def test_bad_config_rejected(self, kw):
-        with pytest.raises(ValueError):
+        name, = kw
+        with pytest.raises(ValueError, match=f"^{name} must be "):
             TrainConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8))
+        assert (cfg.epochs, cfg.batch_size) == (2, 8)
 
 
 class TestCheckpoint:

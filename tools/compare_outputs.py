@@ -1,8 +1,9 @@
 """Check that two source trees of stabledyn write byte-identical outputs.
 
 Each config runs one pipeline of CLI commands, each in a fresh process:
-``sample``, ``train`` on that dataset, a ``train`` resumed from it, a
-zero-epoch ``train``, ``simulate``, ``verify`` (every check, with the
+``sample``, ``train`` on that dataset, a ``train`` resumed from it into a
+copy of its directory (appending to its ``losses.csv``), the same resume
+into an empty directory, a zero-epoch ``train``, ``simulate``, ``verify`` (every check, with the
 dataset), ``verify --ablate-projection`` and ``portrait``.  Every command
 after ``sample`` reads its inputs from the earlier ones through paths that
 this script sets in its config.  Both trees run from the same directory,
@@ -35,6 +36,8 @@ STEPS = (
     ("sample", "sample", (), lambda run: {}),
     ("train", "train", (), lambda run: {"train": {"dataset": run / "sample/dataset.csv"}}),
     ("resume", "train", (), lambda run: {"train": {
+        "dataset": run / "sample/dataset.csv", "resume_from": run / "train/checkpoint.json"}}),
+    ("resume_fresh", "train", (), lambda run: {"train": {
         "dataset": run / "sample/dataset.csv", "resume_from": run / "train/checkpoint.json"}}),
     ("zero_epoch", "train", (), lambda run: {"train": {
         "dataset": run / "sample/dataset.csv", "epochs": 0}}),
