@@ -160,6 +160,18 @@ class NetRole(NamedTuple):
     out: str
     width: int
 
+    def network(self, dims, hyper, seed=0):
+        """A new network of this role at layer widths ``dims``, drawn by
+        :func:`init_network` from ``seed``, with the role's activations and
+        ``hyper.d`` as its smoothed-ReLU width."""
+        if not (isinstance(dims, list) and len(dims) >= 2 and all(
+                isinstance(w, numbers.Integral) and not isinstance(w, bool) and w > 0
+                for w in dims)):
+            raise ValueError(f"{self.name} layer widths must be a list of at least two "
+                             f"positive integers, got {dims!r}")
+        return init_network(dims, self.hidden, seed, out_activation=self.out,
+                            srelu_width=hyper.d)
+
 
 _GV = NetRole("gv", lambda n, m: (n, 1), "smoothed_relu", "tanh", 50)
 # Each mode's networks in parameter-vector order, gv last in both modes;
@@ -171,6 +183,13 @@ NETWORKS = {
                NetRole("gf2", lambda n, m: (n, n * m), "tanh", "identity", 100), _GV),
 }
 DEFAULT_DEPTH = 3
+
+
+def mode_roles(mode):
+    """The mode's :data:`NETWORKS` entry; ValueError for an unknown mode."""
+    if not isinstance(mode, str) or mode not in NETWORKS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return NETWORKS[mode]
 
 
 def projection_shift(ops, grad_v, resid, eps_proj):
@@ -223,12 +242,11 @@ class StableDynamicsModel:
     """
 
     def __init__(self, nets, hyper, mode="general"):
-        if not isinstance(mode, str) or mode not in NETWORKS:
-            raise ValueError(f"unknown mode {mode!r}")
-        expected = tuple(role.name for role in NETWORKS[mode])
+        roles = mode_roles(mode)
+        expected = tuple(role.name for role in roles)
         if tuple(nets) != expected:
             raise ValueError(f"mode {mode!r} requires networks {expected}, got {tuple(nets)}")
-        for role in NETWORKS[mode]:
+        for role in roles:
             net, dims = nets[role.name], role.dims(hyper.n, hyper.m)
             if (net.in_dim, net.out_dim) != dims:
                 raise ValueError(f"{role.name} must have (input, output) widths {dims}, "
@@ -276,16 +294,15 @@ class StableDynamicsModel:
     def initialize(cls, hyper, seed=0, mode="general", widths=None, depth=DEFAULT_DEPTH):
         """Fresh deterministic initialization of the mode's :data:`NETWORKS`,
         at their default widths unless ``widths`` names others."""
-        roles = NETWORKS.get(mode, ())  # the constructor names an unknown mode
+        roles = mode_roles(mode)
         widths = widths or {}
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         nets = {}
         for role, child in zip(roles, ss.spawn(len(roles))):
             in_dim, out_dim = role.dims(hyper.n, hyper.m)
-            srelu = {"srelu_width": hyper.d} if role.hidden == "smoothed_relu" else {}
-            nets[role.name] = init_network(
+            nets[role.name] = role.network(
                 [in_dim] + [widths.get(role.name, role.width)] * depth + [out_dim],
-                role.hidden, child, out_activation=role.out, **srelu)
+                hyper, child)
         return cls(nets, hyper, mode)
 
     # -- parameter plumbing ------------------------------------------------

@@ -37,8 +37,7 @@ class Trajectory:
     controls: np.ndarray   # (T+1, m)
     v_trace: np.ndarray    # (T+1,)
     norm_trace: np.ndarray  # (T+1,)
-    escaped: bool = False
-    reason: str = ""
+    reason: str = ""      # why the rollout stopped early; "" if it ran to T
 
     def __len__(self):
         return len(self.times)
@@ -189,7 +188,6 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
             controls=controls[:e + 1, b].copy(),
             v_trace=v_trace[:e + 1, b].copy(),
             norm_trace=np.linalg.norm(states[:e + 1, b], axis=1),
-            escaped=bool(reasons[b]),
             reason=reasons[b],
         ))
     return out

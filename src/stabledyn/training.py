@@ -22,14 +22,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import diffcore as dc
 from .diffcore import NumpyOps, Tape, param_gradient
-from .models import Hyper, StableDynamicsModel, row_blocks
+from .models import Hyper, StableDynamicsModel, mode_roles, row_blocks
 from .sim import _write_csv
 
-CHECKPOINT_VERSION = 2
-# format 1 lacks the optional ``system`` and ``optimizer`` entries
-READABLE_VERSIONS = (1, 2)
+CHECKPOINT_VERSION = 3
 
 
 class TrainingDivergedError(FloatingPointError):
@@ -37,8 +34,8 @@ class TrainingDivergedError(FloatingPointError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file that is not well formed, has an unreadable format
-    version, or whose stored arrays disagree with their declared shapes."""
+    """A checkpoint file that is not well formed, is not format 3, or whose
+    networks or parameters do not fit its mode and hyperparameters."""
 
 
 class DatasetError(ValueError):
@@ -273,7 +270,7 @@ class TrainConfig:
         # here, and NaN fails every range
         for name, kind in (("lr", numbers.Real), ("batch_size", numbers.Integral),
                            ("epochs", numbers.Integral), ("clip_norm", numbers.Real),
-                           ("holdout", numbers.Real)):
+                           ("seed", numbers.Integral), ("holdout", numbers.Real)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is numbers.Integral else "a number"
@@ -286,6 +283,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if not self.clip_norm > 0:
             raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.holdout < 1.0:
             raise ValueError(f"holdout must be in [0, 1), got {self.holdout}")
 
@@ -454,18 +453,22 @@ def _decode_floats(text, size, what):
     try:
         raw = base64.b64decode(text, validate=True)
     except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"optimizer {what}: {exc}") from exc
+        raise CheckpointError(f"{what}: {exc}") from exc
     if len(raw) != 8 * size:
         raise CheckpointError(
-            f"optimizer {what} holds {len(raw) // 8} values, the model {size} parameters")
+            f"{what} holds {len(raw) // 8} values, the model {size} parameters")
     vec = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(vec)):
-        raise CheckpointError(f"optimizer {what} has non-finite entries")
+        raise CheckpointError(f"{what} has non-finite entries")
     return vec
 
 
 def save_checkpoint(model, path, *, system=None, optimizer=None):
-    """Single JSON document; floats round-trip exactly via shortest repr.
+    """Write checkpoint format 3, one JSON document: the model's ``mode``
+    and ``hyper``, each network's layer widths as ``dims``, and the
+    parameter vector as ``params``, exact base64 of its float64 bytes.
+    Activations and the smoothed-ReLU width follow from each network's role
+    and ``hyper.d``, so they are not stored.
 
     ``system`` names the plant the model was trained on, and ``optimizer``
     is the :class:`AdamState` a resumed run continues from; either may be
@@ -475,16 +478,8 @@ def save_checkpoint(model, path, *, system=None, optimizer=None):
         "format_version": CHECKPOINT_VERSION,
         "mode": model.mode,
         "hyper": model.hyper.to_dict(),
-        "networks": {
-            name: {
-                "dims": net.dims,
-                "activations": list(net.activations),
-                "srelu_width": net.srelu_width,
-                "weights": [w.tolist() for w in net.weights],
-                "biases": [b.tolist() for b in net.biases],
-            }
-            for name, net in model.nets.items()
-        },
+        "dims": {name: net.dims for name, net in model.nets.items()},
+        "params": _encode_floats(model.get_params()),
     }
     if system is not None:
         doc["system"] = system
@@ -508,16 +503,19 @@ def _optimizer_state(spec, size):
         if isinstance(count, bool) or not isinstance(count, int) or count < 0:
             raise CheckpointError(
                 f"optimizer {name} must be a nonnegative integer, got {count!r}")
-    v = _decode_floats(v, size, "v")
+    v = _decode_floats(v, size, "optimizer v")
     if np.any(v < 0):
         raise CheckpointError("optimizer v has negative entries")
-    return AdamState(_decode_floats(m, size, "m"), v, step, epochs)
+    return AdamState(_decode_floats(m, size, "optimizer m"), v, step, epochs)
 
 
 def load_checkpoint(path):
-    """The checkpoint's ``(model, system, optimizer)``, with None for a system
-    or optimizer state it did not record.  A network that contradicts its
-    role in :data:`models.NETWORKS` raises CheckpointError."""
+    """The ``(model, system, optimizer)`` of a format-3 checkpoint, with None
+    for a system or optimizer state it did not record.  Each network is
+    built for its role in :data:`models.NETWORKS` at its stored ``dims``, as
+    :meth:`StableDynamicsModel.initialize` builds it, and the model then
+    takes ``params``.  Any other version, or a field that does not fit the
+    mode and ``hyper``, raises CheckpointError naming the cause."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -525,46 +523,29 @@ def load_checkpoint(path):
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CheckpointError(f"{path} is not a checkpoint document")
-    if doc["format_version"] not in READABLE_VERSIONS:
+    if doc["format_version"] != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint version {doc['format_version']!r}, "
-                              f"expected one of {READABLE_VERSIONS}")
+                              f"expected {CHECKPOINT_VERSION}")
     try:
-        mode = doc["mode"]
+        mode, dims, params = doc["mode"], doc["dims"], doc["params"]
         hyper = Hyper.from_dict(doc["hyper"])
-        raw_nets = doc["networks"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} missing or malformed fields: {exc}") from exc
-    if not isinstance(raw_nets, dict):
-        raise CheckpointError(
-            f"checkpoint {path}: networks must be an object, got {raw_nets!r:.60}")
-
-    nets = {}
-    for name, spec in raw_nets.items():
-        try:
-            dims = [int(d) for d in spec["dims"]]
-            acts = list(spec["activations"])
-            width = float(spec["srelu_width"])
-            weights = [np.asarray(w, dtype=np.float64) for w in spec["weights"]]
-            biases = [np.asarray(b, dtype=np.float64) for b in spec["biases"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"network {name!r} malformed: {exc}") from exc
-        expected = [(dims[i + 1], dims[i]) for i in range(len(dims) - 1)]
-        got = [w.shape for w in weights]
-        if got != expected or [b.shape for b in biases] != [(d,) for d in dims[1:]]:
-            raise CheckpointError(
-                f"network {name!r}: stored arrays {got} do not match dims {dims}")
-        try:
-            nets[name] = dc.Network(weights, biases, acts, srelu_width=width)
-        except ValueError as exc:
-            raise CheckpointError(f"network {name!r}: {exc}") from exc
     try:
-        model = StableDynamicsModel(nets, hyper, mode)
+        roles = mode_roles(mode)
+        if not isinstance(dims, dict) or set(dims) != {role.name for role in roles}:
+            raise ValueError(f"dims must be an object naming "
+                             f"{', '.join(role.name for role in roles)}, got {dims!r:.60}")
+        model = StableDynamicsModel(
+            {role.name: role.network(dims[role.name], hyper) for role in roles}, hyper, mode)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
+    size = model.get_params().size
+    model.set_params(_decode_floats(params, size, "parameters"))
     system = doc.get("system")
     if system is not None and not isinstance(system, str):
         raise CheckpointError(f"checkpoint {path}: system must be a name, got {system!r}")
     optimizer = doc.get("optimizer")
     if optimizer is not None:
-        optimizer = _optimizer_state(optimizer, model.get_params().size)
+        optimizer = _optimizer_state(optimizer, size)
     return model, system, optimizer

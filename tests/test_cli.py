@@ -280,15 +280,25 @@ def write_checkpoint(tmp_path, **hyper):
     return str(path)
 
 
-def test_portrait_of_checkpoint_with_unbounded_controller_exits_one(tmp_path, capsys):
-    # a gu with an identity output would let u* leave the control box
+def test_portrait_of_checkpoint_with_gu_contradicting_its_role_exits_one(tmp_path, capsys):
+    # vdp's gu maps its 2 states to 1 control, not 2
     path = Path(write_checkpoint(tmp_path))
     doc = json.loads(path.read_text())
-    doc["networks"]["gu"]["activations"][-1] = "identity"
+    doc["dims"]["gu"][-1] = 2
     path.write_text(json.dumps(doc))
     config = with_section("portrait", checkpoint=str(path), resolution=3)
     assert run(tmp_path, "portrait", config) == cli.EXIT_CONFIG
-    assert "gu must have tanh hidden layers and a tanh output" in capsys.readouterr().err
+    assert "gu must have (input, output) widths (2, 1), got (2, 2)" in capsys.readouterr().err
+
+
+def test_checkpoint_of_format_two_exits_one(tmp_path, capsys):
+    path = Path(write_checkpoint(tmp_path))
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 2
+    path.write_text(json.dumps(doc))
+    config = with_section("verify", checkpoint=str(path))
+    assert run(tmp_path, "verify", config) == cli.EXIT_CONFIG
+    assert "checkpoint version 2, expected 3" in capsys.readouterr().err
 
 
 def test_verify_audits_under_checkpoint_hyper(tmp_path):
@@ -437,14 +447,12 @@ def initial_model():
 
 
 def test_resume_from_stateless_checkpoint_starts_adam_afresh(tmp_path, capsys):
-    # a format-1 file of the model a fresh run starts from: Adam restarts at
-    # step 0 and the epoch orders at epoch 0, so the fresh run is repeated
+    # a file of the model a fresh run starts from, without optimizer state:
+    # Adam restarts at step 0 and the epoch orders at epoch 0, so the fresh
+    # run is repeated
     assert run(tmp_path, "train", TINY, out="fresh") == cli.EXIT_OK
-    path = tmp_path / "v1.json"
+    path = tmp_path / "stateless.json"
     training.save_checkpoint(initial_model(), path)
-    doc = json.loads(path.read_text())
-    doc["format_version"] = 1
-    path.write_text(json.dumps(doc))
     capsys.readouterr()
     config = with_section("train", resume_from=str(path))
     assert run(tmp_path, "train", config, out="resumed") == cli.EXIT_OK

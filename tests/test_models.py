@@ -1,4 +1,4 @@
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -497,6 +497,21 @@ class TestParams:
                 "gv": init_network([2, 4, 1], "smoothed_relu", 1, out_activation="tanh"),
                 "gu": init_network([2, 4, 1], "tanh", 2, out_activation="tanh")}
         with pytest.raises(ValueError):  # wrong order
+            StableDynamicsModel(nets, vdp_hyper)
+
+    @pytest.mark.parametrize("net, field, value, message", [
+        ("gu", "activations", ("tanh", "tanh", "tanh", "identity"),
+         "gu must have tanh hidden layers and a tanh output"),
+        ("gv", "activations", ("tanh", "smoothed_relu", "smoothed_relu", "tanh"),
+         "gv must have smoothed_relu hidden layers and a tanh output"),
+        ("gv", "srelu_width", 0.01, "gv srelu_width 0.01 differs from hyper.d = 0.005")],
+        ids=["gu-output", "gv-hidden", "gv-srelu-width"])
+    def test_network_contradicting_its_role_rejected(self, small_model, vdp_hyper, net,
+                                                     field, value, message):
+        # a gu with an identity output would let u* leave the control box
+        nets = dict(small_model.nets)
+        nets[net] = replace(nets[net], **{field: value})
+        with pytest.raises(ValueError, match=f"^{message}"):
             StableDynamicsModel(nets, vdp_hyper)
 
 

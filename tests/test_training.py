@@ -1,3 +1,4 @@
+import base64
 import json
 import tracemalloc
 
@@ -359,6 +360,7 @@ class TestTrain:
         {"lr": -1.0}, {"batch_size": 0}, {"clip_norm": 0.0}, {"holdout": 1.0},
         {"epochs": 1.5}, {"epochs": True}, {"batch_size": 2.5}, {"batch_size": False},
         {"lr": "x"}, {"lr": True}, {"clip_norm": None}, {"holdout": "0.1"},
+        {"seed": 1.5}, {"seed": "a"}, {"seed": True}, {"seed": -1},
     ])
     def test_bad_config_rejected(self, kw):
         name, = kw
@@ -366,8 +368,15 @@ class TestTrain:
             TrainConfig(**kw)
 
     def test_numpy_integers_accepted(self):
-        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8))
-        assert (cfg.epochs, cfg.batch_size) == (2, 8)
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint32(3))
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (2, 8, 3)
+
+
+def nan_gv_output_bias(doc):
+    """Set a checkpoint document's last parameter, gv's output bias, to NaN."""
+    theta = np.frombuffer(base64.b64decode(doc["params"]), dtype="<f8").copy()
+    theta[-1] = np.nan
+    doc["params"] = training._encode_floats(theta)
 
 
 class TestCheckpoint:
@@ -425,22 +434,26 @@ class TestCheckpoint:
         assert np.array_equal(back.eval_pieces(X)["fstar_star"],
                               model.eval_pieces(X)["fstar_star"])
 
-    @pytest.mark.parametrize("net, field, value, message", [
-        ("gu", "activations", ["tanh", "tanh", "tanh", "identity"], "gu must have"),
-        ("gv", "activations", ["tanh", "smoothed_relu", "smoothed_relu", "tanh"],
-         "gv must have"),
-        ("gv", "srelu_width", 0.01, "gv srelu_width 0.01 differs"),
-        ("gv", "weights", 5, "network 'gv' malformed"),
-        ("gv", "biases", [[0.0] * 8] * 3 + [[float("nan")]],
-         "network 'gv': layer 3: non-finite parameters")],
-        ids=["gu-output", "gv-hidden", "gv-srelu-width", "gv-weights-not-a-list",
-             "gv-nan-bias"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["dims"]["gv"].__setitem__(-1, 2),
+         r"gv must have \(input, output\) widths \(2, 1\), got \(2, 2\)"),
+        (lambda doc: doc["dims"]["gv"].__setitem__(1, 8.7),
+         r"gv layer widths must be a list of at least two positive integers, "
+         r"got \[2, 8.7, 8, 8, 1\]"),
+        (lambda doc: doc["dims"]["gv"].__setitem__(2, 0),
+         r"gv layer widths must be .* positive integers, got \[2, 8, 0, 8, 1\]"),
+        (lambda doc: doc["dims"].__setitem__("gv", 5), "gv layer widths must be a list"),
+        (lambda doc: doc.update(params="not base64!"), "^parameters:"),
+        (lambda doc: doc.update(params=doc["params"][:-12]), "^parameters holds"),
+        (nan_gv_output_bias, "^parameters has non-finite entries")],
+        ids=["gv-out-width", "gv-width-not-integer", "gv-width-zero", "gv-dims-not-a-list",
+             "params-not-base64", "params-length", "gv-nan-bias"])
     def test_network_contradicting_its_role_is_format_error(self, tmp_path, small_model,
-                                                            net, field, value, message):
+                                                            edit, message):
         path = tmp_path / "ck.json"
         training.save_checkpoint(small_model, path)
         doc = json.loads(path.read_text())
-        doc["networks"][net][field] = value
+        edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
             training.load_checkpoint(path)
@@ -478,22 +491,28 @@ class TestCheckpoint:
             training.load_checkpoint(path)
 
     def test_altered_dims_is_shape_error(self, tmp_path, small_model):
+        # a wider gv hidden layer has more parameters than the file stores
         path = tmp_path / "ck.json"
         training.save_checkpoint(small_model, path)
         doc = json.loads(path.read_text())
-        doc["networks"]["gv"]["dims"][1] += 1
+        doc["dims"]["gv"][1] += 1
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="do not match dims"):
+        size = small_model.get_params().size
+        with pytest.raises(CheckpointError, match=f"^parameters holds {size} values, "
+                                                  f"the model {size + 11} parameters"):
             training.load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path, small_model):
+        # formats 1 and 2 stored per-layer float lists; no reader is kept
         path = tmp_path / "ck.json"
         training.save_checkpoint(small_model, path)
         doc = json.loads(path.read_text())
-        doc["format_version"] = 999
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match="checkpoint version 999"):
-            training.load_checkpoint(path)
+        for version in (1, 2, 999):
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError,
+                               match=f"^checkpoint version {version}, expected 3$"):
+                training.load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -506,10 +525,54 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         training.save_checkpoint(small_model, path)
         doc = json.loads(path.read_text())
-        doc["networks"] = value
+        doc["dims"] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=f"{path}: networks must be an object"):
+        with pytest.raises(CheckpointError, match=f"{path}: dims must be an object"):
             training.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda dims: dims.pop("gu"), lambda dims: dims.update(gf1=[2, 8, 2])],
+        ids=["missing", "extra"])
+    def test_dims_naming_other_networks(self, tmp_path, small_model, edit):
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        doc = json.loads(path.read_text())
+        edit(doc["dims"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError,
+                           match=f"{path}: dims must be an object naming gf, gu, gv, got"):
+            training.load_checkpoint(path)
+
+    def test_written_document_holds_one_parameter_vector(self, tmp_path, small_model):
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        doc = json.loads(path.read_text())
+        assert list(doc) == ["format_version", "mode", "hyper", "dims", "params"]
+        assert doc["format_version"] == 3
+        assert doc["dims"] == {name: net.dims for name, net in small_model.nets.items()}
+        assert list(doc["dims"]) == ["gf", "gu", "gv"]
+        assert (base64.b64decode(doc["params"])
+                == small_model.get_params().astype("<f8").tobytes())
+
+    def test_mixed_widths_and_srelu_width_roundtrip(self, tmp_path, vdp_system):
+        # the smoothed-ReLU width is not stored: it comes back from hyper.d
+        hp = Hyper.for_system(vdp_system, d=0.01)
+        model = StableDynamicsModel.initialize(
+            hp, seed=23, widths={"gf": 7, "gu": 5, "gv": 9}, depth=2)
+        jitter_params(model, np.random.default_rng(23))
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(model, path)
+        back = training.load_checkpoint(path)[0]
+        assert np.array_equal(back.get_params(), model.get_params())
+        assert {k: n.dims for k, n in back.nets.items()} == {
+            "gf": [3, 7, 7, 2], "gu": [2, 5, 5, 1], "gv": [2, 9, 9, 1]}
+        assert back.hyper.d == 0.01 and back.nets["gv"].srelu_width == 0.01
+        X = np.random.default_rng(24).uniform(-1.3, 1.3, (40, 2))
+        U = np.random.default_rng(25).uniform(-5, 5, (40, 1))
+        want, got = model.eval_pieces(X, U), back.eval_pieces(X, U)
+        assert want.keys() == got.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
 
     def test_optimizer_state_and_system_roundtrip(self, tmp_path, small_model,
                                                   vdp_system, vdp_hyper):
@@ -518,7 +581,7 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         training.save_checkpoint(small_model, path, system="vdp", optimizer=state)
         doc = json.loads(path.read_text())
-        assert doc["format_version"] == 2 and doc["system"] == "vdp"
+        assert doc["format_version"] == 3 and doc["system"] == "vdp"
         assert isinstance(doc["optimizer"]["m"], str)
         model, system, back = training.load_checkpoint(path)
         assert system == "vdp"
@@ -526,13 +589,10 @@ class TestCheckpoint:
         assert (back.step, back.epochs) == (state.step, state.epochs) == (3, 1)
         assert np.array_equal(back.m, state.m) and np.array_equal(back.v, state.v)
 
-    def test_format_one_loads_without_state(self, tmp_path, small_model):
+    def test_file_without_state_loads_none_for_it(self, tmp_path, small_model):
         path = tmp_path / "ck.json"
         training.save_checkpoint(small_model, path)
-        doc = json.loads(path.read_text())
-        assert "system" not in doc and "optimizer" not in doc
-        doc["format_version"] = 1
-        path.write_text(json.dumps(doc))
+        assert not {"system", "optimizer"} & json.loads(path.read_text()).keys()
         model, system, state = training.load_checkpoint(path)
         assert system is None and state is None
         assert np.array_equal(model.get_params(), small_model.get_params())

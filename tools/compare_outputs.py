@@ -7,9 +7,16 @@ into an empty directory, a zero-epoch ``train``, ``simulate``, ``verify`` (every
 dataset), ``verify --ablate-projection`` and ``portrait``.  Every command
 after ``sample`` reads its inputs from the earlier ones through paths that
 this script sets in its config.  Both trees run from the same directory,
-so the configs that artifacts embed name the same paths.  Then every file
-written, and every command's exit code, stdout and stderr, is compared.
-``verify.json`` is compared with each check's ``seconds`` left out.
+so the configs that artifacts embed name the same paths.  After each step,
+every ``checkpoint.json`` in its directory is loaded by the same tree's
+``load_checkpoint``, in a fresh process with the same environment, and what
+it holds is written beside it as ``checkpoint.values``: SHA-256 digests of
+the parameter vector and of Adam's m and v, the step and epoch counts, and
+the mode, hyper, system and each network's dims.  So two trees that store a
+model differently still show whether they stored the same model.  Then
+every file written, and every command's exit code, stdout and stderr, is
+compared.  ``verify.json`` is compared with each check's ``seconds`` left
+out.
 
     python tools/compare_outputs.py OLD/src NEW/src vdp.json affine.json \\
         --threads 2 --work /tmp/compare
@@ -54,6 +61,25 @@ STEPS = (
 )
 
 
+# run with a tree's src/ on PYTHONPATH and a checkpoint path as argv[1]
+CHECKPOINT_VALUES = """
+import hashlib, json, sys
+from stabledyn.training import load_checkpoint
+
+def digest(vec):
+    return None if vec is None else hashlib.sha256(vec.astype("<f8").tobytes()).hexdigest()
+
+model, system, opt = load_checkpoint(sys.argv[1])
+print(json.dumps({
+    "params": digest(model.get_params()),
+    "m": digest(opt.m if opt else None), "v": digest(opt.v if opt else None),
+    "step": opt.step if opt else None, "epochs": opt.epochs if opt else None,
+    "mode": model.mode, "hyper": model.hyper.to_dict(), "system": system,
+    "dims": {name: net.dims for name, net in model.nets.items()},
+}, indent=1))
+"""
+
+
 def _overlay(config, overrides):
     out = dict(config)
     for section, entries in overrides.items():
@@ -80,6 +106,10 @@ def run_pipeline(src, config, run, threads):
         (out / "exit_code").write_text(f"{done.returncode}\n")
         (out / "stdout").write_bytes(done.stdout)
         (out / "stderr").write_bytes(done.stderr)
+        for checkpoint in out.rglob("checkpoint.json"):
+            values = subprocess.run([sys.executable, "-c", CHECKPOINT_VALUES, str(checkpoint)],
+                                    env=env, capture_output=True)
+            (checkpoint.parent / "checkpoint.values").write_bytes(values.stdout + values.stderr)
 
 
 def _comparable(path):
