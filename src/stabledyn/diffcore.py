@@ -25,6 +25,7 @@ All values are float64; batches are row-major (batch, dim).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -121,11 +122,12 @@ def init_network(dims, activation="tanh", seed=0, out_activation="identity",
 
     Weights are uniform in [-s, s] with s = sqrt(1/fan_in); biases start at
     zero.  ``activation`` applies to every hidden layer, ``out_activation``
-    to the last one.
+    to the last one.  A width that is a bool or not an integer is refused.
     """
-    dims = [int(x) for x in dims]
-    if len(dims) < 2 or any(x <= 0 for x in dims):
-        raise ValueError(f"dims must have >=2 positive entries, got {dims}")
+    dims = list(dims)
+    if len(dims) < 2 or not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                                and x > 0 for x in dims):
+        raise ValueError(f"dims must have >=2 positive integer entries, got {dims}")
     for act in (activation, out_activation):
         if act not in ACTIVATIONS:
             raise ValueError(f"unknown activation tag {act!r}")

@@ -25,13 +25,13 @@ needed.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diffcore import NumpyOps, init_network, net_apply, net_input_gradient
+from .diffcore import Network, NumpyOps, init_network, net_apply, net_input_gradient
 
 # Rows per numpy model call wherever a batch of any size is evaluated: every
 # audit loop (the Lipschitz loop evaluates a block's pairs as one call of
@@ -160,18 +160,6 @@ class NetRole(NamedTuple):
     out: str
     width: int
 
-    def network(self, dims, hyper, seed=0):
-        """A new network of this role at layer widths ``dims``, drawn by
-        :func:`init_network` from ``seed``, with the role's activations and
-        ``hyper.d`` as its smoothed-ReLU width."""
-        if not (isinstance(dims, list) and len(dims) >= 2 and all(
-                isinstance(w, numbers.Integral) and not isinstance(w, bool) and w > 0
-                for w in dims)):
-            raise ValueError(f"{self.name} layer widths must be a list of at least two "
-                             f"positive integers, got {dims!r}")
-        return init_network(dims, self.hidden, seed, out_activation=self.out,
-                            srelu_width=hyper.d)
-
 
 _GV = NetRole("gv", lambda n, m: (n, 1), "smoothed_relu", "tanh", 50)
 # Each mode's networks in parameter-vector order, gv last in both modes;
@@ -190,6 +178,28 @@ def mode_roles(mode):
     if not isinstance(mode, str) or mode not in NETWORKS:
         raise ValueError(f"unknown mode {mode!r}")
     return NETWORKS[mode]
+
+
+def parameter_count(hyper, mode, dims):
+    """The length of a ``mode`` model's parameter vector at the layer widths
+    ``dims`` (network name -> list of widths); ValueError, naming the
+    network, unless the widths fit the mode's :data:`NETWORKS`."""
+    roles = mode_roles(mode)
+    if not isinstance(dims, dict) or set(dims) != {role.name for role in roles}:
+        raise ValueError(f"dims must be an object naming "
+                         f"{', '.join(role.name for role in roles)}, got {dims!r:.60}")
+    for role in roles:
+        widths = dims[role.name]
+        if not (isinstance(widths, list) and len(widths) >= 2 and all(
+                isinstance(w, numbers.Integral) and not isinstance(w, bool) and w > 0
+                for w in widths)):
+            raise ValueError(f"{role.name} layer widths must be a list of at least two "
+                             f"positive integers, got {widths!r}")
+        if (widths[0], widths[-1]) != role.dims(hyper.n, hyper.m):
+            raise ValueError(f"{role.name} must have (input, output) widths "
+                             f"{role.dims(hyper.n, hyper.m)}, got {(widths[0], widths[-1])}")
+    return sum(i * o + o for role in roles
+               for i, o in zip(dims[role.name][:-1], dims[role.name][1:]))
 
 
 def projection_shift(ops, grad_v, resid, eps_proj):
@@ -213,66 +223,57 @@ def projection_shift(ops, grad_v, resid, eps_proj):
 class StableDynamicsModel:
     """The learned triple (nominal dynamics, controller, Lyapunov function).
 
-    ``mode`` is "general" (networks gf, gu, gv) or "affine" (gf1, gf2, gv
-    with the bang-bang controller induced by the Lyapunov gradient).
-    :data:`NETWORKS` declares each mode's networks; the constructor raises
-    ValueError, naming the network, unless ``nets`` holds them in that
-    order with the declared input and output widths and activations, and
-    with ``srelu_width == hyper.d`` wherever a layer is smoothed-ReLU.  All
-    evaluation methods take (B, n) state batches, and (B, m) control
+    A model is its ``hyper``, its ``mode``, each network's layer widths
+    ``dims`` and one parameter vector ``params``.  ``mode`` is "general"
+    (networks gf, gu, gv) or "affine" (gf1, gf2, gv with the bang-bang
+    controller induced by the Lyapunov gradient).  ``params`` runs network
+    by network in :data:`NETWORKS` order, then layer by layer, each
+    row-major weight before its bias.  The constructor checks its length
+    against :func:`parameter_count` before it builds anything, and copies
+    it once.
+    Its ``nets`` are a read-only mapping, in :data:`NETWORKS` order, of
+    frozen networks whose weights and biases are read-only views of that
+    copy, with their role's activations and ``hyper.d`` as their
+    smoothed-ReLU width.  :meth:`get_params` returns a copy of the vector,
+    and :meth:`set_params` is its only writer: it writes the vector in
+    place, which every view shows, and drops the cached origin nodes.  An
+    in-place write to a network array, or replacing a network or one of its
+    arrays, raises.  ``layers`` is a read-only mapping of each network's
+    (W, b) view pairs, in vector order, built from ``nets``: the numpy
+    backend's handles, and the arrays a tape registers as leaves.  Neither
+    ``nets`` nor ``layers`` can be rebound.
+
+    All evaluation methods take (B, n) state batches, and (B, m) control
     batches where they take controls, and return row-batched arrays.
-
-    The constructor copies every parameter into one float64 vector, in
-    :data:`NETWORKS` order (network, then layer, each weight before its
-    bias).  Its ``nets`` are a read-only mapping of new frozen networks
-    whose weights and biases are read-only views of that vector; the
-    networks passed in are not touched, so two models built from one dict
-    share no arrays.  :meth:`get_params` returns a copy of the vector, and
-    :meth:`set_params` is its only writer: it writes the vector in place,
-    which every view shows, and drops the cached origin nodes.  An in-place
-    write to a network array, or replacing a network or one of its arrays,
-    raises.
-    ``layers`` is a read-only mapping of each network's (W, b) view pairs,
-    in vector order, built from ``nets``: the numpy backend's handles, and
-    the arrays a tape registers as leaves.  Neither ``nets`` nor ``layers``
-    can be rebound.
-
     Evaluation is read-only and safe to share across threads; parameter
     updates are not.
     """
 
-    def __init__(self, nets, hyper, mode="general"):
-        roles = mode_roles(mode)
-        expected = tuple(role.name for role in roles)
-        if tuple(nets) != expected:
-            raise ValueError(f"mode {mode!r} requires networks {expected}, got {tuple(nets)}")
-        for role in roles:
-            net, dims = nets[role.name], role.dims(hyper.n, hyper.m)
-            if (net.in_dim, net.out_dim) != dims:
-                raise ValueError(f"{role.name} must have (input, output) widths {dims}, "
-                                 f"got {(net.in_dim, net.out_dim)}")
-            acts = [role.hidden] * (len(net.activations) - 1) + [role.out]
-            if list(net.activations) != acts:
-                raise ValueError(f"{role.name} must have {role.hidden} hidden layers and "
-                                 f"a {role.out} output, got {list(net.activations)}")
-            if "smoothed_relu" in acts and net.srelu_width != hyper.d:
-                raise ValueError(f"{role.name} srelu_width {net.srelu_width} differs "
-                                 f"from hyper.d = {hyper.d}")
+    def __init__(self, hyper, mode, dims, params):
+        size = parameter_count(hyper, mode, dims)
+        params = np.asarray(params, dtype=np.float64)
+        if params.shape != (size,):
+            raise ValueError(f"parameters must be a flat vector of {size} values, "
+                             f"got shape {params.shape}")
         self.hyper = hyper
         self.mode = mode
         self.n = hyper.n
         self.m = hyper.m
-        arrays = {name: [a for wb in zip(net.weights, net.biases) for a in wb]
-                  for name, net in nets.items()}
-        flat = [a for group in arrays.values() for a in group]
-        self._theta = np.concatenate([a.ravel() for a in flat], dtype=np.float64)
-        chunks = iter(np.split(self._theta, np.cumsum([a.size for a in flat])[:-1]))
-        own = {}
-        for name, net in nets.items():
-            views = [next(chunks).reshape(a.shape) for a in arrays[name]]
-            for view in views:
-                view.flags.writeable = False
-            own[name] = replace(net, weights=views[0::2], biases=views[1::2])
+        self._theta = params.copy()
+        frozen = self._theta.view()  # every slice of it is read-only too
+        frozen.flags.writeable = False
+        own, start = {}, 0
+        for role in NETWORKS[mode]:
+            widths = dims[role.name]
+            weights, biases = [], []
+            for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+                stop = start + fan_in * fan_out
+                weights.append(frozen[start:stop].reshape(fan_out, fan_in))
+                biases.append(frozen[stop:stop + fan_out])
+                start = stop + fan_out
+            own[role.name] = Network(weights, biases,
+                                     [role.hidden] * (len(weights) - 1) + [role.out],
+                                     srelu_width=hyper.d)
         self._nets = MappingProxyType(own)
         self._layers = MappingProxyType(
             {name: tuple(zip(net.weights, net.biases)) for name, net in own.items()})
@@ -297,13 +298,14 @@ class StableDynamicsModel:
         roles = mode_roles(mode)
         widths = widths or {}
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        nets = {}
+        dims, arrays = {}, []
         for role, child in zip(roles, ss.spawn(len(roles))):
             in_dim, out_dim = role.dims(hyper.n, hyper.m)
-            nets[role.name] = role.network(
-                [in_dim] + [widths.get(role.name, role.width)] * depth + [out_dim],
-                hyper, child)
-        return cls(nets, hyper, mode)
+            net = init_network([in_dim] + [widths.get(role.name, role.width)] * depth
+                               + [out_dim], seed=child)
+            dims[role.name] = net.dims
+            arrays += [a.ravel() for wb in zip(net.weights, net.biases) for a in wb]
+        return cls(hyper, mode, dims, np.concatenate(arrays))
 
     # -- parameter plumbing ------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffcore import NumpyOps, Tape, param_gradient
-from .models import Hyper, StableDynamicsModel, mode_roles, row_blocks
+from .models import Hyper, StableDynamicsModel, parameter_count, row_blocks
 from .sim import _write_csv
 
 CHECKPOINT_VERSION = 3
@@ -457,7 +457,7 @@ def _decode_floats(text, size, what):
     if len(raw) != 8 * size:
         raise CheckpointError(
             f"{what} holds {len(raw) // 8} values, the model {size} parameters")
-    vec = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    vec = np.frombuffer(raw, dtype="<f8")  # read-only: its callers copy it
     if not np.all(np.isfinite(vec)):
         raise CheckpointError(f"{what} has non-finite entries")
     return vec
@@ -506,16 +506,16 @@ def _optimizer_state(spec, size):
     v = _decode_floats(v, size, "optimizer v")
     if np.any(v < 0):
         raise CheckpointError("optimizer v has negative entries")
-    return AdamState(_decode_floats(m, size, "optimizer m"), v, step, epochs)
+    return AdamState(_decode_floats(m, size, "optimizer m").copy(), v.copy(), step, epochs)
 
 
 def load_checkpoint(path):
     """The ``(model, system, optimizer)`` of a format-3 checkpoint, with None
-    for a system or optimizer state it did not record.  Each network is
-    built for its role in :data:`models.NETWORKS` at its stored ``dims``, as
-    :meth:`StableDynamicsModel.initialize` builds it, and the model then
-    takes ``params``.  Any other version, or a field that does not fit the
-    mode and ``hyper``, raises CheckpointError naming the cause."""
+    for a system or optimizer state it did not record.  ``params`` must hold
+    the :func:`models.parameter_count` of the stored ``dims``, which is
+    checked before any array of the model's size exists.  Any other version,
+    or a field that does not fit the mode and ``hyper``, raises
+    CheckpointError naming the cause."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -532,16 +532,10 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} missing or malformed fields: {exc}") from exc
     try:
-        roles = mode_roles(mode)
-        if not isinstance(dims, dict) or set(dims) != {role.name for role in roles}:
-            raise ValueError(f"dims must be an object naming "
-                             f"{', '.join(role.name for role in roles)}, got {dims!r:.60}")
-        model = StableDynamicsModel(
-            {role.name: role.network(dims[role.name], hyper) for role in roles}, hyper, mode)
+        size = parameter_count(hyper, mode, dims)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path}: {exc}") from exc
-    size = model.get_params().size
-    model.set_params(_decode_floats(params, size, "parameters"))
+    model = StableDynamicsModel(hyper, mode, dims, _decode_floats(params, size, "parameters"))
     system = doc.get("system")
     if system is not None and not isinstance(system, str):
         raise CheckpointError(f"checkpoint {path}: system must be a name, got {system!r}")

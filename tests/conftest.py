@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabledyn.diffcore import NumpyOps, net_apply
-from stabledyn.models import Hyper, StableDynamicsModel
+from stabledyn.models import NETWORKS, Hyper, StableDynamicsModel
 from stabledyn import systems
 
 
@@ -28,6 +28,17 @@ def small_model(vdp_hyper):
 def make_model(hyper, seed=0, mode="general", small=True):
     widths = SMALL_WIDTHS if small else None
     return StableDynamicsModel.initialize(hyper, seed=seed, mode=mode, widths=widths)
+
+
+def model_from_networks(hyper, nets, mode="general"):
+    """The model whose networks hold the weights and biases of ``nets``,
+    flattened in :data:`NETWORKS` order; each network's activations and
+    smoothed-ReLU width come from its role and ``hyper.d``."""
+    names = [role.name for role in NETWORKS[mode]]
+    params = [a.ravel() for name in names
+              for wb in zip(nets[name].weights, nets[name].biases) for a in wb]
+    return StableDynamicsModel(hyper, mode, {name: nets[name].dims for name in names},
+                               np.concatenate(params))
 
 
 def apply_net(net, X):

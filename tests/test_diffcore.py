@@ -15,7 +15,7 @@ from stabledyn.diffcore import (
 )
 from stabledyn.models import StableDynamicsModel
 
-from conftest import apply_net, make_model
+from conftest import apply_net, make_model, model_from_networks
 
 D = 0.005
 
@@ -54,7 +54,8 @@ class TestInit:
         s = np.sqrt(1.0 / 2.0)
         assert np.all(np.abs(net.weights[0]) <= s)
 
-    @pytest.mark.parametrize("dims", [[], [3], [3, 0, 2], [3, -1]])
+    @pytest.mark.parametrize("dims", [[], [3], [3, 0, 2], [3, -1], [2, 8.7, 1], [2, True, 1],
+                                      [2, "8", 1]])
     def test_bad_dims_rejected(self, dims):
         with pytest.raises(ValueError):
             init_network(dims, "tanh", seed=0)
@@ -73,6 +74,10 @@ class TestInit:
     def test_malformed_network_rejected(self, weights, biases, acts, message):
         with pytest.raises(ValueError, match=message):
             Network(weights, biases, acts)
+
+    def test_numpy_integer_widths_accepted(self):
+        net = init_network([np.int64(2), np.int32(8), 1], "tanh", seed=0)
+        assert net.dims == [2, 8, 1]
 
     def test_bad_activation_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +186,7 @@ class TestInputGradient:
                                     out_activation="tanh"))
         with pytest.raises(ValueError,
                            match=r"gv must have \(input, output\) widths \(2, 1\), got \(2, 2\)"):
-            StableDynamicsModel(nets, vdp_hyper)
+            model_from_networks(vdp_hyper, nets)
 
     @pytest.mark.parametrize("act,out_act,outs", [
         pytest.param("tanh", "identity", 1, id="tanh-identity"),

@@ -1,16 +1,23 @@
-from dataclasses import FrozenInstanceError, replace
+import re
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import stabledyn
-from stabledyn.diffcore import Network, NumpyOps, Tape, init_network
-from stabledyn.models import Hyper, StableDynamicsModel, projection_shift
+from stabledyn.diffcore import Network, NumpyOps, Tape
+from stabledyn.models import NETWORKS, Hyper, StableDynamicsModel, projection_shift
 
-from conftest import SMALL_WIDTHS, apply_net, fill_output_layer, jitter_params, make_model
+from conftest import (SMALL_WIDTHS, apply_net, fill_output_layer, jitter_params, make_model,
+                      model_from_networks)
 
 ORIGIN = np.zeros((1, 2))
+
+
+def model_dims(model):
+    """Each network's layer widths, as a checkpoint stores them."""
+    return {name: net.dims for name, net in model.nets.items()}
 
 
 def constant_network(in_dim, out_dim, value, out_activation="identity"):
@@ -81,7 +88,7 @@ class TestNominal:
 
     def test_constant_network_gives_zero_everywhere(self, vdp_hyper):
         nets = make_model(vdp_hyper, seed=3).nets
-        model = StableDynamicsModel(dict(nets, gf=constant_network(3, 2, 1.7)), vdp_hyper)
+        model = model_from_networks(vdp_hyper, dict(nets, gf=constant_network(3, 2, 1.7)))
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, (50, 2))
         U = rng.uniform(-5, 5, (50, 1))
@@ -110,7 +117,7 @@ class TestLyapunov:
     def test_constant_gv_reduces_to_quadratic(self, vdp_hyper):
         nets = make_model(vdp_hyper, seed=4).nets
         gv = constant_network(2, 1, 0.33, out_activation="tanh")
-        model = StableDynamicsModel(dict(nets, gv=gv), vdp_hyper)
+        model = model_from_networks(vdp_hyper, dict(nets, gv=gv))
         X = np.random.default_rng(4).uniform(-1.3, 1.3, (100, 2))
         v = model.lyapunov_batch(X)
         q = vdp_hyper.eps_pd * np.sum(X * X, axis=1)
@@ -159,7 +166,7 @@ class TestProjection:
                     gv=constant_network(2, 1, 0.0, out_activation="tanh"),
                     gf=Network([np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
                                [np.zeros(2)], ["identity"]))
-        model = StableDynamicsModel(nets, vdp_hyper)
+        model = model_from_networks(vdp_hyper, nets)
         rng = np.random.default_rng(7)
         X = rng.uniform(-1.3, 1.3, (4000, 2))
         pieces = model.eval_pieces(X)
@@ -253,7 +260,7 @@ class TestProjection:
                      ["identity"])
         nets = dict(make_model(vdp_hyper).nets, gf=gf,
                     gu=constant_network(2, 1, 0.0, out_activation="tanh"))
-        model = StableDynamicsModel(nets, vdp_hyper)
+        model = model_from_networks(vdp_hyper, nets)
         with pytest.raises(FloatingPointError, match="non-finite model output"):
             model.eval_pieces(np.full((1, 2), 0.5), np.array([[4.0]]))
 
@@ -482,7 +489,7 @@ class TestParams:
         x = np.array([[0.4, -0.2], [-0.9, 0.3]])
         theta = small_model.get_params()
         before = small_model.eval_pieces(x)["fstar_star"].copy()
-        other = StableDynamicsModel(small_model.nets, vdp_hyper)
+        other = model_from_networks(vdp_hyper, small_model.nets)
         other.set_params(2.0 * theta)
         assert np.array_equal(small_model.get_params(), theta)
         assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
@@ -492,27 +499,46 @@ class TestParams:
         small_model.set_params(3.0 * theta)
         assert np.array_equal(other.get_params(), 2.0 * theta)
 
-    def test_mode_net_names_enforced(self, vdp_hyper):
-        nets = {"gf": init_network([3, 4, 2], "tanh", 0),
-                "gv": init_network([2, 4, 1], "smoothed_relu", 1, out_activation="tanh"),
-                "gu": init_network([2, 4, 1], "tanh", 2, out_activation="tanh")}
-        with pytest.raises(ValueError):  # wrong order
-            StableDynamicsModel(nets, vdp_hyper)
+    def test_constructor_copies_the_vector(self, small_model, vdp_hyper):
+        theta = small_model.get_params()
+        model = StableDynamicsModel(vdp_hyper, "general", model_dims(small_model), theta)
+        theta += 1.0  # the caller's array is not viewed
+        assert np.array_equal(model.get_params(), small_model.get_params())
 
-    @pytest.mark.parametrize("net, field, value, message", [
-        ("gu", "activations", ("tanh", "tanh", "tanh", "identity"),
-         "gu must have tanh hidden layers and a tanh output"),
-        ("gv", "activations", ("tanh", "smoothed_relu", "smoothed_relu", "tanh"),
-         "gv must have smoothed_relu hidden layers and a tanh output"),
-        ("gv", "srelu_width", 0.01, "gv srelu_width 0.01 differs from hyper.d = 0.005")],
-        ids=["gu-output", "gv-hidden", "gv-srelu-width"])
-    def test_network_contradicting_its_role_rejected(self, small_model, vdp_hyper, net,
-                                                     field, value, message):
-        # a gu with an identity output would let u* leave the control box
-        nets = dict(small_model.nets)
-        nets[net] = replace(nets[net], **{field: value})
-        with pytest.raises(ValueError, match=f"^{message}"):
-            StableDynamicsModel(nets, vdp_hyper)
+    def test_mode_net_names_enforced(self, small_model, vdp_hyper):
+        # dims names exactly the mode's networks, in any order
+        dims, theta = model_dims(small_model), small_model.get_params()
+        for bad in (None, list(dims.values()), dict(dims, gf1=[2, 8, 2]),
+                    {name: dims[name] for name in ("gf", "gv")}):
+            with pytest.raises(ValueError,
+                               match="^dims must be an object naming gf, gu, gv, got"):
+                StableDynamicsModel(vdp_hyper, "general", bad, theta)
+        with pytest.raises(ValueError, match="^dims must be an object naming gf1, gf2, gv"):
+            StableDynamicsModel(vdp_hyper, "affine", dims, theta)
+        with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+            StableDynamicsModel(vdp_hyper, "bogus", dims, theta)
+        shuffled = StableDynamicsModel(vdp_hyper, "general", dict(reversed(dims.items())),
+                                       theta)
+        assert list(shuffled.nets) == ["gf", "gu", "gv"]
+        assert np.array_equal(shuffled.get_params(), theta)
+
+    def test_params_of_another_length_rejected(self, small_model, vdp_hyper):
+        # the loader checks the count itself, before it decodes the vector
+        theta = small_model.get_params()
+        for bad in (theta[:-1], theta[None]):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"parameters must be a flat vector of {theta.size} values, "
+                    f"got shape {bad.shape}") + "$"):
+                StableDynamicsModel(vdp_hyper, "general", model_dims(small_model), bad)
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_activations_and_srelu_width_follow_the_roles(self, vdp_system, mode):
+        hp = Hyper.for_system(vdp_system, d=0.01)
+        model = make_model(hp, seed=3, mode=mode)
+        for role in NETWORKS[mode]:
+            net = model.nets[role.name]
+            assert net.activations == (role.hidden,) * (len(net.weights) - 1) + (role.out,)
+            assert net.srelu_width == 0.01
 
 
 def test_package_exports_resolve():

@@ -37,6 +37,19 @@ class TestRk4Step:
         with pytest.raises(FloatingPointError), np.errstate(divide="ignore"):
             rk4_step(lambda x: x / 0.0, np.ones((1, 2)), 0.1)
 
+    @np.errstate(over="ignore")  # the stage input overflows on purpose
+    def test_nonfinite_stage_input_rejected(self):
+        # x + h/2 k1 overflows: the step raises before the field sees it
+        seen = []
+
+        def field(x):
+            seen.append(x)
+            return np.full_like(x, 1e308)
+
+        with pytest.raises(FloatingPointError, match="^non-finite RK4 stage input$"):
+            rk4_step(field, np.ones((1, 2)), 10.0)
+        assert len(seen) == 1 and np.all(np.isfinite(seen[0]))
+
 
 class TestRollout:
     def test_origin_start_stays_flat(self, vdp_hyper):
@@ -133,6 +146,19 @@ class TestRollout:
         assert len(trajs[0]) == 1
         assert trajs[0].reason == "non-finite state"
         assert len(trajs[1]) == 51 and trajs[1].reason == ""
+
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    @pytest.mark.parametrize("plant", ["true", "learned"])
+    @np.errstate(over="ignore", invalid="ignore")  # the stage input overflows on purpose
+    def test_overflowing_stage_input_truncates_the_row(self, vdp_system, vdp_hyper, mode,
+                                                       plant):
+        # at h = 1e308 the stage input x + h/2 k1 overflows; the row stops at
+        # its start on either plant instead of raising the model's ValueError
+        model = make_model(vdp_hyper, seed=1, mode=mode, small=False)
+        trajs = rollout_many(vdp_system if plant == "true" else model, model,
+                             np.array([[50.0, 50.0]]), T=1e308, h=1e308)
+        assert len(trajs) == 1 and len(trajs[0]) == 1
+        assert trajs[0].reason == "non-finite state"
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
     def test_plain_value_error_propagates(self, vdp_hyper, mode):

@@ -15,7 +15,8 @@ from stabledyn.training import (
     TrainingDivergedError,
 )
 
-from conftest import SMALL_WIDTHS, jitter_params, make_model, net_slices, seam_margins
+from conftest import (SMALL_WIDTHS, jitter_params, make_model, model_from_networks, net_slices,
+                      seam_margins)
 
 
 
@@ -114,7 +115,7 @@ class TestLoss:
         with_reg = training.loss(small_model, ds).value
         # identical model, lambda bumped: loss strictly larger by lam*||theta||^2
         hp2 = Hyper.for_system(vdp_system, lam=1e-3)
-        model2 = StableDynamicsModel(small_model.nets, hp2)
+        model2 = model_from_networks(hp2, small_model.nets)
         reg_loss = training.loss(model2, ds).value
         theta2 = np.sum(model2.get_params() ** 2)
         assert reg_loss == pytest.approx(with_reg + 1e-3 * theta2, rel=1e-12)
@@ -442,12 +443,14 @@ class TestCheckpoint:
          r"got \[2, 8.7, 8, 8, 1\]"),
         (lambda doc: doc["dims"]["gv"].__setitem__(2, 0),
          r"gv layer widths must be .* positive integers, got \[2, 8, 0, 8, 1\]"),
+        (lambda doc: doc["dims"]["gv"].__setitem__(2, True),
+         r"gv layer widths must be .* positive integers, got \[2, 8, True, 8, 1\]"),
         (lambda doc: doc["dims"].__setitem__("gv", 5), "gv layer widths must be a list"),
         (lambda doc: doc.update(params="not base64!"), "^parameters:"),
         (lambda doc: doc.update(params=doc["params"][:-12]), "^parameters holds"),
         (nan_gv_output_bias, "^parameters has non-finite entries")],
-        ids=["gv-out-width", "gv-width-not-integer", "gv-width-zero", "gv-dims-not-a-list",
-             "params-not-base64", "params-length", "gv-nan-bias"])
+        ids=["gv-out-width", "gv-width-not-integer", "gv-width-zero", "gv-width-bool",
+             "gv-dims-not-a-list", "params-not-base64", "params-length", "gv-nan-bias"])
     def test_network_contradicting_its_role_is_format_error(self, tmp_path, small_model,
                                                             edit, message):
         path = tmp_path / "ck.json"
@@ -501,6 +504,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=f"^parameters holds {size} values, "
                                                   f"the model {size + 11} parameters"):
             training.load_checkpoint(path)
+
+    def test_huge_dims_refused_before_any_allocation(self, tmp_path, small_model):
+        # a file of a few KB naming a 2000-wide gf: the loader refuses its
+        # 548 parameters from the widths, without the 64 MB such a gf needs
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(small_model, path)
+        doc = json.loads(path.read_text())
+        doc["dims"]["gf"] = [3, 2000, 2000, 2000, 2]
+        doc["params"] = training._encode_floats(np.zeros(548))
+        path.write_text(json.dumps(doc))
+        gf = net_slices(small_model)["gf"]
+        size = 8_016_002 + small_model.get_params().size - (gf.stop - gf.start)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=f"^parameters holds 548 values, "
+                                                      f"the model {size} parameters$"):
+                training.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_version_mismatch(self, tmp_path, small_model):
         # formats 1 and 2 stored per-layer float lists; no reader is kept

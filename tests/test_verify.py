@@ -7,10 +7,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from stabledyn import sim, training, verify
-from stabledyn.models import Hyper, StableDynamicsModel, row_blocks
+from stabledyn.models import Hyper, row_blocks
 from stabledyn.systems import SystemSpec, get_system
 
-from conftest import fill_output_layer, make_model
+from conftest import fill_output_layer, make_model, model_from_networks
 from test_models import constant_network
 
 
@@ -157,7 +157,7 @@ class TestQuadraticRatio:
     def test_constant_gv_gives_exact_floor(self, vdp_hyper):
         nets = make_model(vdp_hyper, seed=7).nets
         gv = constant_network(2, 1, 0.25, out_activation="tanh")
-        model = StableDynamicsModel(dict(nets, gv=gv), vdp_hyper)
+        model = model_from_networks(vdp_hyper, dict(nets, gv=gv))
         rep = verify.estimate_quadratic_ratio(model, 0.2, 1.0, 20000, seed=2)
         assert rep.M == vdp_hyper.eps_pd
         assert rep.c2_global == vdp_hyper.eps_pd
