@@ -362,6 +362,9 @@ def cmd_train(cfg, system, out):
 
 
 def cmd_simulate(cfg, system, out):
+    """The true plant and the learned model under u* from the same k starts,
+    integrated together.  A model fault raises before any trajectory is
+    written."""
     sc = cfg["simulate"]
     if not sc["checkpoint"]:
         raise ConfigError("simulate requires simulate.checkpoint in the config")
@@ -372,10 +375,10 @@ def cmd_simulate(cfg, system, out):
 
     rng = np.random.default_rng(_sub_seed(cfg["seed"], "simulate"))
     starts = rng.uniform(model.hyper.x_lb, model.hyper.x_ub, size=(sc["k"], model.n))
+    trajs = sim.rollout_many(system, model, starts, T=sc["T"], h=sc["h"], with_learned=True)
     comment = "# config: " + _embed(cfg)
-    for name, plant in (("true", system), ("learned", model)):
-        trajs = sim.rollout_many(plant, model, starts, T=sc["T"], h=sc["h"])
-        for i, traj in enumerate(trajs):
+    for name, part in (("true", trajs[:sc["k"]]), ("learned", trajs[sc["k"]:])):
+        for i, traj in enumerate(part):
             traj.to_csv(out / f"traj_{name}_{i}.csv", comment=comment)
     print(f"wrote {2 * sc['k']} trajectories to {out}")
     return EXIT_OK

@@ -1,9 +1,11 @@
 """Fixed-step RK4 integration, closed-loop rollouts, and planar grid exports.
 
-Rollouts integrate either the true plant or the learned projected model,
-always under the learned controller, recording the control, Lyapunov value,
-and state norm at every step.  An escape guard truncates trajectories whose
-norm exceeds ten domain diameters, and plant domain errors (the bicycle
+Rollouts integrate the true plant, the learned projected model, or both
+from the same starts, always under the learned controller, recording the
+control, Lyapunov value, and state norm at every step.  Both plants' rows
+step together, tagged by plant, and share one model evaluation per record
+step and RK4 stage.  An escape guard truncates trajectories whose norm
+exceeds ten domain diameters, and plant domain errors (the bicycle
 singularity) truncate with a flag instead of crashing.
 """
 
@@ -43,6 +45,11 @@ class Trajectory:
         return len(self.times)
 
     def to_csv(self, path, comment=None):
+        """Write the trajectory with one comment line, ``comment`` followed by
+        the stop reason ("reason=full" for a row that reached T), and one
+        header line."""
+        stop = f"reason={self.reason or 'full'}"
+        comment = f"{comment.rstrip()}; {stop}" if comment else f"# {stop}"
         n = self.states.shape[1]
         m = self.controls.shape[1]
         names = (["t"] + [f"x{i + 1}" for i in range(n)]
@@ -78,18 +85,27 @@ def _domain_diameter(hyper):
     return float(np.linalg.norm(hyper.x_ub - hyper.x_lb))
 
 
-def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
+def rollout_many(plant, model, x0s, T=10.0, h=1e-3, *, with_learned=False):
     """Closed-loop rollouts from each row of the (B, n) batch ``x0s`` over
     horizon ``T``; returns one Trajectory per row.  ``plant`` is the ``model``
     itself, for the learned closed loop f*(x, u*(x)), or a :class:`SystemSpec`,
-    whose true dynamics run under the learned controller.
+    whose true dynamics run under the learned controller.  With a SystemSpec
+    plant, ``with_learned`` adds the learned closed loop from the same starts:
+    the result is then the B true-plant trajectories followed by the B
+    learned ones.
 
-    Rows are integrated together for speed.  A row that escapes, hits a
-    plant domain error or reaches a non-finite stage is frozen and its
-    trajectory truncated at the last valid state, with its own cause in
-    ``reason``.  Any other exception from the plant propagates.  A
-    non-finite start, or a horizon that rounds to no step or to more than a
-    float can count, raises ValueError before any step is taken.
+    Rows are integrated together for speed, each tagged by its plant.  Each
+    record step and RK4 stage makes one model call on the stacked rows.
+    While a learned row is recorded or stepped, that call is the full graph:
+    true rows take its u*, learned rows its f*.  Otherwise the true rows need
+    only the partial evaluations: u* and V at a record step, u* at a stage.
+
+    A row that escapes, hits a plant domain error or reaches a non-finite
+    stage is frozen and its trajectory truncated at the last valid state,
+    with its own cause in ``reason``.  Any other exception from the plant
+    propagates.  A non-finite start, or a horizon that rounds to no step or
+    to more than a float can count, raises ValueError before any step is
+    taken.
     """
     if T <= 0 or h <= 0:
         raise ValueError("need T > 0 and h > 0")
@@ -101,7 +117,6 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     x0s = np.asarray(x0s, dtype=np.float64)
     if x0s.ndim != 2 or x0s.shape[1] != model.n:
         raise ValueError(f"start states must be a (B, {model.n}) batch, got shape {x0s.shape}")
-    B, n = x0s.shape
     if not np.all(np.isfinite(x0s)):
         raise ValueError("non-finite start state")
     limit = ESCAPE_FACTOR * _domain_diameter(model.hyper)
@@ -109,6 +124,13 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     true_plant = isinstance(plant, SystemSpec)
     if not true_plant and plant is not model:
         raise ValueError("plant must be the model itself or a SystemSpec")
+    if with_learned and not true_plant:
+        raise ValueError("with_learned adds the learned closed loop to a SystemSpec plant")
+    learned = np.full(len(x0s), not true_plant)  # each row's tag
+    if with_learned:
+        learned = np.arange(2 * len(x0s)) >= len(x0s)
+        x0s = np.vstack((x0s, x0s))
+    B, n = x0s.shape
 
     states = np.empty((steps + 1, B, n))
     controls = np.empty((steps + 1, B, model.m))
@@ -117,45 +139,54 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3):
     end_step = np.full(B, steps, dtype=int)
     reasons = [""] * B
 
+    def closed_loop(X, true_rows, u, fstar):
+        """The field on the rows ``X`` from their u* and the f* of every row,
+        with the plant's dynamics on ``true_rows``.  ``fstar`` is None when
+        every row is a true-plant row."""
+        if fstar is None:
+            return plant.dynamics(X, u)
+        if len(true_rows):
+            fstar[true_rows] = plant.dynamics(X[true_rows], u[true_rows])
+        return fstar
+
+    def field(X, true_rows):
+        if len(true_rows) == len(X):
+            return plant.dynamics(X, model.controller_batch(X))
+        pieces = model.eval_pieces(X)
+        return closed_loop(X, true_rows, pieces["u_star"], pieces["fstar_star"])
+
     # Recorded states are finite: the starts are checked above and every
     # stepped row is either finite or reset.  The recorded (u*, V) come from
     # one checked pass, so a model fault raises rather than truncating rows.
-    if true_plant:
-        def field(X):
-            return plant.dynamics(X, model.controller_batch(X))
-
-        def record(X):
-            parts = model.eval_parts(X, ("u_star", "v"))
-            return parts["u_star"], parts["v"][:, 0], None
-    else:
-        def field(X):
-            return model.eval_pieces(X)["fstar_star"]
-
-        def record(X):
-            pieces = model.eval_pieces(X)
-            return pieces["u_star"], pieces["v"][:, 0], pieces["fstar_star"]
-
-    X = x0s.copy()
+    X = x0s
     k = 0
     while True:
-        u_rec, v_rec, fstar = record(X)
+        if np.any(learned & (end_step >= k)):  # a learned row is recorded
+            pieces = model.eval_pieces(X)
+            fstar = pieces["fstar_star"]
+        else:
+            pieces = model.eval_parts(X, ("u_star", "v"))
+            fstar = None
+        u_rec = pieces["u_star"]
         states[k] = X
         controls[k] = u_rec
-        v_trace[k] = v_rec
+        v_trace[k] = pieces["v"][:, 0]
         if k == steps or not np.any(active):
             break
         idx = np.flatnonzero(active)
         Xa = X[idx]
+        true_rows = np.flatnonzero(~learned[idx])  # within idx
         causes = {}  # row within idx -> truncation reason
         try:
-            k1 = plant.dynamics(Xa, u_rec[idx]) if true_plant else fstar[idx]
-            Xn = rk4_step(field, Xa, h, k1=k1)
+            k1 = closed_loop(Xa, true_rows, u_rec[idx], None if fstar is None else fstar[idx])
+            Xn = rk4_step(lambda Y: field(Y, true_rows), Xa, h, k1=k1)
         except (DomainError, FloatingPointError):
             # isolate offending rows by stepping one at a time
             Xn = Xa.copy()
             for j in range(len(idx)):
+                alone = np.flatnonzero(~learned[idx[j:j + 1]])
                 try:
-                    Xn[j] = rk4_step(field, Xa[j:j + 1], h)[0]
+                    Xn[j] = rk4_step(lambda Y: field(Y, alone), Xa[j:j + 1], h)[0]
                 except DomainError as exc:
                     causes[j] = f"plant domain error: {exc}"
                 except FloatingPointError:

@@ -100,6 +100,37 @@ def test_traced_verify_records_every_check(tmp_path, monkeypatch):
             "sim.rollout_many.learned"} <= names
 
 
+def test_traced_simulate_makes_one_true_plant_rollout(tmp_path, vdp_hyper):
+    # the per-step model calls of the true-plant rollouts divide by that
+    # rollout's steps, so simulate must make one, covering both plants' rows
+    k, T, h = 2, 0.01, 1e-3
+    checkpoint = tmp_path / "checkpoint.json"
+    training.save_checkpoint(make_model(vdp_hyper), checkpoint)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"simulate": {"k": k, "T": T, "h": h,
+                                               "checkpoint": str(checkpoint)}}))
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        code = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")])
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    rollouts = [s for s in tracer.spans if s[tracer_mod.NAME].startswith("sim.rollout_many")]
+    assert [s[tracer_mod.NAME] for s in rollouts] == ["sim.rollout_many.true"]
+    extra = rollouts[0][tracer_mod.EXTRA]
+    steps = round(T / h)
+    assert extra["steps"] == steps
+    assert extra["row_steps"] == 2 * k * steps
+    # one shared model evaluation at each record step and at three RK4 stages
+    rollout = tracer.spans.index(rollouts[0])
+    calls = [s[tracer_mod.NAME] for s in tracer.spans if s[tracer_mod.PARENT] == rollout
+             and s[tracer_mod.NAME] in tracer_mod.MODEL_CALLS]
+    assert calls == ["models.eval_pieces"] * (4 * steps + 1)
+
+
 def test_pipeline_audits_what_verify_declares():
     assert pipeline_mod.DECREASE_TOL == verify.DECREASE_TOL
     assert set(pipeline_mod.AUDIT_EVALS) <= set(verify.CHECKS)

@@ -14,6 +14,8 @@ from stabledyn import cli, sim, systems, training, verify
 from stabledyn.diffcore import GradientError
 from stabledyn.models import Hyper, StableDynamicsModel
 
+from conftest import fill_output_layer
+
 TINY = {"name": "tiny", "seed": 0,
         "model": {"widths": {"gf": 8, "gu": 8, "gv": 8}},
         "sample": {"n": 200},
@@ -178,6 +180,21 @@ def test_simulate_writes_finite_trajectories(tmp_path):
         data = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
         assert data.shape[0] == round(T / h) + 1, path.name
         assert np.all(np.isfinite(data)), path.name
+        assert path.read_text().partition("\n")[0].endswith("; reason=full"), path.name
+
+
+def test_simulate_of_a_nonfinite_model_exits_two(tmp_path, capsys, monkeypatch):
+    # a fault of gf leaves the true plant's u* and V finite; both plants
+    # integrate together, so it stops the command before any trajectory is
+    # written
+    model = fill_output_layer(StableDynamicsModel.initialize(
+        cli.resolve_hyper(cli.load_config()), seed=0, widths=TINY["model"]["widths"]),
+        "gf", bias=np.nan)
+    monkeypatch.setattr(cli, "_load_or_init_model", lambda cfg, checkpoint: (model, None))
+    config = with_section("simulate", k=2, T=0.01, checkpoint=write_checkpoint(tmp_path))
+    assert run(tmp_path, "simulate", config) == cli.EXIT_NUMERICAL
+    assert "numerical failure: non-finite intermediate 'fhat_star'" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("traj_*.csv"))
 
 
 @pytest.mark.parametrize("into", ["same", "fresh"])

@@ -8,6 +8,23 @@ from stabledyn.systems import SystemSpec, get_system
 
 from conftest import fill_output_layer, make_model
 
+# each mode on its own plant, then with the learned rows beside the true plant
+MODES_AND_FLAG = [pytest.param(mode, lock, id=mode + "-lockstep" * lock)
+                  for lock in (False, True) for mode in ("general", "affine")]
+
+
+def lockstep_rows(plant, model, starts, T, h):
+    """``rollout_many`` with the learned rows beside the true plant's.  Every
+    row must end where the separate true-plant and learned calls end it,
+    with the same reason and states equal to rounding."""
+    trajs = rollout_many(plant, model, starts, T=T, h=h, with_learned=True)
+    apart = (rollout_many(plant, model, starts, T=T, h=h)
+             + rollout_many(model, model, starts, T=T, h=h))
+    assert [(len(t), t.reason) for t in trajs] == [(len(t), t.reason) for t in apart]
+    for lock, sep in zip(trajs, apart):
+        assert np.allclose(lock.states, sep.states, rtol=0, atol=1e-12)
+    return trajs
+
 
 class TestRk4Step:
     def test_zero_field_fixed_point(self):
@@ -60,14 +77,18 @@ class TestRollout:
         assert np.max(traj.v_trace) <= 1e-12
         assert traj.reason == ""
 
-    @pytest.mark.parametrize("plant", [None, "other model", "callable"])
+    @pytest.mark.parametrize("plant", [None, "other model", "callable", "learned beside model"])
     def test_other_plant_rejected(self, vdp_hyper, vdp_system, plant):
-        # the plant is the model itself or a SystemSpec; nothing else is accepted
+        # the plant is the model itself or a SystemSpec; nothing else is
+        # accepted, and only a SystemSpec takes the learned rows beside it
         model = make_model(vdp_hyper, seed=2)
+        with_learned = plant == "learned beside model"
         plant = {None: None, "other model": make_model(vdp_hyper, seed=2),
-                 "callable": vdp_system.dynamics}[plant]
-        with pytest.raises(ValueError, match="plant must be"):
-            rollout_many(plant, model, np.array([[0.5, -0.5]]), T=0.1, h=1e-3)
+                 "callable": vdp_system.dynamics, "learned beside model": model}[plant]
+        with pytest.raises(ValueError,
+                           match="SystemSpec plant$" if with_learned else "plant must be"):
+            rollout_many(plant, model, np.array([[0.5, -0.5]]), T=0.1, h=1e-3,
+                         with_learned=with_learned)
 
     def test_start_must_be_a_batch(self, vdp_hyper):
         model = make_model(vdp_hyper, seed=2)
@@ -117,7 +138,7 @@ class TestRollout:
         bike = get_system("bicycle")
         hp = Hyper.for_system(bike, x_lb=[-1.5, -1.5], x_ub=[1.5, 1.5])
         model = make_model(hp, seed=7)
-        traj = rollout_many(bike, model, np.array([[1.0 - 5e-7, 0.0]]), T=0.01, h=1e-3)[0]
+        traj = lockstep_rows(bike, model, np.array([[1.0 - 5e-7, 0.0]]), 0.01, 1e-3)[0]
         assert "domain" in traj.reason
         assert len(traj) >= 1
 
@@ -128,9 +149,22 @@ class TestRollout:
                             _fn=lambda x, u, **kw: 10.0 * x)
         model = make_model(vdp_hyper, seed=8)
         starts = np.array([[1.0, 1.0], [0.0, 0.0]])
-        trajs = rollout_many(blowup, model, starts, T=2.0, h=1e-3)
+        trajs = lockstep_rows(blowup, model, starts, 2.0, 1e-3)
         assert trajs[0].reason == "escape guard" and trajs[1].reason == ""
         assert len(trajs[1]) == 2001
+
+    def test_learned_rows_truncate_alone(self, vdp_system):
+        # the reverse of the cases above: a nominal field that grows with
+        # the state and a projection floor too high to correct it, so the
+        # learned rows escape while the true rows, unforced, run the horizon
+        hp = Hyper.for_system(vdp_system, eps_proj=1e6)
+        model = fill_output_layer(make_model(hp, seed=8, mode="affine"), "gf1", weight=100.0)
+        model = fill_output_layer(model, "gf2", weight=0.0)
+        trajs = lockstep_rows(vdp_system, model, np.array([[1.0, 0.0], [-0.5, 0.2]]),
+                              1.0, 1e-3)
+        assert [len(t) for t in trajs[:2]] == [1001, 1001]
+        assert [t.reason for t in trajs] == ["", "", "escape guard", "escape guard"]
+        assert all(len(t) < 1001 for t in trajs[2:])
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
     def test_nonfinite_row_truncated_alone(self, vdp_hyper, mode):
@@ -142,7 +176,7 @@ class TestRollout:
                            _fn=lambda x, u: np.where(x[:, :1] > 0.5, np.inf, -x))
         model = make_model(vdp_hyper, seed=8, mode=mode)
         starts = np.array([[1.0, 0.0], [-0.5, 0.2]])
-        trajs = rollout_many(spiky, model, starts, T=0.05, h=1e-3)
+        trajs = lockstep_rows(spiky, model, starts, 0.05, 1e-3)
         assert len(trajs[0]) == 1
         assert trajs[0].reason == "non-finite state"
         assert len(trajs[1]) == 51 and trajs[1].reason == ""
@@ -160,8 +194,8 @@ class TestRollout:
         assert len(trajs) == 1 and len(trajs[0]) == 1
         assert trajs[0].reason == "non-finite state"
 
-    @pytest.mark.parametrize("mode", ["general", "affine"])
-    def test_plain_value_error_propagates(self, vdp_hyper, mode):
+    @pytest.mark.parametrize("mode, with_learned", MODES_AND_FLAG)
+    def test_plain_value_error_propagates(self, vdp_hyper, mode, with_learned):
         # only DomainError and non-finite stages truncate a row; any other
         # ValueError from the plant is a programming error and surfaces
         def broken(x, u):
@@ -173,15 +207,19 @@ class TestRollout:
         model = make_model(vdp_hyper, seed=8, mode=mode)
         with pytest.raises(ValueError, match="broken plant"):
             rollout_many(plant, model, np.array([[0.5, 0.5], [-0.5, 0.2]]),
-                         T=0.01, h=1e-3)
+                         T=0.01, h=1e-3, with_learned=with_learned)
 
-    @pytest.mark.parametrize("mode", ["general", "affine"])
-    def test_true_plant_records_eval_pieces_exactly(self, vdp_system, vdp_hyper, mode):
-        # the recorded (u*, V) come from a partial evaluation; at each step
-        # they equal the full graph on the same batch of recorded states
+    @pytest.mark.parametrize("mode, with_learned", MODES_AND_FLAG)
+    def test_true_plant_records_eval_pieces_exactly(self, vdp_system, vdp_hyper, mode,
+                                                    with_learned):
+        # the recorded (u*, V) come from a partial evaluation, or beside the
+        # learned rows from the full graph on all rows; at each step they
+        # equal the full graph on the same batch of recorded states
         model = make_model(vdp_hyper, seed=12, mode=mode)
         starts = np.array([[1.0, 0.0], [-0.6, 0.9], [0.3, -1.2]])
-        trajs = rollout_many(vdp_system, model, starts, T=0.02, h=1e-3)
+        trajs = rollout_many(vdp_system, model, starts, T=0.02, h=1e-3,
+                             with_learned=with_learned)
+        assert len(trajs) == 3 * (1 + with_learned)
         assert all(len(t) == 21 for t in trajs)
         for k in range(21):
             pieces = model.eval_pieces(np.stack([t.states[k] for t in trajs]))
@@ -191,13 +229,14 @@ class TestRollout:
                                   pieces["v"][:, 0]), k
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
-    @pytest.mark.parametrize("plant", ["true", "learned"])
+    @pytest.mark.parametrize("plant", ["true", "learned", "both"])
     def test_nonfinite_model_raises(self, vdp_system, vdp_hyper, mode, plant):
         # a model fault is not a plant-state fault: no row is truncated for it
         model = fill_output_layer(make_model(vdp_hyper, seed=14, mode=mode), "gv", bias=np.nan)
         with pytest.raises(FloatingPointError, match="non-finite"):
-            rollout_many(vdp_system if plant == "true" else model, model,
-                         np.array([[0.5, 0.5], [-0.5, 0.2]]), T=0.01, h=1e-3)
+            rollout_many(model if plant == "learned" else vdp_system, model,
+                         np.array([[0.5, 0.5], [-0.5, 0.2]]), T=0.01, h=1e-3,
+                         with_learned=plant == "both")
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
     @pytest.mark.parametrize("plant", ["true", "learned"])
@@ -309,6 +348,25 @@ class TestCsv:
         assert lines[0].startswith("#")
         assert lines[1] == "t,x1,x2,u1,V,normx"
         body = np.loadtxt(lines[2:], delimiter=",")
+        assert np.array_equal(body[:, 1:3], traj.states)
+
+    @pytest.mark.parametrize("comment", [None, "# config: {}"])
+    @pytest.mark.parametrize("reason", ["", "escape guard",
+                                        "plant domain error: bicycle sample 0 has d_e=1"])
+    def test_trajectory_csv_records_stop_reason(self, tmp_path, comment, reason):
+        # one comment line, ending with the reason, then the header: readers
+        # skip two lines
+        traj = sim.Trajectory(times=np.array([0.0, 1e-3]), states=np.ones((2, 2)),
+                              controls=np.zeros((2, 1)), v_trace=np.ones(2),
+                              norm_trace=np.full(2, np.sqrt(2.0)), reason=reason)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path, comment=comment)
+        lines = path.read_text().splitlines()
+        assert [ln.startswith("#") for ln in lines] == [True, False, False, False]
+        assert lines[0].startswith(comment or "# reason=")
+        assert lines[0].rpartition("reason=")[2] == (reason or "full")
+        assert lines[1] == "t,x1,x2,u1,V,normx"
+        body = np.loadtxt(path, delimiter=",", skiprows=2, ndmin=2)
         assert np.array_equal(body[:, 1:3], traj.states)
 
     def test_writer_round_trips_exactly(self, tmp_path):
