@@ -478,49 +478,35 @@ class StableDynamicsModel:
             raise FloatingPointError("non-finite model output")
         return pieces
 
-    def eval_parts(self, X, parts):
-        """Only the named pieces of the numpy graph on a prevalidated (B, n)
-        batch, as a dict holding just those names.
+    def _numpy_lyapunov(self, X, grad):
+        """:meth:`_lyapunov` on the numpy backend, with gv(0) from the origin
+        cache."""
+        return self._lyapunov(NumpyOps, self.layers, X, self._numpy_origin()["gv_0"],
+                              grad=grad)
 
-        ``parts`` names pieces from {"u_star", "v", "grad_v"}.  They come from
-        the :meth:`_lyapunov` and :meth:`_controller` nodes that
-        :meth:`build_graph` uses, with gv(0) from the origin cache, so values
-        are bit-identical to :meth:`eval_pieces`.  V alone runs gv without its
-        gradient chain; gradV adds the chain; u* runs gu in general mode and
-        gv, gradV and gf2 in affine mode.  Neither mode evaluates the nominal
-        dynamics or the projection.  A non-finite piece raises
-        FloatingPointError naming it.
-        """
-        parts = set(parts)
-        unknown = parts - {"u_star", "v", "grad_v"}
-        if unknown:
-            raise ValueError(f"eval_parts evaluates only u_star, v and grad_v, "
-                             f"not {sorted(unknown)}")
-        handles = self.layers
-        # the pieces that need gv: all of them in affine mode, where u* reads gradV
-        lyapunov = parts if self.mode == "affine" else parts - {"u_star"}
-        pieces = {}
-        if lyapunov:
-            pieces = self._lyapunov(NumpyOps, handles, X, self._numpy_origin()["gv_0"],
-                                    grad=lyapunov != {"v"})
-        if "u_star" in parts:
-            pieces.update(self._controller(NumpyOps, handles, X, pieces.get("grad_v"),
-                                           self.hyper.u_lim[None, :]))
-        out = {}
-        for name in sorted(parts):
-            if not np.all(np.isfinite(pieces[name])):
-                raise FloatingPointError(f"non-finite {name!r} in model evaluation")
-            out[name] = pieces[name]
-        return out
+    # The three queries below evaluate only the piece they return, from the
+    # nodes build_graph uses, so each is bit-identical to eval_pieces.  None
+    # evaluates the nominal dynamics or the projection, and a non-finite
+    # result raises FloatingPointError naming its piece.
 
     def controller_batch(self, X):
-        """u* on a prevalidated (B, n) batch, without dynamics or projection."""
-        return self.eval_parts(X, ("u_star",))["u_star"]
+        """u* on a prevalidated (B, n) batch: gu in general mode; gv, gradV
+        and gf2 in affine mode, where u* reads gradV."""
+        grad_v = self._numpy_lyapunov(X, grad=True)["grad_v"] if self.mode == "affine" else None
+        ctrl = self._controller(NumpyOps, self.layers, X, grad_v, self.hyper.u_lim[None, :])
+        return _finite_piece("u_star", ctrl["u_star"])
 
     def lyapunov_batch(self, X):
-        """V on a prevalidated (B, n) batch without the gradient chain."""
-        return self.eval_parts(X, ("v",))["v"][:, 0]
+        """V on a prevalidated (B, n) batch, from gv without its gradient chain."""
+        return _finite_piece("v", self._numpy_lyapunov(X, grad=False)["v"])[:, 0]
 
     def lyapunov_grad_batch(self, X):
-        """gradV on a prevalidated (B, n) batch, without controller or dynamics."""
-        return self.eval_parts(X, ("grad_v",))["grad_v"]
+        """gradV on a prevalidated (B, n) batch."""
+        return _finite_piece("grad_v", self._numpy_lyapunov(X, grad=True)["grad_v"])
+
+
+def _finite_piece(name, value):
+    """``value``; FloatingPointError naming the piece if it is not finite."""
+    if not np.isfinite(value).all():
+        raise FloatingPointError(f"non-finite {name!r} in model evaluation")
+    return value

@@ -3,10 +3,10 @@
 Rollouts integrate the true plant, the learned projected model, or both
 from the same starts, always under the learned controller, recording the
 control, Lyapunov value, and state norm at every step.  Both plants' rows
-step together, tagged by plant, and share one model evaluation per record
-step and RK4 stage.  An escape guard truncates trajectories whose norm
-exceeds ten domain diameters, and plant domain errors (the bicycle
-singularity) truncate with a flag instead of crashing.
+step together, tagged by plant, in one batch of the rows still running.
+An escape guard truncates trajectories whose norm exceeds ten domain
+diameters, and plant domain errors (the bicycle singularity) truncate with
+a flag instead of crashing; either way the row leaves the batch.
 """
 
 from __future__ import annotations
@@ -94,18 +94,18 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3, *, with_learned=False):
     the result is then the B true-plant trajectories followed by the B
     learned ones.
 
-    Rows are integrated together for speed, each tagged by its plant.  Each
-    record step and RK4 stage makes one model call on the stacked rows.
-    While a learned row is recorded or stepped, that call is the full graph:
-    true rows take its u*, learned rows its f*.  Otherwise the true rows need
-    only the partial evaluations: u* and V at a record step, u* at a stage.
+    Rows are integrated together for speed, each tagged by its plant, in a
+    batch of the rows still running.  While a learned row is in it, each
+    record step and RK4 stage makes one full-graph call: true rows take its
+    u*, learned rows its f*.  A batch of true rows asks the model only for
+    u* and V at a record step, and for u* at a stage.
 
     A row that escapes, hits a plant domain error or reaches a non-finite
-    stage is frozen and its trajectory truncated at the last valid state,
-    with its own cause in ``reason``.  Any other exception from the plant
-    propagates.  A non-finite start, or a horizon that rounds to no step or
-    to more than a float can count, raises ValueError before any step is
-    taken.
+    stage leaves the batch; its trajectory is truncated at the last valid
+    state, the escaping one included, with its own cause in ``reason``.
+    Any other exception from the plant propagates.  A non-finite start, or
+    a horizon that rounds to no step or to more than a float can count,
+    raises ValueError before any step is taken.
     """
     if T <= 0 or h <= 0:
         raise ValueError("need T > 0 and h > 0")
@@ -135,58 +135,59 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3, *, with_learned=False):
     states = np.empty((steps + 1, B, n))
     controls = np.empty((steps + 1, B, model.m))
     v_trace = np.empty((steps + 1, B))
-    active = np.ones(B, dtype=bool)
     end_step = np.full(B, steps, dtype=int)
     reasons = [""] * B
 
-    def closed_loop(X, true_rows, u, fstar):
-        """The field on the rows ``X`` from their u* and the f* of every row,
-        with the plant's dynamics on ``true_rows``.  ``fstar`` is None when
-        every row is a true-plant row."""
-        if fstar is None:
-            return plant.dynamics(X, u)
+    def field(X, true_rows, pieces=None):
+        """The closed-loop field on the rows ``X``: the plant's dynamics
+        under u* on ``true_rows``, f* on the others.  ``pieces`` holds the
+        model's u*, and its f* when a row is learned, at X when the caller
+        has evaluated them."""
+        if len(true_rows) == len(X):
+            return plant.dynamics(X, model.controller_batch(X) if pieces is None
+                                  else pieces["u_star"])
+        if pieces is None:
+            pieces = model.eval_pieces(X)
+        fstar = pieces["fstar_star"]
         if len(true_rows):
-            fstar[true_rows] = plant.dynamics(X[true_rows], u[true_rows])
+            fstar[true_rows] = plant.dynamics(X[true_rows], pieces["u_star"][true_rows])
         return fstar
 
-    def field(X, true_rows):
-        if len(true_rows) == len(X):
-            return plant.dynamics(X, model.controller_batch(X))
-        pieces = model.eval_pieces(X)
-        return closed_loop(X, true_rows, pieces["u_star"], pieces["fstar_star"])
-
-    # Recorded states are finite: the starts are checked above and every
-    # stepped row is either finite or reset.  The recorded (u*, V) come from
-    # one checked pass, so a model fault raises rather than truncating rows.
-    X = x0s
+    # Recorded states are finite: the starts are checked above and a row
+    # leaves the batch at its first non-finite step.  The recorded (u*, V)
+    # come from checked passes, so a model fault raises rather than
+    # truncating rows.
+    run, X = np.arange(B), x0s  # the rows still running, and their states
     k = 0
-    while True:
-        if np.any(learned & (end_step >= k)):  # a learned row is recorded
+    while len(run):
+        true_rows = np.flatnonzero(~learned[run])  # within run
+        if len(true_rows) < len(run):  # a learned row is recorded
             pieces = model.eval_pieces(X)
-            fstar = pieces["fstar_star"]
+            v = pieces["v"][:, 0]
         else:
-            pieces = model.eval_parts(X, ("u_star", "v"))
-            fstar = None
-        u_rec = pieces["u_star"]
-        states[k] = X
-        controls[k] = u_rec
-        v_trace[k] = pieces["v"][:, 0]
-        if k == steps or not np.any(active):
+            pieces = {"u_star": model.controller_batch(X)}
+            v = model.lyapunov_batch(X)
+        states[k, run] = X
+        controls[k, run] = pieces["u_star"]
+        v_trace[k, run] = v
+        go = end_step[run] > k  # an escaped row stops once it is recorded
+        if k == steps or not go.any():
             break
-        idx = np.flatnonzero(active)
-        Xa = X[idx]
-        true_rows = np.flatnonzero(~learned[idx])  # within idx
-        causes = {}  # row within idx -> truncation reason
+        if not go.all():
+            run, X = run[go], X[go]
+            true_rows = np.flatnonzero(~learned[run])
+            pieces = {key: value[go] for key, value in pieces.items()}
+        causes = {}  # row within run -> why it stops
         try:
-            k1 = closed_loop(Xa, true_rows, u_rec[idx], None if fstar is None else fstar[idx])
-            Xn = rk4_step(lambda Y: field(Y, true_rows), Xa, h, k1=k1)
+            Xn = rk4_step(lambda Y: field(Y, true_rows), X, h,
+                          k1=field(X, true_rows, pieces))
         except (DomainError, FloatingPointError):
             # isolate offending rows by stepping one at a time
-            Xn = Xa.copy()
-            for j in range(len(idx)):
-                alone = np.flatnonzero(~learned[idx[j:j + 1]])
+            Xn = X.copy()
+            for j in range(len(run)):
+                alone = np.flatnonzero(~learned[run[j:j + 1]])
                 try:
-                    Xn[j] = rk4_step(lambda Y: field(Y, alone), Xa[j:j + 1], h)[0]
+                    Xn[j] = rk4_step(lambda Y: field(Y, alone), X[j:j + 1], h)[0]
                 except DomainError as exc:
                     causes[j] = f"plant domain error: {exc}"
                 except FloatingPointError:
@@ -194,20 +195,14 @@ def rollout_many(plant, model, x0s, T=10.0, h=1e-3, *, with_learned=False):
         for j in np.flatnonzero(~np.all(np.isfinite(Xn), axis=1)):
             causes.setdefault(j, "non-finite state")
         for j, cause in causes.items():
-            row = idx[j]
-            active[row] = False
-            end_step[row] = k
-            reasons[row] = cause
-            Xn[j] = Xa[j]
-        newX = X.copy()
-        newX[idx] = Xn
+            end_step[run[j]] = k
+            reasons[run[j]] = cause
         k += 1
-        escaped_now = active & (np.linalg.norm(newX, axis=1) > limit)
-        for row in np.flatnonzero(escaped_now):
-            active[row] = False
-            end_step[row] = k  # the exceeding state is recorded, then we stop
+        go = end_step[run] >= k  # a row stopped by a cause leaves the batch
+        run, X = run[go], Xn[go]
+        for row in run[np.linalg.norm(X, axis=1) > limit]:
+            end_step[row] = k  # the exceeding state is recorded, then the row stops
             reasons[row] = "escape guard"
-        X = newX
 
     times = np.arange(steps + 1) * h
     out = []

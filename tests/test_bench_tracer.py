@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from stabledyn import cli, sim, training, verify
 
 from conftest import make_model
@@ -129,6 +131,28 @@ def test_traced_simulate_makes_one_true_plant_rollout(tmp_path, vdp_hyper):
     calls = [s[tracer_mod.NAME] for s in tracer.spans if s[tracer_mod.PARENT] == rollout
              and s[tracer_mod.NAME] in tracer_mod.MODEL_CALLS]
     assert calls == ["models.eval_pieces"] * (4 * steps + 1)
+
+
+def test_traced_true_only_rollout_counts_every_model_call(vdp_system, vdp_hyper):
+    # a true-only batch records through controller_batch and lyapunov_batch
+    # and steps through controller_batch, all wrapped: 2 calls at each of
+    # the steps + 1 record steps and 3 at each step's stages
+    steps = 10
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        tracer.enabled = True
+        sim.rollout_many(vdp_system, make_model(vdp_hyper, mode="affine"),
+                         np.array([[1.0, 0.0], [-0.5, 0.2]]), T=steps * 1e-3, h=1e-3)
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    names = [span[tracer_mod.NAME] for span in tracer.spans]
+    (rollout,) = [i for i, name in enumerate(names) if name == "sim.rollout_many.true"]
+    calls = [s[tracer_mod.NAME] for s in tracer.spans if s[tracer_mod.PARENT] == rollout
+             and s[tracer_mod.NAME] in tracer_mod.MODEL_CALLS]
+    assert len(calls) == 5 * steps + 2
+    assert calls.count("models.lyapunov_batch") == steps + 1
 
 
 def test_pipeline_audits_what_verify_declares():

@@ -393,15 +393,6 @@ class TestPartialEvaluation:
         assert np.array_equal(model.controller_batch(X), pieces["u_star"])
         assert np.array_equal(model.lyapunov_batch(X), pieces["v"][:, 0])
         assert np.array_equal(model.lyapunov_grad_batch(X), pieces["grad_v"])
-        both = model.eval_parts(X, ("u_star", "v"))
-        assert np.array_equal(both["u_star"], pieces["u_star"])
-        assert np.array_equal(both["v"], pieces["v"])
-        assert set(both) == {"u_star", "v"}
-
-    def test_other_pieces_rejected(self, small_model):
-        # the full graph, f* included, goes through eval_pieces only
-        with pytest.raises(ValueError, match="fstar_star"):
-            small_model.eval_parts(np.zeros((3, 2)), ("v", "fstar_star"))
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
     @pytest.mark.parametrize("part", ["u_star", "v", "grad_v"])
@@ -409,8 +400,10 @@ class TestPartialEvaluation:
         model = make_model(vdp_hyper, seed=31, mode=mode)
         net = {"v": "gv", "grad_v": "gv", "u_star": "gu" if mode == "general" else "gf2"}[part]
         fill_output_layer(model, net, bias=np.nan)
+        query = {"u_star": model.controller_batch, "v": model.lyapunov_batch,
+                 "grad_v": model.lyapunov_grad_batch}[part]
         with pytest.raises(FloatingPointError, match=f"non-finite '{part}'"):
-            model.eval_parts(np.full((4, 2), 0.3), (part,))
+            query(np.full((4, 2), 0.3))
 
 
 class TestParams:

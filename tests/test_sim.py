@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabledyn import sim
-from stabledyn.models import Hyper
+from stabledyn.models import Hyper, StableDynamicsModel
 from stabledyn.sim import FieldGrid, export_field, rk4_step, rollout_many
 from stabledyn.systems import SystemSpec, get_system
 
@@ -153,18 +153,31 @@ class TestRollout:
         assert trajs[0].reason == "escape guard" and trajs[1].reason == ""
         assert len(trajs[1]) == 2001
 
-    def test_learned_rows_truncate_alone(self, vdp_system):
+    def test_learned_rows_truncate_alone(self, vdp_system, monkeypatch):
         # the reverse of the cases above: a nominal field that grows with
         # the state and a projection floor too high to correct it, so the
         # learned rows escape while the true rows, unforced, run the horizon
         hp = Hyper.for_system(vdp_system, eps_proj=1e6)
         model = fill_output_layer(make_model(hp, seed=8, mode="affine"), "gf1", weight=100.0)
         model = fill_output_layer(model, "gf2", weight=0.0)
-        trajs = lockstep_rows(vdp_system, model, np.array([[1.0, 0.0], [-0.5, 0.2]]),
-                              1.0, 1e-3)
+        starts = np.array([[1.0, 0.0], [-0.5, 0.2]])
+        trajs = lockstep_rows(vdp_system, model, starts, 1.0, 1e-3)
         assert [len(t) for t in trajs[:2]] == [1001, 1001]
         assert [t.reason for t in trajs] == ["", "", "escape guard", "escape guard"]
         assert all(len(t) < 1001 for t in trajs[2:])
+        # stopped rows leave the batch: each record step and stage evaluates
+        # u* once, and every evaluation after the last learned row's final
+        # record sees the 2 true rows alone
+        rows = []
+        controller = StableDynamicsModel._controller
+        monkeypatch.setattr(StableDynamicsModel, "_controller",
+                            lambda self, ops, handles, X, *rest:
+                            rows.append(len(X)) or controller(self, ops, handles, X, *rest))
+        rollout_many(vdp_system, model, starts, T=1.0, h=1e-3, with_learned=True)
+        last = max(len(t) for t in trajs[2:]) - 1
+        assert len(rows) == 4 * 1000 + 1
+        assert min(rows[:4 * last + 1]) > 2
+        assert rows[4 * last + 1:] == [2] * (4 * (1000 - last))
 
     @pytest.mark.parametrize("mode", ["general", "affine"])
     def test_nonfinite_row_truncated_alone(self, vdp_hyper, mode):
@@ -212,9 +225,9 @@ class TestRollout:
     @pytest.mark.parametrize("mode, with_learned", MODES_AND_FLAG)
     def test_true_plant_records_eval_pieces_exactly(self, vdp_system, vdp_hyper, mode,
                                                     with_learned):
-        # the recorded (u*, V) come from a partial evaluation, or beside the
-        # learned rows from the full graph on all rows; at each step they
-        # equal the full graph on the same batch of recorded states
+        # the recorded (u*, V) come from controller_batch and lyapunov_batch,
+        # or beside the learned rows from the full graph on all rows; at each
+        # step they equal the full graph on the same batch of recorded states
         model = make_model(vdp_hyper, seed=12, mode=mode)
         starts = np.array([[1.0, 0.0], [-0.6, 0.9], [0.3, -1.2]])
         trajs = rollout_many(vdp_system, model, starts, T=0.02, h=1e-3,
