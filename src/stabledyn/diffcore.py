@@ -25,13 +25,9 @@ All values are float64; batches are row-major (batch, dim).
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-ACTIVATIONS = ("smoothed_relu", "tanh", "identity")
 
 
 class GradientError(FloatingPointError):
@@ -55,90 +51,6 @@ def _srelu_grad_raw(z, d):
 def _srelu_curv_raw(z, d):
     # seams take the lower branch: 0 at z=0, 1/d at z=d
     return ((z > 0.0) & (z <= d)).astype(np.float64) / d
-
-
-# ---------------------------------------------------------------------------
-# Network container
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Network:
-    """Dense feedforward network with explicit parameter storage.
-
-    weights[i] has shape (out_i, in_i), biases[i] shape (out_i,), and
-    activations[i] names the nonlinearity applied after layer i.  Layer
-    dims must chain.  ``srelu_width`` is the smoothing width used by any
-    ``smoothed_relu`` activation in this network.  The three sequences are
-    kept as tuples of float64 arrays and tags, and the network is frozen:
-    :func:`dataclasses.replace` makes a network with other arrays.
-    """
-
-    weights: tuple
-    biases: tuple
-    activations: tuple
-    srelu_width: float = 0.005
-
-    def __post_init__(self):
-        if not (len(self.weights) == len(self.biases) == len(self.activations)):
-            raise ValueError("weights, biases, activations must have equal length")
-        if not self.weights:
-            raise ValueError("network needs at least one layer")
-        weights = tuple(np.asarray(w, dtype=np.float64) for w in self.weights)
-        biases = tuple(np.asarray(b, dtype=np.float64) for b in self.biases)
-        for i, (w, b, act) in enumerate(zip(weights, biases, self.activations)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError(f"layer {i}: weight {w.shape} / bias {b.shape} mismatch")
-            if i > 0 and w.shape[1] != weights[i - 1].shape[0]:
-                raise ValueError(
-                    f"layer {i}: input dim {w.shape[1]} does not chain with "
-                    f"previous output {weights[i - 1].shape[0]}"
-                )
-            if act not in ACTIVATIONS:
-                raise ValueError(f"unknown activation tag {act!r}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError(f"layer {i}: non-finite parameters")
-        if not self.srelu_width > 0:
-            raise ValueError("srelu_width must be positive")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
-        object.__setattr__(self, "activations", tuple(self.activations))
-
-    @property
-    def in_dim(self):
-        return self.weights[0].shape[1]
-
-    @property
-    def out_dim(self):
-        return self.weights[-1].shape[0]
-
-    @property
-    def dims(self):
-        return [self.in_dim] + [w.shape[0] for w in self.weights]
-
-
-def init_network(dims, activation="tanh", seed=0, out_activation="identity",
-                 srelu_width=0.005):
-    """Deterministically initialize a network of the given layer sizes.
-
-    Weights are uniform in [-s, s] with s = sqrt(1/fan_in); biases start at
-    zero.  ``activation`` applies to every hidden layer, ``out_activation``
-    to the last one.  A width that is a bool or not an integer is refused.
-    """
-    dims = list(dims)
-    if len(dims) < 2 or not all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-                                and x > 0 for x in dims):
-        raise ValueError(f"dims must have >=2 positive integer entries, got {dims}")
-    for act in (activation, out_activation):
-        if act not in ACTIVATIONS:
-            raise ValueError(f"unknown activation tag {act!r}")
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        s = np.sqrt(1.0 / fan_in)
-        weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    acts = [activation] * (len(dims) - 2) + [out_activation]
-    return Network(weights, biases, acts, srelu_width=srelu_width)
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +299,19 @@ def param_gradient(tape, output, leaves):
 # Backend-generic network application
 # ---------------------------------------------------------------------------
 
-def net_apply(ops, handles, activations, srelu_width, x):
-    """Apply a network given parameter handles; returns (output, layer cache).
+def net_apply(ops, net, srelu_width, x):
+    """Apply a network given as a (layers, activations) pair; returns
+    (output, layer cache).
 
-    ``handles`` is a list of (W, b) pairs in the backend's handle type; the
-    cache holds (pre-activation, activation) per layer for later use by
-    :func:`net_input_gradient`.
+    ``layers`` holds one (W, b) pair of backend handles per dense layer and
+    ``activations`` one tag per layer: "tanh", "smoothed_relu" (of width
+    ``srelu_width``) or "identity".  The cache holds (pre-activation,
+    activation) per layer for later use by :func:`net_input_gradient`.
     """
+    layers, activations = net
     a = x
     cache = []
-    for (w, b), act in zip(handles, activations):
+    for (w, b), act in zip(layers, activations):
         z = ops.dense(a, w, b)
         if act == "tanh":
             a = ops.tanh(z)
@@ -408,15 +323,17 @@ def net_apply(ops, handles, activations, srelu_width, x):
     return a, cache
 
 
-def net_input_gradient(ops, handles, activations, srelu_width, cache, cot):
-    """Vector-Jacobian product cot^T d(net)/dx of a network at the (B, out)
-    output cotangent ``cot``, as a (B, in) backend expression.
+def net_input_gradient(ops, net, srelu_width, cache, cot):
+    """Vector-Jacobian product cot^T d(net)/dx of a (layers, activations)
+    network at the (B, out) output cotangent ``cot``, as a (B, in) backend
+    expression.
 
     Uses the cached forward pass; the result is itself differentiable when
     ``ops`` is a recording tape.
     """
+    layers, activations = net
     G = cot
-    for (w, _b), act, (z, a) in zip(reversed(handles), reversed(activations),
+    for (w, _b), act, (z, a) in zip(reversed(layers), reversed(activations),
                                     reversed(cache)):
         if act == "tanh":
             G = ops.mul(G, ops.add_scalar(ops.scale(ops.mul(a, a), -1.0), 1.0))

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .diffcore import Network, NumpyOps, init_network, net_apply, net_input_gradient
+from .diffcore import NumpyOps, net_apply, net_input_gradient
 
 # Rows per numpy model call wherever a batch of any size is evaluated: every
 # audit loop (the Lipschitz loop evaluates a block's pairs as one call of
@@ -161,6 +161,20 @@ class NetRole(NamedTuple):
     width: int
 
 
+class Net(NamedTuple):
+    """A network as :func:`diffcore.net_apply` reads it: ``layers``, one
+    (W, b) pair of backend handles per dense layer, and ``activations``, its
+    role's tag for each layer."""
+
+    layers: tuple
+    activations: tuple
+
+    @property
+    def dims(self):
+        """The layer widths, input first, as ints."""
+        return [self.layers[0][0].shape[1]] + [w.shape[0] for w, _b in self.layers]
+
+
 _GV = NetRole("gv", lambda n, m: (n, 1), "smoothed_relu", "tanh", 50)
 # Each mode's networks in parameter-vector order, gv last in both modes;
 # initialize draws network i from seed stream i.
@@ -230,18 +244,16 @@ class StableDynamicsModel:
     by network in :data:`NETWORKS` order, then layer by layer, each
     row-major weight before its bias.  The constructor checks its length
     against :func:`parameter_count` before it builds anything, and copies
-    it once.
+    it once; a non-finite entry is refused.
     Its ``nets`` are a read-only mapping, in :data:`NETWORKS` order, of
-    frozen networks whose weights and biases are read-only views of that
-    copy, with their role's activations and ``hyper.d`` as their
-    smoothed-ReLU width.  :meth:`get_params` returns a copy of the vector,
-    and :meth:`set_params` is its only writer: it writes the vector in
-    place, which every view shows, and drops the cached origin nodes.  An
-    in-place write to a network array, or replacing a network or one of its
-    arrays, raises.  ``layers`` is a read-only mapping of each network's
-    (W, b) view pairs, in vector order, built from ``nets``: the numpy
-    backend's handles, and the arrays a tape registers as leaves.  Neither
-    ``nets`` nor ``layers`` can be rebound.
+    :class:`Net` tuples whose (W, b) pairs are read-only views of that copy,
+    with their role's activations; every smoothed-ReLU layer has width
+    ``hyper.d``.  They are the numpy backend's handles, and the arrays a
+    tape registers as leaves.  :meth:`get_params` returns a copy of the
+    vector, and :meth:`set_params` is its only writer: it writes the vector
+    in place, which every view shows, and drops the cached origin nodes.
+    An in-place write to a network array, or replacing a network or one of
+    its arrays, raises, and ``nets`` cannot be rebound.
 
     All evaluation methods take (B, n) state batches, and (B, m) control
     batches where they take controls, and return row-batched arrays.
@@ -255,6 +267,8 @@ class StableDynamicsModel:
         if params.shape != (size,):
             raise ValueError(f"parameters must be a flat vector of {size} values, "
                              f"got shape {params.shape}")
+        if not np.isfinite(params).all():
+            raise ValueError("parameters must be finite")
         self.hyper = hyper
         self.mode = mode
         self.n = hyper.n
@@ -262,49 +276,49 @@ class StableDynamicsModel:
         self._theta = params.copy()
         frozen = self._theta.view()  # every slice of it is read-only too
         frozen.flags.writeable = False
-        own, start = {}, 0
+        nets, start = {}, 0
         for role in NETWORKS[mode]:
             widths = dims[role.name]
-            weights, biases = [], []
+            layers = []
             for fan_in, fan_out in zip(widths[:-1], widths[1:]):
                 stop = start + fan_in * fan_out
-                weights.append(frozen[start:stop].reshape(fan_out, fan_in))
-                biases.append(frozen[stop:stop + fan_out])
+                layers.append((frozen[start:stop].reshape(fan_out, fan_in),
+                               frozen[stop:stop + fan_out]))
                 start = stop + fan_out
-            own[role.name] = Network(weights, biases,
-                                     [role.hidden] * (len(weights) - 1) + [role.out],
-                                     srelu_width=hyper.d)
-        self._nets = MappingProxyType(own)
-        self._layers = MappingProxyType(
-            {name: tuple(zip(net.weights, net.biases)) for name, net in own.items()})
+            nets[role.name] = Net(tuple(layers),
+                                  (role.hidden,) * (len(layers) - 1) + (role.out,))
+        self._nets = MappingProxyType(nets)
         self._np_origin = None
 
     @property
     def nets(self):
-        """The read-only mapping of frozen networks viewing the vector."""
+        """The read-only mapping of :class:`Net` tuples viewing the vector."""
         return self._nets
-
-    @property
-    def layers(self):
-        """The read-only mapping of each network's (W, b) view pairs."""
-        return self._layers
 
     # -- construction ----------------------------------------------------
 
     @classmethod
     def initialize(cls, hyper, seed=0, mode="general", widths=None, depth=DEFAULT_DEPTH):
         """Fresh deterministic initialization of the mode's :data:`NETWORKS`,
-        at their default widths unless ``widths`` names others."""
+        at their default widths unless ``widths`` names others, which
+        :func:`parameter_count` checks before anything is drawn.  Weights
+        are uniform in [-s, s] with s = sqrt(1/fan_in); biases start at zero.
+        """
         roles = mode_roles(mode)
         widths = widths or {}
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        dims, arrays = {}, []
-        for role, child in zip(roles, ss.spawn(len(roles))):
+        dims = {}
+        for role in roles:
             in_dim, out_dim = role.dims(hyper.n, hyper.m)
-            net = init_network([in_dim] + [widths.get(role.name, role.width)] * depth
-                               + [out_dim], seed=child)
-            dims[role.name] = net.dims
-            arrays += [a.ravel() for wb in zip(net.weights, net.biases) for a in wb]
+            dims[role.name] = [in_dim] + [widths.get(role.name, role.width)] * depth + [out_dim]
+        parameter_count(hyper, mode, dims)
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        arrays = []
+        for role, child in zip(roles, ss.spawn(len(roles))):
+            rng = np.random.default_rng(child)
+            for fan_in, fan_out in zip(dims[role.name][:-1], dims[role.name][1:]):
+                s = np.sqrt(1.0 / fan_in)
+                arrays += [rng.uniform(-s, s, size=(fan_out, fan_in)).ravel(),
+                           np.zeros(fan_out)]
         return cls(hyper, mode, dims, np.concatenate(arrays))
 
     # -- parameter plumbing ------------------------------------------------
@@ -337,7 +351,9 @@ class StableDynamicsModel:
         On a tape the origin nodes gv(0) and the nominal offset are recorded
         inline, ahead of the batch, so gradients flow through them; the
         numpy backend reads them from :meth:`_numpy_origin`, so numpy
-        ``handles`` must be :attr:`layers`.
+        ``handles`` must be :attr:`nets`.  ``handles`` maps each network's
+        name to its :class:`Net`, whose (W, b) pairs are handles of
+        ``ops``.
         """
         hp = self.hyper
         u_lim_row = ops.constant(hp.u_lim[None, :])
@@ -362,8 +378,7 @@ class StableDynamicsModel:
 
     def _gv(self, ops, handles, X):
         """v_cap * gv(X), and the gv layer cache that the gradient chain reads."""
-        gv = self.nets["gv"]
-        out, cache = net_apply(ops, handles["gv"], gv.activations, gv.srelu_width, X)
+        out, cache = net_apply(ops, handles["gv"], self.hyper.d, X)
         return ops.scale(out, self.hyper.v_cap), cache
 
     def _lyapunov(self, ops, handles, X, gv_0, grad=True):
@@ -380,11 +395,9 @@ class StableDynamicsModel:
                     ops.scale(ops.row_sum(ops.mul(X, X)), hp.eps_pd))
         pieces = {"w": w, "v": v}
         if grad:
-            gv = self.nets["gv"]
             cot = ops.scale(ops.srelu_grad(w, hp.d), hp.v_cap)
             pieces["grad_v"] = ops.add(
-                net_input_gradient(ops, handles["gv"], gv.activations, gv.srelu_width,
-                                   cache, cot),
+                net_input_gradient(ops, handles["gv"], hp.d, cache, cot),
                 ops.scale(X, 2.0 * hp.eps_pd))
         return pieces
 
@@ -399,8 +412,7 @@ class StableDynamicsModel:
         affine mode reads it.
         """
         name = "gu" if self.mode == "general" else "gf2"
-        net = self.nets[name]
-        out, _ = net_apply(ops, handles[name], net.activations, net.srelu_width, X)
+        out, _ = net_apply(ops, handles[name], self.hyper.d, X)
         if self.mode == "general":
             return {"u_star": ops.mul(u_lim_row, out)}
         f2 = ops.reshape(out, (ops.value(X).shape[0], self.n, self.m))
@@ -413,15 +425,11 @@ class StableDynamicsModel:
         gf1(X) + gf2(X) u in affine mode, with ``ctrl`` the controller dict
         at X.  Without ``offset`` it is the raw ghat(X, u)."""
         if self.mode == "general":
-            gf = self.nets["gf"]
-
             def nominal(u):
-                out, _ = net_apply(ops, handles["gf"], gf.activations, gf.srelu_width,
-                                   ops.concat_cols(X, u))
+                out, _ = net_apply(ops, handles["gf"], self.hyper.d, ops.concat_cols(X, u))
                 return out if offset is None else ops.sub(out, offset)
             return nominal
-        gf1 = self.nets["gf1"]
-        f1, _ = net_apply(ops, handles["gf1"], gf1.activations, gf1.srelu_width, X)
+        f1, _ = net_apply(ops, handles["gf1"], self.hyper.d, X)
         if offset is not None:
             f1 = ops.sub(f1, offset)
         return lambda u: ops.add(f1, ops.bmat_vec(ctrl["f2"], u))
@@ -445,7 +453,7 @@ class StableDynamicsModel:
         :meth:`set_params`."""
         if self._np_origin is None:
             self._np_origin = self._origin_nodes(
-                NumpyOps, self.layers, self.hyper.u_lim[None, :])
+                NumpyOps, self.nets, self.hyper.u_lim[None, :])
         return self._np_origin
 
     # -- numpy evaluation ---------------------------------------------------
@@ -468,7 +476,7 @@ class StableDynamicsModel:
             U = self._as_batch(U, self.m, "control")
             if U.shape[0] != X.shape[0]:
                 raise ValueError(f"{U.shape[0]} control rows for {X.shape[0]} states")
-        pieces = self.build_graph(NumpyOps, self.layers, X, U)
+        pieces = self.build_graph(NumpyOps, self.nets, X, U)
         out = pieces["fstar_star"] if U is None else pieces["fstar_data"]
         if not np.all(np.isfinite(out)):
             for key in ("v", "grad_v", "fhat_star", "resid"):
@@ -481,7 +489,7 @@ class StableDynamicsModel:
     def _numpy_lyapunov(self, X, grad):
         """:meth:`_lyapunov` on the numpy backend, with gv(0) from the origin
         cache."""
-        return self._lyapunov(NumpyOps, self.layers, X, self._numpy_origin()["gv_0"],
+        return self._lyapunov(NumpyOps, self.nets, X, self._numpy_origin()["gv_0"],
                               grad=grad)
 
     # The three queries below evaluate only the piece they return, from the
@@ -493,7 +501,7 @@ class StableDynamicsModel:
         """u* on a prevalidated (B, n) batch: gu in general mode; gv, gradV
         and gf2 in affine mode, where u* reads gradV."""
         grad_v = self._numpy_lyapunov(X, grad=True)["grad_v"] if self.mode == "affine" else None
-        ctrl = self._controller(NumpyOps, self.layers, X, grad_v, self.hyper.u_lim[None, :])
+        ctrl = self._controller(NumpyOps, self.nets, X, grad_v, self.hyper.u_lim[None, :])
         return _finite_piece("u_star", ctrl["u_star"])
 
     def lyapunov_batch(self, X):

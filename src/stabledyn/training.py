@@ -191,8 +191,8 @@ def _loss_node(ops, model, handles, X, U, Xdot):
     loss = ops.mean_all(ops.mul(kern, sq))
     if hp.lam != 0.0:
         reg = None
-        for pair in handles.values():
-            for w, b in pair:
+        for net in handles.values():
+            for w, b in net.layers:
                 for h in (w, b):
                     term = ops.sum_all(ops.mul(h, h))
                     reg = term if reg is None else ops.add(reg, term)
@@ -223,8 +223,9 @@ def loss(model, batch):
     if len(batch) == 0:
         raise ValueError("loss of an empty batch")
     tape = Tape()
-    handles = {name: [(tape.leaf(w), tape.leaf(b)) for w, b in pairs]
-               for name, pairs in model.layers.items()}
+    handles = {name: net._replace(layers=[(tape.leaf(w), tape.leaf(b))
+                                          for w, b in net.layers])
+               for name, net in model.nets.items()}
     X = tape.constant(batch.X)
     U = tape.constant(batch.U)
     Xdot = tape.constant(batch.Xdot)
@@ -232,7 +233,7 @@ def loss(model, batch):
     value = float(out.value)
     if not np.isfinite(value):
         raise FloatingPointError("non-finite training loss")
-    leaves = [h for pairs in handles.values() for pair in pairs for h in pair]
+    leaves = [h for net in handles.values() for pair in net.layers for h in pair]
     return LossGraph(tape, out, leaves, value)
 
 
@@ -243,7 +244,7 @@ def loss_value(model, batch):
         raise ValueError("loss of an empty batch")
     total = 0.0
     for sl in row_blocks(len(batch)):
-        part = _loss_node(NumpyOps, model, model.layers,
+        part = _loss_node(NumpyOps, model, model.nets,
                           batch.X[sl], batch.U[sl], batch.Xdot[sl])
         total += float(part) * (sl.stop - sl.start)
     value = total / len(batch)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stabledyn.diffcore import NumpyOps, net_apply
-from stabledyn.models import NETWORKS, Hyper, StableDynamicsModel
+from stabledyn.models import NETWORKS, Hyper, Net, StableDynamicsModel
 from stabledyn import systems
 
 
@@ -30,21 +30,39 @@ def make_model(hyper, seed=0, mode="general", small=True):
     return StableDynamicsModel.initialize(hyper, seed=seed, mode=mode, widths=widths)
 
 
-def model_from_networks(hyper, nets, mode="general"):
-    """The model whose networks hold the weights and biases of ``nets``,
-    flattened in :data:`NETWORKS` order; each network's activations and
-    smoothed-ReLU width come from its role and ``hyper.d``."""
+def model_layers(model):
+    """Each network's (W, b) pairs, by name."""
+    return {name: net.layers for name, net in model.nets.items()}
+
+
+def model_from_networks(hyper, layers, mode="general"):
+    """The model whose networks hold the (W, b) pairs ``layers[name]``,
+    flattened in :data:`NETWORKS` order; each network's activations come
+    from its role."""
     names = [role.name for role in NETWORKS[mode]]
-    params = [a.ravel() for name in names
-              for wb in zip(nets[name].weights, nets[name].biases) for a in wb]
-    return StableDynamicsModel(hyper, mode, {name: nets[name].dims for name in names},
-                               np.concatenate(params))
+    dims = {name: [layers[name][0][0].shape[1]] + [w.shape[0] for w, _b in layers[name]]
+            for name in names}
+    params = [a.ravel() for name in names for wb in layers[name] for a in wb]
+    return StableDynamicsModel(hyper, mode, dims, np.concatenate(params))
 
 
-def apply_net(net, X):
+def init_net(dims, activation="tanh", seed=0, out_activation="identity"):
+    """A :class:`Net` of the given layer widths drawn as
+    :meth:`StableDynamicsModel.initialize` draws a network, with writable
+    arrays: weights uniform in [-s, s] with s = sqrt(1/fan_in), biases zero.
+    ``activation`` applies to every hidden layer, ``out_activation`` to the
+    last one."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        s = np.sqrt(1.0 / fan_in)
+        layers.append((rng.uniform(-s, s, size=(fan_out, fan_in)), np.zeros(fan_out)))
+    return Net(layers, (activation,) * (len(layers) - 1) + (out_activation,))
+
+
+def apply_net(net, X, srelu_width=0.005):
     """Output and layer cache of ``net`` on a (B, in) batch, numpy backend."""
-    return net_apply(NumpyOps, list(zip(net.weights, net.biases)), net.activations,
-                     net.srelu_width, np.asarray(X, dtype=np.float64))
+    return net_apply(NumpyOps, net, srelu_width, np.asarray(X, dtype=np.float64))
 
 
 def jitter_params(model, rng, scale=0.05):
@@ -64,7 +82,7 @@ def net_slices(model):
     """Each network's slice of the model's parameter vector."""
     slices, start = {}, 0
     for name, net in model.nets.items():
-        size = sum(a.size for a in net.weights + net.biases)
+        size = sum(w.size + b.size for w, b in net.layers)
         slices[name] = slice(start, start + size)
         start += size
     return slices
@@ -73,11 +91,11 @@ def net_slices(model):
 def fill_output_layer(model, name, weight=None, bias=None):
     """Set every output-layer weight of network ``name`` to ``weight`` and
     every output bias to ``bias`` (None keeps them), through set_params."""
-    theta, net = model.get_params(), model.nets[name]
+    theta, (w, b) = model.get_params(), model.nets[name].layers[-1]
     stop = net_slices(model)[name].stop  # the output layer's W, then b, end it
-    mid = stop - net.biases[-1].size
+    mid = stop - b.size
     if weight is not None:
-        theta[mid - net.weights[-1].size:mid] = weight
+        theta[mid - w.size:mid] = weight
     if bias is not None:
         theta[mid:stop] = bias
     model.set_params(theta)
@@ -93,11 +111,11 @@ def seam_margins(model, X, U=None):
         inputs = {"gv": X, "gu": X, "gf1": X, "gf2": X}.get(name)
         if inputs is None:  # gf consumes (x, u*) and optionally (x, u)
             inputs = np.hstack((X, pieces["u_star"]))
-        _, cache = apply_net(net, inputs)
+        _, cache = apply_net(net, inputs, hp.d)
         for (z, _a), act in zip(cache, net.activations):
             if act == "smoothed_relu":
                 margins.append(np.min(np.abs(z)))
-                margins.append(np.min(np.abs(z - net.srelu_width)))
+                margins.append(np.min(np.abs(z - hp.d)))
     margins.append(np.min(np.abs(pieces["w"])))
     margins.append(np.min(np.abs(pieces["w"] - hp.d)))
     margins.append(np.min(np.abs(pieces["resid"])))

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from stabledyn import cli, sim, training, verify
 
@@ -29,6 +30,14 @@ def _load_bench(name):
 
 tracer_mod = _load_bench("tracer")
 pipeline_mod = _load_bench("pipeline")
+
+
+@pytest.mark.parametrize("mode, flops, nbytes", [
+    ("general", 71_900, 12_112), ("affine", 102_200, 14_512)])
+def test_flops_and_bytes_per_row_read_the_default_dims(vdp_hyper, mode, flops, nbytes):
+    # the tracer reads each network's dims; these are the default widths' costs
+    model = make_model(vdp_hyper, mode=mode, small=False)
+    assert tracer_mod.flops_bytes_per_row(model) == (flops, nbytes)
 
 
 def test_install_patches_every_target_and_uninstall_restores_it(vdp_system, vdp_hyper):

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -5,17 +8,15 @@ from stabledyn import diffcore as dc
 from stabledyn import training
 from stabledyn.diffcore import (
     GradientError,
-    Network,
     NumpyOps,
     Tape,
-    init_network,
     net_apply,
     net_input_gradient,
     param_gradient,
 )
-from stabledyn.models import StableDynamicsModel
+from stabledyn.models import NETWORKS, Net, StableDynamicsModel
 
-from conftest import apply_net, make_model, model_from_networks
+from conftest import apply_net, init_net, make_model, model_from_networks, model_layers
 
 D = 0.005
 
@@ -30,72 +31,83 @@ def _input_grad(net, X, cot=None):
     scalar-output network)."""
     out, cache = apply_net(net, X)
     cot = np.ones_like(out) if cot is None else cot
-    return net_input_gradient(NumpyOps, list(zip(net.weights, net.biases)),
-                              net.activations, net.srelu_width, cache, cot)
+    return net_input_gradient(NumpyOps, net, D, cache, cot)
 
 
 class TestInit:
-    def test_identical_seeds_identical_params(self):
-        a = init_network([3, 100, 100, 100, 2], "tanh", seed=7)
-        b = init_network([3, 100, 100, 100, 2], "tanh", seed=7)
-        for wa, wb in zip(a.weights, b.weights):
-            assert np.array_equal(wa, wb)
-        for ba, bb in zip(a.biases, b.biases):
-            assert np.array_equal(ba, bb)
+    """StableDynamicsModel.initialize draws every network's layers."""
 
-    def test_benchmark_shape(self):
-        net = init_network([3, 100, 100, 100, 2], "tanh", seed=0)
-        assert net.dims == [3, 100, 100, 100, 2]
-        assert net.in_dim == 3 and net.out_dim == 2
+    def test_identical_seeds_identical_params(self, vdp_hyper):
+        for mode in NETWORKS:
+            a = StableDynamicsModel.initialize(vdp_hyper, seed=7, mode=mode)
+            b = StableDynamicsModel.initialize(vdp_hyper, seed=7, mode=mode)
+            assert np.array_equal(a.get_params(), b.get_params())
+            other = StableDynamicsModel.initialize(vdp_hyper, seed=8, mode=mode)
+            assert not np.array_equal(a.get_params(), other.get_params())
 
-    def test_biases_zero_weights_bounded(self):
-        net = init_network([2, 2], "tanh", seed=123)
-        assert np.array_equal(net.biases[0], np.zeros(2))
-        s = np.sqrt(1.0 / 2.0)
-        assert np.all(np.abs(net.weights[0]) <= s)
+    @pytest.mark.parametrize("mode", ["general", "affine"])
+    def test_network_i_draws_from_seed_stream_i(self, vdp_hyper, mode):
+        # layer by layer, as a lone network drawn from that stream
+        model = StableDynamicsModel.initialize(vdp_hyper, seed=7, mode=mode)
+        streams = np.random.SeedSequence(7).spawn(len(NETWORKS[mode]))
+        for (name, net), stream in zip(model.nets.items(), streams):
+            alone = init_net(net.dims, seed=stream)
+            assert all(np.array_equal(w, v) and np.array_equal(b, c)
+                       for (w, b), (v, c) in zip(net.layers, alone.layers)), name
 
-    @pytest.mark.parametrize("dims", [[], [3], [3, 0, 2], [3, -1], [2, 8.7, 1], [2, True, 1],
-                                      [2, "8", 1]])
-    def test_bad_dims_rejected(self, dims):
-        with pytest.raises(ValueError):
-            init_network(dims, "tanh", seed=0)
+    def test_benchmark_shape(self, vdp_hyper):
+        assert {name: net.dims
+                for name, net in StableDynamicsModel.initialize(vdp_hyper).nets.items()} == {
+            "gf": [3, 100, 100, 100, 2], "gu": [2, 50, 50, 50, 1], "gv": [2, 50, 50, 50, 1]}
 
-    @pytest.mark.parametrize("weights, biases, acts, message", [
-        ([np.zeros((2, 3))], [], ["identity"], "must have equal length"),
-        ([], [], [], "at least one layer"),
-        ([np.zeros((2, 3))], [np.zeros(3)], ["identity"],
-         r"layer 0: weight \(2, 3\) / bias \(3,\) mismatch"),
-        ([np.zeros((4, 3)), np.zeros((2, 5))], [np.zeros(4), np.zeros(2)],
-         ["tanh", "identity"], "layer 1: input dim 5 does not chain with previous output 4"),
-        ([np.zeros((2, 3))], [np.zeros(2)], ["relu"], "unknown activation tag 'relu'"),
-        ([np.full((2, 3), np.nan)], [np.zeros(2)], ["identity"],
-         "layer 0: non-finite parameters")],
-        ids=["lengths", "no-layer", "bias-width", "chain", "activation", "nan"])
-    def test_malformed_network_rejected(self, weights, biases, acts, message):
-        with pytest.raises(ValueError, match=message):
-            Network(weights, biases, acts)
+    def test_biases_zero_weights_bounded(self, vdp_hyper):
+        for mode in NETWORKS:
+            model = StableDynamicsModel.initialize(vdp_hyper, seed=123, mode=mode)
+            for net in model.nets.values():
+                for w, b in net.layers:
+                    assert np.array_equal(b, np.zeros(w.shape[0]))
+                    assert np.all(np.abs(w) <= np.sqrt(1.0 / w.shape[1]))
 
-    def test_numpy_integer_widths_accepted(self):
-        net = init_network([np.int64(2), np.int32(8), 1], "tanh", seed=0)
-        assert net.dims == [2, 8, 1]
+    @pytest.mark.parametrize("dims", [{"gv": 8.7}, {"gv": True}, {"gv": "8"}, {"gv": 0},
+                                      {"gu": -1}, {"gf": 2.0}, {"gf": None}])
+    def test_bad_dims_rejected(self, vdp_hyper, monkeypatch, dims):
+        # parameter_count refuses the widths, naming the network, before a draw
+        def no_draw(seed):
+            raise AssertionError("drew parameters for widths that are refused")
 
-    def test_bad_activation_rejected(self):
-        with pytest.raises(ValueError):
-            init_network([2, 2], "softplus", seed=0)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        (name, width), = dims.items()
+        role = next(role for role in NETWORKS["general"] if role.name == name)
+        in_dim, out_dim = role.dims(vdp_hyper.n, vdp_hyper.m)
+        widths = [in_dim] + [width] * 3 + [out_dim]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{name} layer widths must be a list of at least two positive "
+                f"integers, got {widths!r}") + "$"):
+            StableDynamicsModel.initialize(vdp_hyper, widths=dims)
+
+    def test_numpy_integer_widths_accepted(self, vdp_hyper, tmp_path):
+        model = StableDynamicsModel.initialize(
+            vdp_hyper, widths={"gv": np.int64(8), "gu": np.int32(6)}, depth=2)
+        dims = {name: net.dims for name, net in model.nets.items()}
+        assert dims == {"gf": [3, 100, 100, 2], "gu": [2, 6, 6, 1], "gv": [2, 8, 8, 1]}
+        assert all(type(w) is int for widths in dims.values() for w in widths)
+        path = tmp_path / "ck.json"
+        training.save_checkpoint(model, path)
+        assert json.loads(path.read_text())["dims"] == dims
 
 
 class TestForward:
     def test_zero_weights_identity_gives_bias(self):
-        net = Network([np.zeros((3, 2))], [np.array([1.0, -2.0, 0.5])], ["identity"])
+        net = Net([(np.zeros((3, 2)), np.array([1.0, -2.0, 0.5]))], ("identity",))
         assert np.array_equal(_apply(net, [[0.3, -0.7]]), [[1.0, -2.0, 0.5]])
 
     def test_identity_layer_passthrough(self):
-        net = Network([np.eye(2)], [np.zeros(2)], ["identity"])
+        net = Net([(np.eye(2), np.zeros(2))], ("identity",))
         x = np.array([[0.25, -4.0]])
         assert np.array_equal(_apply(net, x), x)
 
     def test_tanh_output_in_open_unit_box(self):
-        net = init_network([2, 10, 3], "tanh", seed=5, out_activation="tanh")
+        net = init_net([2, 10, 3], "tanh", seed=5, out_activation="tanh")
         out = _apply(net, np.random.default_rng(0).uniform(-50, 50, (200, 2)))
         assert np.all(np.abs(out) < 1.0)
 
@@ -107,7 +119,7 @@ class TestForward:
 
     def test_batch_matches_single(self):
         # rows agree up to BLAS kernel rounding (shape-dependent ulps)
-        net = init_network([2, 8, 8, 2], "smoothed_relu", seed=3)
+        net = init_net([2, 8, 8, 2], "smoothed_relu", seed=3)
         X = np.random.default_rng(1).uniform(-1, 1, (5, 2))
         batch = _apply(net, X)
         for i in range(5):
@@ -156,11 +168,6 @@ class TestSmoothedRelu:
         assert srelu_curv(D, D) == 1.0 / D
         assert srelu_curv(D + 1e-9, D) == 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -0.005, np.nan])
-    def test_nonpositive_width_rejected(self, bad):
-        with pytest.raises(ValueError, match="srelu_width"):
-            init_network([2, 4, 1], "smoothed_relu", srelu_width=bad)
-
     def test_vectorized(self):
         z = np.array([-1.0, 0.0, 0.0025, 0.005, 1.0])
         out = dc._srelu_raw(z, 0.005)
@@ -171,32 +178,31 @@ class TestSmoothedRelu:
 class TestInputGradient:
     def test_single_affine_layer_gradient_is_weight_row(self):
         w = np.array([[0.3, -1.2, 0.07]])
-        net = Network([w.copy()], [np.array([4.0])], ["identity"])
+        net = Net([(w.copy(), np.array([4.0]))], ("identity",))
         g = _input_grad(net, [[1.0, 2.0, 3.0]])
         assert np.array_equal(g, w)
 
     def test_constant_network_zero_gradient(self):
-        net = Network([np.zeros((1, 2))], [np.array([3.0])], ["identity"])
+        net = Net([(np.zeros((1, 2)), np.array([3.0]))], ("identity",))
         assert np.array_equal(_input_grad(net, [[0.4, 0.6]]), np.zeros((1, 2)))
 
     def test_non_scalar_output_rejected(self, vdp_hyper):
         # the Lyapunov network is the one whose input gradient is taken
-        nets = dict(make_model(vdp_hyper, seed=0).nets,
-                    gv=init_network([2, 4, 2], "smoothed_relu", seed=0,
-                                    out_activation="tanh"))
+        layers = dict(model_layers(make_model(vdp_hyper, seed=0)),
+                      gv=init_net([2, 4, 2], "smoothed_relu", seed=0).layers)
         with pytest.raises(ValueError,
                            match=r"gv must have \(input, output\) widths \(2, 1\), got \(2, 2\)"):
-            model_from_networks(vdp_hyper, nets)
+            model_from_networks(vdp_hyper, layers)
 
     @pytest.mark.parametrize("act,out_act,outs", [
         pytest.param("tanh", "identity", 1, id="tanh-identity"),
         pytest.param("smoothed_relu", "tanh", 1, id="smoothed_relu-tanh"),
         pytest.param("tanh", "identity", 2, id="tanh-identity-2out")])
     def test_matches_finite_differences(self, act, out_act, outs):
-        net = init_network([3, 20, 20, 20, outs], act, seed=9, out_activation=out_act)
+        net = init_net([3, 20, 20, 20, outs], act, seed=9, out_activation=out_act)
         rng = np.random.default_rng(2)
         cot = np.random.default_rng(3).standard_normal((1, outs))
-        for b in net.biases:  # move preactivations off the seams
+        for _w, b in net.layers:  # move preactivations off the seams
             b += rng.uniform(0.01, 0.05, b.shape)
         h = 1e-5
         checked = 0
@@ -444,19 +450,16 @@ class TestPrimitiveTable:
 
 class TestBackendConsistency:
     def test_tape_values_match_numpy_ops(self):
-        net = init_network([3, 10, 10, 1], "smoothed_relu", seed=6, out_activation="tanh")
+        net = init_net([3, 10, 10, 1], "smoothed_relu", seed=6, out_activation="tanh")
         X = np.random.default_rng(3).uniform(-1, 1, (7, 3))
-        handles_np = [(w, b) for w, b in zip(net.weights, net.biases)]
-        out_np, cache_np = net_apply(NumpyOps, handles_np, net.activations, D, X)
+        out_np, cache_np = net_apply(NumpyOps, net, D, X)
         cot = np.random.default_rng(4).standard_normal((7, 1))
-        grad_np = net_input_gradient(NumpyOps, handles_np, net.activations, D, cache_np, cot)
+        grad_np = net_input_gradient(NumpyOps, net, D, cache_np, cot)
 
         tape = Tape()
-        handles_t = [(tape.leaf(w), tape.leaf(b))
-                     for w, b in zip(net.weights, net.biases)]
-        out_t, cache_t = net_apply(tape, handles_t, net.activations, D, tape.constant(X))
-        grad_t = net_input_gradient(tape, handles_t, net.activations, D, cache_t,
-                                    tape.constant(cot))
+        on_tape = net._replace(layers=[(tape.leaf(w), tape.leaf(b)) for w, b in net.layers])
+        out_t, cache_t = net_apply(tape, on_tape, D, tape.constant(X))
+        grad_t = net_input_gradient(tape, on_tape, D, cache_t, tape.constant(cot))
         assert np.array_equal(out_np, out_t.value)
         assert np.array_equal(grad_np, grad_t.value)
 
@@ -471,11 +474,11 @@ class TestParamGradientFiniteDifferences:
             ([2, 50, 50, 50, 1], "tanh", "tanh"),
             ([2, 50, 50, 50, 1], "smoothed_relu", "tanh"),
         ):
-            net = init_network(dims, act, seed=13, out_activation=out_act)
-            for b in net.biases:
+            net = init_net(dims, act, seed=13, out_activation=out_act)
+            for _w, b in net.layers:
                 b += rng.uniform(0.01, 0.03, b.shape)
             # the parameters as one vector, each layer's weight before its bias
-            arrays = [a for wb in zip(net.weights, net.biases) for a in wb]
+            arrays = [a for wb in net.layers for a in wb]
             ends = np.cumsum([a.size for a in arrays])
             X = rng.uniform(-1, 1, (4, dims[0]))
             cot = np.random.default_rng(dims[-1]).standard_normal((4, dims[-1]))
@@ -484,11 +487,9 @@ class TestParamGradientFiniteDifferences:
                 tape = Tape()
                 leaves = [tape.leaf(chunk.reshape(a.shape))
                           for chunk, a in zip(np.split(vec, ends[:-1]), arrays)]
-                handles = list(zip(leaves[0::2], leaves[1::2]))
-                out, cache = net_apply(tape, handles, net.activations,
-                                       net.srelu_width, tape.constant(X))
-                g = net_input_gradient(tape, handles, net.activations,
-                                       net.srelu_width, cache, tape.constant(cot))
+                on_tape = net._replace(layers=list(zip(leaves[0::2], leaves[1::2])))
+                out, cache = net_apply(tape, on_tape, D, tape.constant(X))
+                g = net_input_gradient(tape, on_tape, D, cache, tape.constant(cot))
                 scalar = tape.add(tape.mean_all(tape.mul(out, out)),
                                   tape.mean_all(tape.mul(g, g)))
                 return tape, scalar, leaves
@@ -511,16 +512,13 @@ class TestParamGradientFiniteDifferences:
 class TestDeterminism:
     def test_bit_identical_outputs_and_gradients(self):
         def build_and_run():
-            net = init_network([2, 30, 30, 1], "smoothed_relu", seed=21,
-                               out_activation="tanh")
+            net = init_net([2, 30, 30, 1], "smoothed_relu", seed=21, out_activation="tanh")
             X = np.random.default_rng(22).uniform(-1, 1, (6, 2))
             tape = Tape()
-            handles = [(tape.leaf(w), tape.leaf(b))
-                       for w, b in zip(net.weights, net.biases)]
-            out, cache = net_apply(tape, handles, net.activations, D,
-                                   tape.constant(X))
+            on_tape = net._replace(layers=[(tape.leaf(w), tape.leaf(b)) for w, b in net.layers])
+            out, _cache = net_apply(tape, on_tape, D, tape.constant(X))
             scalar = tape.mean_all(tape.mul(out, out))
-            leaves = [h for pair in handles for h in pair]
+            leaves = [h for pair in on_tape.layers for h in pair]
             return out.value.copy(), [g.copy() for g in tape.gradient(scalar, leaves)]
 
         out1, grads1 = build_and_run()

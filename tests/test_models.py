@@ -1,16 +1,15 @@
 import re
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 import stabledyn
-from stabledyn.diffcore import Network, NumpyOps, Tape
+from stabledyn.diffcore import NumpyOps, Tape, _srelu_raw
 from stabledyn.models import NETWORKS, Hyper, StableDynamicsModel, projection_shift
 
 from conftest import (SMALL_WIDTHS, apply_net, fill_output_layer, jitter_params, make_model,
-                      model_from_networks)
+                      model_from_networks, model_layers)
 
 ORIGIN = np.zeros((1, 2))
 
@@ -20,10 +19,10 @@ def model_dims(model):
     return {name: net.dims for name, net in model.nets.items()}
 
 
-def constant_network(in_dim, out_dim, value, out_activation="identity"):
-    """Single affine layer with zero weights: output is the constant bias."""
-    return Network([np.zeros((out_dim, in_dim))],
-                   [np.full(out_dim, float(value))], [out_activation])
+def constant_network(in_dim, out_dim, value):
+    """Single affine layer with zero weights: its role's output activation of
+    the constant bias."""
+    return [(np.zeros((out_dim, in_dim)), np.full(out_dim, float(value)))]
 
 
 class TestHyper:
@@ -87,8 +86,8 @@ class TestNominal:
             assert np.array_equal(model.eval_pieces(ORIGIN, u0)["fhat_data"], ORIGIN)
 
     def test_constant_network_gives_zero_everywhere(self, vdp_hyper):
-        nets = make_model(vdp_hyper, seed=3).nets
-        model = model_from_networks(vdp_hyper, dict(nets, gf=constant_network(3, 2, 1.7)))
+        layers = model_layers(make_model(vdp_hyper, seed=3))
+        model = model_from_networks(vdp_hyper, dict(layers, gf=constant_network(3, 2, 1.7)))
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, (50, 2))
         U = rng.uniform(-5, 5, (50, 1))
@@ -115,9 +114,8 @@ class TestLyapunov:
             assert np.array_equal(model.lyapunov_grad_batch(ORIGIN), ORIGIN)
 
     def test_constant_gv_reduces_to_quadratic(self, vdp_hyper):
-        nets = make_model(vdp_hyper, seed=4).nets
-        gv = constant_network(2, 1, 0.33, out_activation="tanh")
-        model = model_from_networks(vdp_hyper, dict(nets, gv=gv))
+        layers = model_layers(make_model(vdp_hyper, seed=4))
+        model = model_from_networks(vdp_hyper, dict(layers, gv=constant_network(2, 1, 0.33)))
         X = np.random.default_rng(4).uniform(-1.3, 1.3, (100, 2))
         v = model.lyapunov_batch(X)
         q = vdp_hyper.eps_pd * np.sum(X * X, axis=1)
@@ -162,11 +160,10 @@ class TestProjection:
     def test_inactive_when_decrease_already_holds(self, vdp_hyper):
         # quadratic V with a linear nominal fhat = (-3 x1, +x2): the residual
         # -2.5 x1^2 + 1.5 x2^2 changes sign across the box
-        nets = dict(make_model(vdp_hyper, seed=7).nets,
-                    gv=constant_network(2, 1, 0.0, out_activation="tanh"),
-                    gf=Network([np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]])],
-                               [np.zeros(2)], ["identity"]))
-        model = model_from_networks(vdp_hyper, nets)
+        layers = dict(model_layers(make_model(vdp_hyper, seed=7)),
+                      gv=constant_network(2, 1, 0.0),
+                      gf=[(np.array([[-3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.zeros(2))])
+        model = model_from_networks(vdp_hyper, layers)
         rng = np.random.default_rng(7)
         X = rng.uniform(-1.3, 1.3, (4000, 2))
         pieces = model.eval_pieces(X)
@@ -256,11 +253,9 @@ class TestProjection:
     def test_nonfinite_data_output_raises(self, vdp_hyper):
         # u* = 0 keeps every closed-loop piece finite; only fhat at the data
         # control, 1e308 * u, overflows
-        gf = Network([np.array([[0.0, 0.0, 1e308], [0.0, 0.0, 0.0]])], [np.zeros(2)],
-                     ["identity"])
-        nets = dict(make_model(vdp_hyper).nets, gf=gf,
-                    gu=constant_network(2, 1, 0.0, out_activation="tanh"))
-        model = model_from_networks(vdp_hyper, nets)
+        gf = [(np.array([[0.0, 0.0, 1e308], [0.0, 0.0, 0.0]]), np.zeros(2))]
+        layers = dict(model_layers(make_model(vdp_hyper)), gf=gf, gu=constant_network(2, 1, 0.0))
+        model = model_from_networks(vdp_hyper, layers)
         with pytest.raises(FloatingPointError, match="non-finite model output"):
             model.eval_pieces(np.full((1, 2), 0.5), np.array([[4.0]]))
 
@@ -296,8 +291,9 @@ class TestClosedLoop:
         for seed in range(10):
             model = jitter_params(make_model(vdp_hyper, seed=seed, mode=mode), rng)
             tape = Tape()
-            handles = {name: [(tape.leaf(w), tape.leaf(b)) for w, b in pairs]
-                       for name, pairs in model.layers.items()}
+            handles = {name: net._replace(layers=[(tape.leaf(w), tape.leaf(b))
+                                                  for w, b in net.layers])
+                       for name, net in model.nets.items()}
             on_tape = model.build_graph(tape, handles, tape.constant(ORIGIN))
             for pieces in (model.eval_pieces(ORIGIN),
                            {name: node.value for name, node in on_tape.items()}):
@@ -422,7 +418,7 @@ class TestParams:
         model = make_model(vdp_hyper, seed=5, mode=mode)
         vec = model.get_params()
         assert vec.shape == (sum(w.size + b.size for n in model.nets.values()
-                                 for w, b in zip(n.weights, n.biases)),)
+                                 for w, b in n.layers),)
         model.set_params(vec * 2.0)
         assert np.array_equal(model.get_params(), vec * 2.0)
         returned = model.get_params()
@@ -441,8 +437,7 @@ class TestParams:
     def test_networks_view_the_vector_in_declared_order(self, vdp_hyper, mode):
         # network by network, layer by layer, each weight before its bias
         model = make_model(vdp_hyper, seed=6, mode=mode)
-        arrays = [a for n in model.nets.values() for wb in zip(n.weights, n.biases)
-                  for a in wb]
+        arrays = [a for n in model.nets.values() for wb in n.layers for a in wb]
         assert np.array_equal(model.get_params(),
                               np.concatenate([a.ravel() for a in arrays]))
         before = [a.copy() for a in arrays]
@@ -458,23 +453,18 @@ class TestParams:
         # save_checkpoint writes from nets, so nets must stay the vector's views
         theta = small_model.get_params()
         net = small_model.nets["gv"]
-        with pytest.raises(TypeError):
-            net.weights[0] = np.zeros_like(net.weights[0])
-        with pytest.raises(FrozenInstanceError):
-            net.biases = ()
-        with pytest.raises(TypeError):
-            small_model.nets["gv"] = small_model.nets["gf"]
-        with pytest.raises(TypeError):
-            small_model.layers["gv"] = small_model.layers["gf"]
-        pairs = small_model.layers["gv"]
+        pairs = net.layers
         with pytest.raises(TypeError):
             pairs[0] = (np.zeros_like(pairs[0][0]), pairs[0][1])
+        with pytest.raises(TypeError):
+            pairs[0][0] = np.zeros_like(pairs[0][0])
+        with pytest.raises(AttributeError):
+            net.layers = ()
+        with pytest.raises(TypeError):
+            small_model.nets["gv"] = small_model.nets["gf"]
         with pytest.raises(AttributeError):
             small_model.nets = {}
-        with pytest.raises(AttributeError):
-            small_model.layers = {}
-        assert small_model.nets["gv"] is net and small_model.layers["gv"] is pairs
-        assert all(W is w and B is b for (W, B), w, b in zip(pairs, net.weights, net.biases))
+        assert small_model.nets["gv"] is net and net.layers is pairs
         assert np.array_equal(small_model.get_params(), theta)
 
     def test_model_from_another_models_networks_is_independent(self, small_model,
@@ -482,7 +472,7 @@ class TestParams:
         x = np.array([[0.4, -0.2], [-0.9, 0.3]])
         theta = small_model.get_params()
         before = small_model.eval_pieces(x)["fstar_star"].copy()
-        other = model_from_networks(vdp_hyper, small_model.nets)
+        other = model_from_networks(vdp_hyper, model_layers(small_model))
         other.set_params(2.0 * theta)
         assert np.array_equal(small_model.get_params(), theta)
         assert np.array_equal(small_model.eval_pieces(x)["fstar_star"], before)
@@ -524,14 +514,29 @@ class TestParams:
                     f"got shape {bad.shape}") + "$"):
                 StableDynamicsModel(vdp_hyper, "general", model_dims(small_model), bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_params_rejected(self, small_model, vdp_hyper, bad):
+        theta = small_model.get_params()
+        theta[theta.size // 2] = bad
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
+            StableDynamicsModel(vdp_hyper, "general", model_dims(small_model), theta)
+
     @pytest.mark.parametrize("mode", ["general", "affine"])
     def test_activations_and_srelu_width_follow_the_roles(self, vdp_system, mode):
         hp = Hyper.for_system(vdp_system, d=0.01)
-        model = make_model(hp, seed=3, mode=mode)
+        model = jitter_params(make_model(hp, seed=3, mode=mode), np.random.default_rng(3))
         for role in NETWORKS[mode]:
             net = model.nets[role.name]
-            assert net.activations == (role.hidden,) * (len(net.weights) - 1) + (role.out,)
-            assert net.srelu_width == 0.01
+            assert net.activations == (role.hidden,) * (len(net.layers) - 1) + (role.out,)
+        # V = srelu(v_cap (gv(x) - gv(0)), d) + eps_pd |x|^2 with gv's
+        # smoothed-ReLU layers of width d too
+        X = np.random.default_rng(4).uniform(-1.3, 1.3, (64, 2))
+        gv = model.nets["gv"]
+        w = hp.v_cap * (apply_net(gv, X, 0.01)[0] - apply_net(gv, ORIGIN, 0.01)[0])
+        want = _srelu_raw(w, 0.01)[:, 0] + hp.eps_pd * np.sum(X * X, axis=1)
+        assert np.allclose(model.lyapunov_batch(X), want, rtol=1e-12, atol=1e-15)
+        other = apply_net(gv, X, 0.02)[0] - apply_net(gv, ORIGIN, 0.02)[0]
+        assert not np.allclose(hp.v_cap * other, w, rtol=1e-6, atol=0)
 
 
 def test_package_exports_resolve():

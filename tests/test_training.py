@@ -15,8 +15,8 @@ from stabledyn.training import (
     TrainingDivergedError,
 )
 
-from conftest import (SMALL_WIDTHS, jitter_params, make_model, model_from_networks, net_slices,
-                      seam_margins)
+from conftest import (SMALL_WIDTHS, jitter_params, make_model, model_from_networks, model_layers,
+                      net_slices, seam_margins)
 
 
 
@@ -115,7 +115,7 @@ class TestLoss:
         with_reg = training.loss(small_model, ds).value
         # identical model, lambda bumped: loss strictly larger by lam*||theta||^2
         hp2 = Hyper.for_system(vdp_system, lam=1e-3)
-        model2 = model_from_networks(hp2, small_model.nets)
+        model2 = model_from_networks(hp2, model_layers(small_model))
         reg_loss = training.loss(model2, ds).value
         theta2 = np.sum(model2.get_params() ** 2)
         assert reg_loss == pytest.approx(with_reg + 1e-3 * theta2, rel=1e-12)
@@ -590,7 +590,7 @@ class TestCheckpoint:
         assert np.array_equal(back.get_params(), model.get_params())
         assert {k: n.dims for k, n in back.nets.items()} == {
             "gf": [3, 7, 7, 2], "gu": [2, 5, 5, 1], "gv": [2, 9, 9, 1]}
-        assert back.hyper.d == 0.01 and back.nets["gv"].srelu_width == 0.01
+        assert back.hyper.d == 0.01
         X = np.random.default_rng(24).uniform(-1.3, 1.3, (40, 2))
         U = np.random.default_rng(25).uniform(-5, 5, (40, 1))
         want, got = model.eval_pieces(X, U), back.eval_pieces(X, U)

@@ -10,7 +10,7 @@ from stabledyn import sim, training, verify
 from stabledyn.models import Hyper, row_blocks
 from stabledyn.systems import SystemSpec, get_system
 
-from conftest import fill_output_layer, make_model, model_from_networks
+from conftest import fill_output_layer, make_model, model_from_networks, model_layers
 from test_models import constant_network
 
 
@@ -155,9 +155,8 @@ class TestDecayBound:
 
 class TestQuadraticRatio:
     def test_constant_gv_gives_exact_floor(self, vdp_hyper):
-        nets = make_model(vdp_hyper, seed=7).nets
-        gv = constant_network(2, 1, 0.25, out_activation="tanh")
-        model = model_from_networks(vdp_hyper, dict(nets, gv=gv))
+        layers = model_layers(make_model(vdp_hyper, seed=7))
+        model = model_from_networks(vdp_hyper, dict(layers, gv=constant_network(2, 1, 0.25)))
         rep = verify.estimate_quadratic_ratio(model, 0.2, 1.0, 20000, seed=2)
         assert rep.M == vdp_hyper.eps_pd
         assert rep.c2_global == vdp_hyper.eps_pd
